@@ -1,0 +1,208 @@
+"""Golden CLI matrix: fixed argv cases whose outputs must stay byte-identical.
+
+Each line of ``golden/cli_matrix.txt`` is ``sha256 exit argv``, where the
+digest covers the exit code, stdout, stderr and the bytes of any ``--out``
+file the case wrote. Raw outputs run to megabytes, so only digests are kept.
+
+Regenerate the fixture only for an intended output change:
+
+    PYTHONPATH=src python tests/test_golden_cli.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import shlex
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+
+from sumdiff.cli import main  # noqa: E402
+
+FIXTURE = ROOT / "tests" / "golden" / "cli_matrix.txt"
+
+# {tmp} is the case directory; --out files go to {tmp}/out and are digested.
+CONFIGS = {
+    "caps.cfg": "# caps\nminimizer_cap=2\n",
+    "wide.cfg": "minimizer_cap=20\ngroup_cap=12\nwidth_cap=10\nthreads=1\n",
+    "outdir.cfg": "out_dir={tmp}/out\nthreads=1\n",
+    "bad.cfg": "nonsense_key=1\n",
+    "noeq.cfg": "threads\n",
+}
+
+GROUP_SETS = ["0,1,3@Z8", "1,4@Z6", "0@Z1", "0,1,2@Z2xZ3", "0,5,7@Z2xZ4", "3,1,2@Z10", "0,1@Z5"]
+INT_SETS = ["0,2,3,4,7,11,12,14@Z", "0,1@Z", "5@Z", "-3,0,4@Z", "1,2,3,4@Z"]
+CLAIMS = ["fact1", "ineq1", "thm1", "thm2", "thm3", "thm5"]
+MODES = ["none", "translation", "translation+negation", "full-affine"]
+
+
+def _cases() -> list:
+    cases = []
+    for lit in GROUP_SETS + INT_SETS:
+        for fmt in ("human", "json"):
+            cases.append(["constants", lit, "--format", fmt])
+    for claim in CLAIMS:
+        for lit in ["0,1,3@Z8", "1,4@Z6", "0,1@Z5", "0,1,4@Z2xZ4", "0,2,3,14@Z", "3@Z"]:
+            for fmt in ("human", "json"):
+                cases.append(["check", claim, lit, "--format", fmt])
+        for fmt in ("human", "json"):
+            cases.append(["check", claim, "--sweep", "Z6", "--format", fmt])
+        cases.append(["check", claim, "--sweep", "Z2xZ3", "--format", "json"])
+        cases.append(["check", claim, "--sweep", "Z9", "--sample", "40", "--seed", "3"])
+    cases += [
+        ["check", "thm5", "0,1@Z8", "--n", "3"],
+        ["check", "thm5", "0,1,3@Z8", "--n", "1", "--format", "json"],
+        ["check", "thm5", "0,1,4,9@Z", "--n", "3", "--format", "json"],
+        ["check", "thm3", "0,1,2@Z8", "--minimizer-cap", "20"],
+        ["check", "fact1", "--sweep", "Z16", "--sample", "25", "--seed", "7", "--format", "json"],
+        ["check", "ineq1", "--sweep", "Z8", "--group-cap", "8"],
+        ["check", "thm3", "--sweep", "Z7", "--n", "3", "--format", "json"],
+    ]
+    for lit in GROUP_SETS + INT_SETS:
+        for fmt in ("human", "json"):
+            cases.append(["witness", "ruzsa", lit, "--format", fmt])
+    for lit in ["0,3@Z6", "0,1@Z5", "0,1,3@Z8", "0,5,7@Z2xZ4", "0,1@Z", "0,2,3,7@Z"]:
+        for fmt in ("human", "json"):
+            cases.append(["witness", "petridis", lit, "--format", fmt])
+            cases.append(["witness", "petridis", lit, "--order", "desc", "--format", fmt])
+    cases += [
+        ["witness", "petridis", "0,3@Z6", "--C", "0,1"],
+        ["witness", "petridis", "0,3@Z6", "--C", "0,1", "--order", "desc", "--format", "json"],
+        ["witness", "petridis", "0,1@Z5", "--base", "0,4", "--format", "json"],
+        ["witness", "petridis", "0,1@Z5", "--C", "0,1", "--base", "0,2,4"],
+        ["witness", "petridis", "0,2,3,7@Z", "--C", "2,3", "--format", "json"],
+        ["witness", "petridis", "0,2,3,7@Z", "--C", "0,7", "--base", "0,1"],
+        ["witness", "petridis", "0,1,3@Z8", "--minimizer-cap", "3", "--format", "json"],
+    ]
+    for universe in (["--group", "Z8"], ["--group", "Z2xZ4"], ["--ints", "0..9"]):
+        for mode in MODES:
+            for fmt in ("human", "json", "csv"):
+                cases.append(["scan", *universe, "--mode", mode, "--format", fmt, "--threads", "1"])
+    cases += [
+        ["scan", "--group", "Z1", "--format", "json", "--threads", "1"],
+        ["scan", "--group", "Z10", "--all", "--threads", "1"],
+        ["scan", "--group", "Z6"],
+        ["scan", "--group", "Z9", "--min-size", "2", "--max-size", "4", "--format", "csv", "--threads", "1"],
+        ["scan", "--group", "Z9", "--min-size", "3", "--format", "json", "--threads", "1"],
+        ["scan", "--group", "Z8", "--range", "1:128", "--format", "csv", "--threads", "1"],
+        ["scan", "--group", "Z8", "--range", "128:256", "--format", "csv", "--threads", "1"],
+        ["scan", "--group", "Z8", "--range", "0:1000", "--threads", "1"],
+        ["scan", "--group", "Z10", "--exponents", "--threads", "1"],
+        ["scan", "--group", "Z10", "--exponents", "--format", "json", "--threads", "1"],
+        ["scan", "--group", "Z4", "--max-size", "1", "--exponents", "--format", "json", "--threads", "1"],
+        ["scan", "--group", "Z4", "--max-size", "1", "--exponents", "--threads", "1"],
+        ["scan", "--group", "Z8", "--mstd", "--exponents", "--format", "json", "--threads", "1"],
+        ["scan", "--ints", "0..14", "--min-size", "8", "--max-size", "8", "--mstd", "--exponents", "--threads", "1"],
+        ["scan", "--ints", "0..14", "--min-size", "8", "--max-size", "8", "--mstd", "--format", "json", "--threads", "2"],
+        ["scan", "--ints", "0..14", "--min-size", "7", "--max-size", "8", "--format", "csv", "--threads", "2"],
+        ["scan", "--ints", "-3..4", "--mode", "translation", "--exponents", "--threads", "1"],
+        ["scan", "--group", "Z15", "--max-size", "3", "--format", "csv", "--threads", "2"],
+        ["scan", "--group", "Z15", "--max-size", "3", "--exponents", "--threads", "2"],
+        ["scan", "--group", "Z2xZ8", "--max-size", "2", "--format", "json", "--threads", "2"],
+        ["scan", "--group", "Z8", "--format", "csv", "--out", "{tmp}/out/scan.csv", "--threads", "1"],
+        ["scan", "--group", "Z8", "--format", "json", "--out", "{tmp}/out/scan.json", "--threads", "1"],
+        ["scan", "--ints", "0..7", "--out", "{tmp}/out/scan.txt", "--threads", "1"],
+        ["--config", "{tmp}/outdir.cfg", "scan", "--group", "Z6", "--format", "csv", "--out", "res.csv"],
+        ["--config", "{tmp}/wide.cfg", "scan", "--ints", "0..9", "--format", "json"],
+        ["--config", "{tmp}/wide.cfg", "scan", "--group", "Z13"],
+        ["--config", "{tmp}/wide.cfg", "scan", "--group", "Z13", "--group-cap", "13", "--max-size", "2"],
+        ["--config", "{tmp}/wide.cfg", "scan", "--ints", "0..10"],
+    ]
+    for universe in (["--ints", "0..14", "--max-size", "8"], ["--group", "Z8"], ["--group", "Z2xZ4"]):
+        for fmt in ("human", "json", "csv"):
+            cases.append(["mstd", *universe, "--format", fmt, "--threads", "1"])
+    cases += [
+        ["mstd", "--ints", "0..14", "--max-size", "8", "--threads", "2"],
+        ["mstd", "--group", "Z7", "--threads", "1"],
+        ["mstd", "--ints", "0..9", "--mode", "none", "--format", "json", "--threads", "1"],
+        ["mstd", "--group", "Z2xZ4", "--format", "csv", "--out", "{tmp}/out/m.csv", "--threads", "1"],
+        ["--config", "{tmp}/outdir.cfg", "mstd", "--ints", "0..9", "--format", "json", "--out", "m.json"],
+        ["--config", "{tmp}/caps.cfg", "check", "thm3", "0,1,2@Z8"],
+        ["--config", "{tmp}/caps.cfg", "check", "thm3", "0,1,2@Z8", "--minimizer-cap", "20"],
+        ["--config", "{tmp}/caps.cfg", "witness", "petridis", "0,1,2@Z8"],
+        ["--config", "{tmp}/wide.cfg", "check", "fact1", "--sweep", "Z13"],
+        ["--config", "{tmp}/bad.cfg", "constants", "0@Z5"],
+        ["--config", "{tmp}/noeq.cfg", "constants", "0@Z5"],
+        # parse errors: exit 1
+        ["constants", "0,1,3@"],
+        ["constants", "0,1,3"],
+        ["constants", "@Z8"],
+        ["constants", "0,x@Z8"],
+        ["constants", "9@Z8"],
+        ["constants", "0@Q8"],
+        ["constants", "0@Z0"],
+        ["constants", "0@Z2xW3"],
+        ["check", "thm3"],
+        ["check", "fact1", "--sweep", "Z2xY"],
+        ["witness", "petridis", "0,1@Z", "--C", "5,6"],
+        ["witness", "petridis", "0,1@Z5", "--C", "0,a"],
+        ["witness", "petridis", "0,1@Z5", "--base", "0,7"],
+        ["check", "thm5", "0,1@Z8", "--n", "0"],
+        ["scan", "--threads", "1"],
+        ["scan", "--ints", "5..2", "--threads", "1"],
+        ["scan", "--ints", "0-9", "--threads", "1"],
+        ["scan", "--group", "Z8", "--range", "1-9", "--threads", "1"],
+        ["mstd", "--threads", "1"],
+        ["mstd", "--ints", "x..3", "--threads", "1"],
+        # caps exceeded: exit 2
+        ["check", "thm3", "--sweep", "Z26"],
+        ["check", "fact1", "--sweep", "Z8", "--group-cap", "6"],
+        ["check", "thm3", "0,1,2,3@Z8", "--minimizer-cap", "3"],
+        ["witness", "petridis", "0,1,2,3@Z8", "--minimizer-cap", "3"],
+        ["scan", "--group", "Z30", "--threads", "1"],
+        ["scan", "--group", "Z12", "--group-cap", "10", "--threads", "1"],
+        ["scan", "--ints", "0..20", "--threads", "1"],
+        ["scan", "--ints", "0..9", "--width-cap", "8", "--threads", "1"],
+        ["mstd", "--group", "Z25", "--threads", "1"],
+        ["mstd", "--ints", "0..16", "--threads", "1"],
+    ]
+    return cases
+
+
+def _run_case(argv: list, tmp: Path) -> tuple[int, str]:
+    out_dir = tmp / "out"
+    out_dir.mkdir(exist_ok=True)
+    argv = [a.replace("{tmp}", str(tmp)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    blob = f"{code}\n{out.getvalue()}\n--stderr--\n{err.getvalue()}"
+    for path in sorted(out_dir.iterdir()):
+        blob += f"\n--out {path.name}--\n" + path.read_text(encoding="utf-8")
+        path.unlink()
+    return code, hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def render_matrix(tmp: Path) -> list:
+    """One fixture line per case: digest, exit code, argv."""
+    for name, text in CONFIGS.items():
+        (tmp / name).write_text(text.replace("{tmp}", str(tmp)), encoding="utf-8")
+    lines = []
+    for argv in _cases():
+        code, digest = _run_case(argv, tmp)
+        lines.append(f"{digest} {code} {shlex.join(argv)}")
+    return lines
+
+
+def test_golden_cli_matrix(tmp_path):
+    expected = FIXTURE.read_text(encoding="utf-8").splitlines()
+    actual = render_matrix(tmp_path)
+    assert len(actual) == len(expected), "case list changed; regenerate the fixture"
+    changed = [a.split(" ", 2)[2] for a, e in zip(actual, expected) if a != e]
+    assert not changed, "output changed for: " + "; ".join(changed)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_cli.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = render_matrix(Path(tmp))
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {len(lines)} cases to {FIXTURE.relative_to(ROOT)}")
