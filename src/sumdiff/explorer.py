@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -78,16 +79,49 @@ class SearchRecord:
     card: int
     sum_card: int
     diff_card: int
-    sigma: Fraction
-    delta: Fraction
     coset: bool
-    mstd: bool  # more sums than differences
-    balanced: bool
-    eq_upper: bool  # delta = sigma^2
-    eq_lower: bool  # sigma = delta^2
-    exponent_up: float | None  # log sigma / log delta, report-only
-    exponent_down: float | None  # log delta / log sigma, report-only
     orbit_size: int
+
+    @property
+    def sigma(self) -> Fraction:
+        return Fraction(self.sum_card, self.card)
+
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(self.diff_card, self.card)
+
+    @property
+    def mstd(self) -> bool:
+        """More sums than differences."""
+        return self.sum_card > self.diff_card
+
+    @property
+    def balanced(self) -> bool:
+        return self.sum_card == self.diff_card
+
+    @property
+    def eq_upper(self) -> bool:
+        """delta = sigma^2."""
+        return self.diff_card * self.card == self.sum_card**2
+
+    @property
+    def eq_lower(self) -> bool:
+        """sigma = delta^2."""
+        return self.sum_card * self.card == self.diff_card**2
+
+    @property
+    def exponent_up(self) -> float | None:
+        """log sigma / log delta, report-only; None when sigma or delta is 1."""
+        if self.sum_card == self.card or self.diff_card == self.card:
+            return None
+        return math.log(self.sum_card / self.card) / math.log(self.diff_card / self.card)
+
+    @property
+    def exponent_down(self) -> float | None:
+        """log delta / log sigma, report-only; None when sigma or delta is 1."""
+        if self.sum_card == self.card or self.diff_card == self.card:
+            return None
+        return math.log(self.diff_card / self.card) / math.log(self.sum_card / self.card)
 
     def set_literal(self) -> str:
         return ",".join(map(str, self.elements)) + "@" + self.group
@@ -280,48 +314,9 @@ def enumerate_canonical(campaign: Campaign):
 # -- records -----------------------------------------------------------------
 
 
-def _exponents(sig: Fraction, dlt: Fraction) -> tuple[float | None, float | None]:
-    if sig == 1 or dlt == 1:
-        return None, None
-    ls = math.log(sig.numerator / sig.denominator)
-    ld = math.log(dlt.numerator / dlt.denominator)
-    return ls / ld, ld / ls
-
-
-def _make_record(
-    label: str,
-    elements: tuple[int, ...],
-    a: int,
-    s: int,
-    d: int,
-    coset: bool,
-    orbit_size: int,
-) -> SearchRecord:
-    sig = Fraction(s, a)
-    dlt = Fraction(d, a)
-    up, down = _exponents(sig, dlt)
-    return SearchRecord(
-        group=label,
-        elements=elements,
-        card=a,
-        sum_card=s,
-        diff_card=d,
-        sigma=sig,
-        delta=dlt,
-        coset=coset,
-        mstd=s > d,
-        balanced=s == d,
-        eq_upper=d * a == s * s,
-        eq_lower=s * a == d * d,
-        exponent_up=up,
-        exponent_down=down,
-        orbit_size=orbit_size,
-    )
-
-
 def _record_for_group_mask(g: GroupSpec, mask: int, orbit_size: int) -> SearchRecord:
     A = GSet.from_mask(g, mask)
-    return _make_record(
+    return SearchRecord(
         g.label(),
         A.elements(),
         A.card,
@@ -339,93 +334,10 @@ def _record_for_int_mask(mask: int, lo: int, orbit_size: int) -> SearchRecord:
     s = sumset(A, A).card
     d = diffset(A, A).card
     # in the integers only singletons are cosets of a finite subgroup
-    return _make_record("Z", pts, a, s, d, a == 1, orbit_size)
+    return SearchRecord("Z", pts, a, s, d, a == 1, orbit_size)
 
 
 # -- scanning ----------------------------------------------------------------
-
-
-@dataclass
-class _Stats:
-    universe: int = 0
-    representatives: int = 0
-    coset: int = 0
-    mstd: int = 0
-    diff_dominant: int = 0
-    balanced: int = 0
-    eq_upper: int = 0
-    eq_lower: int = 0
-    rep_coset: int = 0
-    rep_mstd: int = 0
-    rep_diff_dominant: int = 0
-    rep_balanced: int = 0
-    rep_eq_upper: int = 0
-    rep_eq_lower: int = 0
-    max_up: float | None = None
-    argmax_up: tuple[str, ...] = ()
-    max_down: float | None = None
-    argmax_down: tuple[str, ...] = ()
-
-    def absorb(self, r: SearchRecord) -> None:
-        w = r.orbit_size
-        self.universe += w
-        self.representatives += 1
-        if r.coset:
-            self.coset += w
-            self.rep_coset += 1
-        if r.mstd:
-            self.mstd += w
-            self.rep_mstd += 1
-        elif not r.balanced:
-            self.diff_dominant += w
-            self.rep_diff_dominant += 1
-        else:
-            self.balanced += w
-            self.rep_balanced += 1
-        if r.eq_upper:
-            self.eq_upper += w
-            self.rep_eq_upper += 1
-        if r.eq_lower:
-            self.eq_lower += w
-            self.rep_eq_lower += 1
-        if not r.coset and r.exponent_up is not None:
-            if self.max_up is None or r.exponent_up > self.max_up:
-                self.max_up, self.argmax_up = r.exponent_up, (r.set_literal(),)
-            elif r.exponent_up == self.max_up:
-                self.argmax_up += (r.set_literal(),)
-            if self.max_down is None or r.exponent_down > self.max_down:
-                self.max_down, self.argmax_down = r.exponent_down, (r.set_literal(),)
-            elif r.exponent_down == self.max_down:
-                self.argmax_down += (r.set_literal(),)
-
-    def merge(self, other: "_Stats") -> None:
-        for name in (
-            "universe",
-            "representatives",
-            "coset",
-            "mstd",
-            "diff_dominant",
-            "balanced",
-            "eq_upper",
-            "eq_lower",
-            "rep_coset",
-            "rep_mstd",
-            "rep_diff_dominant",
-            "rep_balanced",
-            "rep_eq_upper",
-            "rep_eq_lower",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        for max_name, arg_name in (("max_up", "argmax_up"), ("max_down", "argmax_down")):
-            om, oa = getattr(other, max_name), getattr(other, arg_name)
-            sm = getattr(self, max_name)
-            if om is None:
-                continue
-            if sm is None or om > sm:
-                setattr(self, max_name, om)
-                setattr(self, arg_name, oa)
-            elif om == sm:
-                setattr(self, arg_name, getattr(self, arg_name) + oa)
 
 
 @dataclass(frozen=True)
@@ -452,31 +364,70 @@ class ScanSummary:
         }
 
 
-def _summary_from(stats: _Stats) -> ScanSummary:
-    return ScanSummary(
-        representatives=stats.representatives,
-        universe=stats.universe,
-        counts={
-            "coset": stats.coset,
-            "sum_dominant": stats.mstd,
-            "diff_dominant": stats.diff_dominant,
-            "balanced": stats.balanced,
-            "eq_upper": stats.eq_upper,
-            "eq_lower": stats.eq_lower,
-        },
-        rep_counts={
-            "coset": stats.rep_coset,
-            "sum_dominant": stats.rep_mstd,
-            "diff_dominant": stats.rep_diff_dominant,
-            "balanced": stats.rep_balanced,
-            "eq_upper": stats.rep_eq_upper,
-            "eq_lower": stats.rep_eq_lower,
-        },
-        max_exponent_up=stats.max_up,
-        argmax_up=stats.argmax_up,
-        max_exponent_down=stats.max_down,
-        argmax_down=stats.argmax_down,
-    )
+_CATEGORIES = ("coset", "sum_dominant", "diff_dominant", "balanced", "eq_upper", "eq_lower")
+
+
+def _categories(r: SearchRecord) -> Iterator[str]:
+    if r.coset:
+        yield "coset"
+    yield "sum_dominant" if r.mstd else "balanced" if r.balanced else "diff_dominant"
+    if r.eq_upper:
+        yield "eq_upper"
+    if r.eq_lower:
+        yield "eq_lower"
+
+
+def _fold_max(best: tuple, value: float | None, argmax: tuple) -> tuple:
+    """Fold (value, argmax) into best = (max, argmax); ties keep both, in order."""
+    top, arg = best
+    if value is None or (top is not None and value < top):
+        return best
+    if top is None or value > top:
+        return value, argmax
+    return top, arg + argmax
+
+
+@dataclass
+class _Stats:
+    """Scan tallies: orbit-weighted and per-representative category counts,
+    and the exponent maxima with their non-coset argmax records."""
+
+    universe: int = 0
+    representatives: int = 0
+    counts: Counter = field(default_factory=Counter)
+    rep_counts: Counter = field(default_factory=Counter)
+    up: tuple = (None, ())
+    down: tuple = (None, ())
+
+    def absorb(self, r: SearchRecord) -> None:
+        self.universe += r.orbit_size
+        self.representatives += 1
+        for key in _categories(r):
+            self.counts[key] += r.orbit_size
+            self.rep_counts[key] += 1
+        if not r.coset:
+            self.up = _fold_max(self.up, r.exponent_up, (r,))
+            self.down = _fold_max(self.down, r.exponent_down, (r,))
+
+    def merge(self, other: "_Stats") -> None:
+        self.universe += other.universe
+        self.representatives += other.representatives
+        self.counts.update(other.counts)
+        self.rep_counts.update(other.rep_counts)
+        self.up = _fold_max(self.up, *other.up)
+        self.down = _fold_max(self.down, *other.down)
+
+    def summary(self) -> ScanSummary:
+        return ScanSummary(
+            representatives=self.representatives,
+            universe=self.universe,
+            counts={k: self.counts[k] for k in _CATEGORIES},
+            rep_counts={k: self.rep_counts[k] for k in _CATEGORIES},
+            max_exponent_up=self.up[0],
+            argmax_up=tuple(r.set_literal() for r in self.up[1]),
+            max_exponent_down=self.down[0],
+            argmax_down=tuple(r.set_literal() for r in self.down[1]),
+        )
 
 
 def _scan_chunk(campaign: Campaign, lo_mask: int, hi_mask: int) -> tuple[list, _Stats]:
@@ -528,7 +479,7 @@ def scan(
                 stats.merge(st)
     else:
         records, stats = _scan_chunk(campaign, lo, hi)
-    return records, _summary_from(stats)
+    return records, stats.summary()
 
 
 def find_mstd(

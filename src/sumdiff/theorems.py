@@ -50,9 +50,6 @@ HOLDS = "holds"
 EQUALITY = "equality-case"
 VIOLATED = "violated"
 
-CLAIM_IDS = ("fact1", "ineq1", "thm1", "thm2", "thm3", "thm5")
-
-
 @dataclass(frozen=True)
 class Verdict:
     claim: str
@@ -87,57 +84,44 @@ def _jsonify(value):
     return value
 
 
-def _base_sizes(A: GSet) -> tuple[int, int, int]:
+def _base(A: GSet) -> tuple[int, int, int, dict, dict]:
+    """|A|, |A+A|, |A-A| and the sizes and ratios dicts every verdict starts from."""
     if not A.card:
         raise EmptySetError("verdicts need a non-empty set")
-    return A.card, sumset(A, A).card, diffset(A, A).card
+    a, s, d = A.card, sumset(A, A).card, diffset(A, A).card
+    return a, s, d, {"A": a, "AA": s, "AmA": d}, {"sigma": Fraction(s, a), "delta": Fraction(d, a)}
+
+
+def _verdict(
+    claim: str, A: GSet, sizes: dict, ratios: dict, ok: bool, tight: bool, details: dict
+) -> Verdict:
+    """Violated unless ``ok``; otherwise the equality case exactly when ``tight``."""
+    outcome = VIOLATED if not ok else EQUALITY if tight else HOLDS
+    return Verdict(claim, A.group, A.elements(), sizes, ratios, outcome, details)
 
 
 def check_fact1(A: GSet) -> Verdict:
     """sigma = 1, delta = 1 and cosetness must agree; record the shared value."""
-    a, s, d = _base_sizes(A)
+    a, s, d, sizes, ratios = _base(A)
     coset = is_coset(A)
     preds = (s == a, d == a, coset is not None)
-    if len(set(preds)) == 1:
-        outcome = EQUALITY if preds[0] else HOLDS
-    else:
-        outcome = VIOLATED
     details = {"sigma_is_one": preds[0], "delta_is_one": preds[1], "coset": preds[2]}
     if coset is not None:
         details["subgroup"] = coset[0]
         details["representative"] = coset[1]
-    return Verdict(
-        "fact1",
-        A.group,
-        A.elements(),
-        {"A": a, "AA": s, "AmA": d},
-        {"sigma": Fraction(s, a), "delta": Fraction(d, a)},
-        outcome,
-        details,
-    )
+    return _verdict("fact1", A, sizes, ratios, len(set(preds)) == 1, preds[0], details)
 
 
 def check_inequality(A: GSet) -> Verdict:
     """Both bounds relating sigma and delta, with equality flags."""
-    a, s, d = _base_sizes(A)
+    a, s, d, sizes, ratios = _base(A)
     upper_ok = d * a <= s * s  # delta <= sigma^2
     lower_ok = s * a <= d * d  # sigma <= delta^2
     upper_tight = d * a == s * s
     lower_tight = s * a == d * d
-    if not (upper_ok and lower_ok):
-        outcome = VIOLATED
-    elif upper_tight or lower_tight:
-        outcome = EQUALITY
-    else:
-        outcome = HOLDS
-    return Verdict(
-        "ineq1",
-        A.group,
-        A.elements(),
-        {"A": a, "AA": s, "AmA": d},
-        {"sigma": Fraction(s, a), "delta": Fraction(d, a)},
-        outcome,
-        {"upper_tight": upper_tight, "lower_tight": lower_tight},
+    details = {"upper_tight": upper_tight, "lower_tight": lower_tight}
+    return _verdict(
+        "ineq1", A, sizes, ratios, upper_ok and lower_ok, upper_tight or lower_tight, details
     )
 
 
@@ -147,7 +131,7 @@ def check_upper(A: GSet) -> Verdict:
     Cross-checked constructively: the witness injection must be injective
     always and surjective exactly when A is a coset.
     """
-    a, s, d = _base_sizes(A)
+    a, s, d, sizes, ratios = _base(A)
     inj = build_injection(A)
     injective = verify_injective(inj)
     surjective = check_surjective(inj)
@@ -155,46 +139,24 @@ def check_upper(A: GSet) -> Verdict:
     upper_ok = d * a <= s * s
     upper_tight = d * a == s * s
     consistent = injective and upper_ok and upper_tight == coset == surjective
-    if not consistent:
-        outcome = VIOLATED
-    else:
-        outcome = EQUALITY if coset else HOLDS
-    return Verdict(
-        "thm2",
-        A.group,
-        A.elements(),
-        {"A": a, "AA": s, "AmA": d},
-        {"sigma": Fraction(s, a), "delta": Fraction(d, a)},
-        outcome,
-        {
-            "injective": injective,
-            "surjective": surjective,
-            "upper_tight": upper_tight,
-            "coset": coset,
-        },
-    )
+    details = {
+        "injective": injective,
+        "surjective": surjective,
+        "upper_tight": upper_tight,
+        "coset": coset,
+    }
+    return _verdict("thm2", A, sizes, ratios, consistent, coset, details)
 
 
 def check_main_theorem(A: GSet) -> Verdict:
     """Equality in either bound if and only if A is a coset."""
-    a, s, d = _base_sizes(A)
+    a, s, d, sizes, ratios = _base(A)
     upper_tight = d * a == s * s  # delta = sigma^2
     lower_tight = s * a == d * d  # sigma = delta^2
     eq_any = upper_tight or lower_tight
     coset = is_coset(A) is not None
-    if eq_any != coset:
-        outcome = VIOLATED
-    else:
-        outcome = EQUALITY if eq_any else HOLDS
-    return Verdict(
-        "thm1",
-        A.group,
-        A.elements(),
-        {"A": a, "AA": s, "AmA": d},
-        {"sigma": Fraction(s, a), "delta": Fraction(d, a)},
-        outcome,
-        {"upper_tight": upper_tight, "lower_tight": lower_tight, "coset": coset},
-    )
+    details = {"upper_tight": upper_tight, "lower_tight": lower_tight, "coset": coset}
+    return _verdict("thm1", A, sizes, ratios, eq_any == coset, eq_any, details)
 
 
 def check_lower_chain(A: GSet, cap: int = 20) -> Verdict:
@@ -204,13 +166,13 @@ def check_lower_chain(A: GSet, cap: int = 20) -> Verdict:
     minimizes |A+X|/|X| over non-empty subsets of -A. Every link is evaluated
     exactly and its slack recorded; all links are tight exactly on cosets.
     """
-    a, s, d = _base_sizes(A)
+    a, s, d, sizes, ratios = _base(A)
     mn = find_minimizer(A, A.negate(), cap=cap)
     x, k = mn.x, mn.k
     two_a = sumset(A, A)
     two_a_x = sumset(two_a, x).card
     xa = sumset(x, A).card
-    dd = Fraction(d, a)
+    dd = ratios["delta"]
     values = [
         Fraction(s),
         Fraction(two_a_x),
@@ -229,17 +191,13 @@ def check_lower_chain(A: GSet, cap: int = 20) -> Verdict:
         links.append({"lhs": lhs, "rel": rel, "rhs": rhs, "holds": ok, "slack": rhs - lhs})
         all_hold = all_hold and ok
         all_tight = all_tight and tight
-    if not all_hold:
-        outcome = VIOLATED
-    else:
-        outcome = EQUALITY if all_tight else HOLDS
-    return Verdict(
+    return _verdict(
         "thm3",
-        A.group,
-        A.elements(),
-        {"A": a, "AA": s, "AmA": d, "AAX": two_a_x, "XA": xa, "X": x.card},
-        {"sigma": Fraction(s, a), "delta": dd, "K": k},
-        outcome,
+        A,
+        sizes | {"AAX": two_a_x, "XA": xa, "X": x.card},
+        ratios | {"K": k},
+        all_hold,
+        all_tight,
         {"links": links, "X": x, "strict_minimizer": mn.strict_on_proper_subsets},
     )
 
@@ -253,7 +211,7 @@ def check_plunnecke(A: GSet, n: int, cap: int = 20) -> Verdict:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    a, s, d = _base_sizes(A)
+    a, s, _, _, ratios = _base(A)
     mn = find_minimizer(A, A, cap=cap)
     x, k = mn.x, mn.k
     na = iterated(A, n, 0).card
@@ -273,35 +231,44 @@ def check_plunnecke(A: GSet, n: int, cap: int = 20) -> Verdict:
         aux_ok = aux_ok and ok
         if j < n:
             cur = sumset(cur, A)
-    if not (main_ok and aux_ok):
-        outcome = VIOLATED
-    else:
-        outcome = HOLDS if strict_required else EQUALITY
-    return Verdict(
+    return _verdict(
         "thm5",
-        A.group,
-        A.elements(),
+        A,
         {"A": a, "AA": s, "nA": na},
-        {"sigma": Fraction(s, a), "K": k},
-        outcome,
+        {"sigma": ratios["sigma"], "K": k},
+        main_ok and aux_ok,
+        not strict_required,
         {"n": n, "main": {"lhs": main_lhs, "rhs": main_rhs}, "aux": aux, "X": x},
     )
 
 
+# claim id -> (integer-mode embedding arity for a given n, verifier). The
+# verifiers look their check_* function up by name on each call, so a
+# rebound module attribute (a tracing wrapper, say) is the one that runs.
+_CLAIMS = {
+    "fact1": (lambda n: (1, 1), lambda A, n, cap: check_fact1(A)),
+    "ineq1": (lambda n: (1, 1), lambda A, n, cap: check_inequality(A)),
+    "thm1": (lambda n: (1, 1), lambda A, n, cap: check_main_theorem(A)),
+    "thm2": (lambda n: (1, 1), lambda A, n, cap: check_upper(A)),
+    "thm3": (lambda n: (2, 1), lambda A, n, cap: check_lower_chain(A, cap=cap)),
+    "thm5": (lambda n: (n + 1, 0), lambda A, n, cap: check_plunnecke(A, n, cap=cap)),
+}
+CLAIM_IDS = tuple(_CLAIMS)
+
+
+def _claim(claim: str) -> tuple:
+    if claim not in _CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
+    return _CLAIMS[claim]
+
+
+def claim_arity(claim: str, n: int = 2) -> tuple[int, int]:
+    """The (n, m) that integer sets are embedded with for this claim."""
+    return _claim(claim)[0](n)
+
+
 def run_claim(claim: str, A: GSet, *, n: int = 2, cap: int = 20) -> Verdict:
-    if claim == "fact1":
-        return check_fact1(A)
-    if claim == "ineq1":
-        return check_inequality(A)
-    if claim == "thm1":
-        return check_main_theorem(A)
-    if claim == "thm2":
-        return check_upper(A)
-    if claim == "thm3":
-        return check_lower_chain(A, cap=cap)
-    if claim == "thm5":
-        return check_plunnecke(A, n, cap=cap)
-    raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
+    return _claim(claim)[1](A, n, cap)
 
 
 @dataclass(frozen=True)
