@@ -6,158 +6,18 @@ injection witnesses, minimizer equality certificates, per-claim verdicts, and
 an exhaustive (sigma, delta) landscape explorer.
 """
 
+from . import errors, explorer, groups, petridis, ruzsa, sets, theorems
 from ._version import VERSION as __version__
-from .errors import (
-    CapExceededError,
-    CertificateError,
-    EmptySetError,
-    GroupMismatchError,
-    HypothesisViolationError,
-    InvalidElementError,
-    ParseError,
-    SumdiffError,
-)
-from .explorer import (
-    Campaign,
-    ExponentReport,
-    MODE_FULL_AFFINE,
-    MODE_NONE,
-    MODE_TRANSLATION,
-    MODE_TRANSLATION_NEGATION,
-    PENMAN_WELLS_EXPONENT,
-    ScanSummary,
-    SearchRecord,
-    enumerate_canonical,
-    exponent_report,
-    find_mstd,
-    scan,
-    write_csv,
-)
-from .groups import GroupSpec, enumerate_subgroups, is_coset, iter_bits
-from .petridis import (
-    ComparisonRecord,
-    EqualityCertificate,
-    InductionTrace,
-    MinimizerResult,
-    TraceStep,
-    brute_force_certificate,
-    extract_certificate,
-    find_minimizer,
-    petridis_inequality,
-    replay_trace,
-    verify_hypothesis,
-)
-from .ruzsa import (
-    InjectionTable,
-    WitnessTable,
-    build_injection,
-    build_witness_table,
-    check_surjective,
-    verify_injective,
-)
-from .sets import (
-    GSet,
-    Ratio,
-    delta,
-    diffset,
-    embed_integer_set,
-    independent,
-    iterated,
-    sigma,
-    subsets,
-    sumset,
-)
-from .theorems import (
-    CLAIM_IDS,
-    EQUALITY,
-    HOLDS,
-    VIOLATED,
-    SweepSummary,
-    Verdict,
-    check_fact1,
-    check_inequality,
-    check_lower_chain,
-    check_main_theorem,
-    check_plunnecke,
-    check_upper,
-    run_claim,
-    sweep_claim,
-)
+from .errors import *  # noqa: F401,F403
+from .explorer import *  # noqa: F401,F403
+from .groups import *  # noqa: F401,F403
+from .petridis import *  # noqa: F401,F403
+from .ruzsa import *  # noqa: F401,F403
+from .sets import *  # noqa: F401,F403
+from .theorems import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # errors
-    "SumdiffError",
-    "GroupMismatchError",
-    "EmptySetError",
-    "InvalidElementError",
-    "CapExceededError",
-    "HypothesisViolationError",
-    "CertificateError",
-    "ParseError",
-    # groups
-    "GroupSpec",
-    "iter_bits",
-    "enumerate_subgroups",
-    "is_coset",
-    # sets
-    "GSet",
-    "Ratio",
-    "sumset",
-    "diffset",
-    "iterated",
-    "sigma",
-    "delta",
-    "independent",
-    "embed_integer_set",
-    "subsets",
-    # ruzsa
-    "WitnessTable",
-    "InjectionTable",
-    "build_witness_table",
-    "build_injection",
-    "verify_injective",
-    "check_surjective",
-    # petridis
-    "MinimizerResult",
-    "ComparisonRecord",
-    "TraceStep",
-    "InductionTrace",
-    "EqualityCertificate",
-    "find_minimizer",
-    "verify_hypothesis",
-    "petridis_inequality",
-    "replay_trace",
-    "extract_certificate",
-    "brute_force_certificate",
-    # theorems
-    "Verdict",
-    "SweepSummary",
-    "CLAIM_IDS",
-    "HOLDS",
-    "EQUALITY",
-    "VIOLATED",
-    "check_fact1",
-    "check_inequality",
-    "check_upper",
-    "check_main_theorem",
-    "check_lower_chain",
-    "check_plunnecke",
-    "run_claim",
-    "sweep_claim",
-    # explorer
-    "Campaign",
-    "SearchRecord",
-    "ScanSummary",
-    "ExponentReport",
-    "MODE_NONE",
-    "MODE_TRANSLATION",
-    "MODE_TRANSLATION_NEGATION",
-    "MODE_FULL_AFFINE",
-    "PENMAN_WELLS_EXPONENT",
-    "enumerate_canonical",
-    "scan",
-    "find_mstd",
-    "exponent_report",
-    "write_csv",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, groups, sets, ruzsa, petridis, theorems, explorer)
+    for name in module.__all__
 ]

@@ -35,7 +35,7 @@ from .groups import GroupSpec, is_coset
 from .petridis import extract_certificate, find_minimizer, replay_trace
 from .ruzsa import build_injection, build_witness_table, check_surjective, verify_injective
 from .sets import GSet, diffset, embed_integer_set, sumset
-from .theorems import CLAIM_IDS, VIOLATED, run_claim, sweep_claim
+from .theorems import CLAIM_IDS, VIOLATED, claim_arity, run_claim, sweep_claim
 
 __all__ = ["main", "console", "parse_group_literal", "parse_set_literal", "ParsedSet"]
 
@@ -80,13 +80,7 @@ def parse_set_literal(text: str) -> ParsedSet:
     head, tail = text[:at], text[at + 1 :]
     if not head:
         raise ParseError("empty element list", text, 0)
-    tokens = []
-    pos = 0
-    for tok in head.split(","):
-        if re.fullmatch(r"-?\d+", tok.strip()) is None:
-            raise ParseError(f"expected an integer, got {tok!r}", text, pos)
-        tokens.append((int(tok), pos))
-        pos += len(tok) + 1
+    tokens = _int_tokens(head, text)
     if tail in ("Z", "z"):
         return ParsedSet("ints", tuple(v for v, _ in tokens), None)
     g = parse_group_literal(tail, text, at + 1)
@@ -96,8 +90,26 @@ def parse_set_literal(text: str) -> ParsedSet:
     return ParsedSet("group", tuple(v for v, _ in tokens), g)
 
 
-def _format_set(A: GSet) -> str:
-    return str(A)
+def _int_tokens(head: str, text: str) -> list:
+    """(value, position) for each comma-separated integer in ``head``, the
+    start of ``text``; a malformed or repeated element is a ParseError."""
+    tokens = []
+    seen = set()
+    pos = 0
+    for tok in head.split(","):
+        if re.fullmatch(r"-?\d+", tok.strip()) is None:
+            raise ParseError(f"expected an integer, got {tok!r}", text, pos)
+        value = int(tok)
+        if value in seen:
+            raise ParseError(f"duplicate element {value}", text, pos)
+        seen.add(value)
+        tokens.append((value, pos))
+        pos += len(tok) + 1
+    return tokens
+
+
+def _parse_int_list(text: str) -> tuple:
+    return tuple(v for v, _ in _int_tokens(text, text))
 
 
 def _ratio(f: Fraction) -> str:
@@ -136,7 +148,8 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _cap(args, config: dict, key: str, default: int) -> int:
+def _setting(args, config: dict, key: str, default: int) -> int:
+    """A numeric setting: the flag if given, else the config file, else default."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
@@ -145,17 +158,41 @@ def _cap(args, config: dict, key: str, default: int) -> int:
     return default
 
 
+def _threads(args, config: dict) -> int:
+    """Worker processes: at least 1, at most the number of cores."""
+    cores = os.cpu_count() or 1
+    threads = _setting(args, config, "threads", cores)
+    if threads < 1:
+        raise ParseError(f"threads must be >= 1, got {threads}")
+    return min(threads, cores)
+
+
 # -- output helpers --------------------------------------------------------------
 
 
-def _open_out(args, config: dict):
+def _write_out(args, config: dict, render) -> None:
+    """Call ``render(fh)`` on stdout, or on --out (relative to out_dir if set).
+
+    A file is written to a temporary name beside the target and renamed over
+    it only once complete, so a failure or interrupt leaves any existing file
+    intact and no partial output behind.
+    """
     path = getattr(args, "out", None)
     if path is None:
-        return sys.stdout, False
+        render(sys.stdout)
+        return
     out_dir = config.get("out_dir")
     if out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
-    return open(path, "w", encoding="utf-8"), True
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            render(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _print_json(payload: dict, fh) -> None:
@@ -165,6 +202,24 @@ def _print_json(payload: dict, fh) -> None:
 def _print_lines(lines, fh) -> None:
     for line in lines:
         fh.write(line + "\n")
+
+
+def _emit(args, modulus: int | None, payload, lines, echo: str = "modulus  Z{} (embedding)"):
+    """Print ``payload()`` as JSON or ``lines()`` as text, per --format.
+
+    An integer-mode literal's embedding modulus is added as the JSON key
+    "modulus" and, formatted into ``echo``, as the second line of text.
+    """
+    if args.format == "json":
+        out = payload()
+        if modulus is not None:
+            out["modulus"] = modulus
+        _print_json(out, sys.stdout)
+    else:
+        text = lines()
+        if modulus is not None:
+            text.insert(1, echo.format(modulus))
+        _print_lines(text, sys.stdout)
 
 
 # -- embedding for integer-mode literals ------------------------------------------
@@ -178,15 +233,6 @@ def _embed_for(parsed: ParsedSet, arity: tuple[int, int]) -> tuple[GSet, int | N
     return A, g.order
 
 
-_CLAIM_ARITY = {
-    "fact1": (1, 1),
-    "ineq1": (1, 1),
-    "thm1": (1, 1),
-    "thm2": (1, 1),
-    "thm3": (2, 1),
-}
-
-
 # -- subcommands -------------------------------------------------------------------
 
 
@@ -198,32 +244,28 @@ def _cmd_constants(args, config: dict) -> int:
     sig = Fraction(s, A.card)
     dlt = Fraction(d, A.card)
     coset = is_coset(A) is not None if parsed.kind == "group" else A.card == 1
-    fh = sys.stdout
-    if args.format == "json":
-        payload = {
+    _emit(
+        args,
+        modulus,
+        lambda: {
             "set": args.set,
             "group": parsed.group.label() if parsed.group else "Z",
             "sizes": {"A": A.card, "AA": s, "AmA": d},
             "sigma": [sig.numerator, sig.denominator],
             "delta": [dlt.numerator, dlt.denominator],
             "coset": coset,
-        }
-        if modulus is not None:
-            payload["modulus"] = modulus
-        _print_json(payload, fh)
-    else:
-        lines = [f"set      {args.set}"]
-        if modulus is not None:
-            lines.append(f"modulus  Z{modulus} (embedding, arity 1+1)")
-        lines += [
+        },
+        lambda: [
+            f"set      {args.set}",
             f"|A|      {A.card}",
             f"|A+A|    {s}",
             f"|A-A|    {d}",
             f"sigma    {_ratio(sig)} {_approx(sig)}",
             f"delta    {_ratio(dlt)} {_approx(dlt)}",
             f"coset    {str(coset).lower()}",
-        ]
-        _print_lines(lines, fh)
+        ],
+        "modulus  Z{} (embedding, arity 1+1)",
+    )
     return 0
 
 
@@ -247,7 +289,7 @@ def _verdict_lines(v) -> list:
 
 
 def _cmd_check(args, config: dict) -> int:
-    cap = _cap(args, config, "minimizer_cap", 20)
+    cap = _setting(args, config, "minimizer_cap", 20)
     if args.sweep is not None:
         g = parse_group_literal(args.sweep)
         summary = sweep_claim(
@@ -255,40 +297,29 @@ def _cmd_check(args, config: dict) -> int:
             g,
             n=args.n,
             cap=cap,
-            group_cap=_cap(args, config, "group_cap", 24),
+            group_cap=_setting(args, config, "group_cap", 24),
             sample=args.sample,
             seed=args.seed,
         )
-        if args.format == "json":
-            _print_json(summary.to_json_dict(), sys.stdout)
-        else:
-            lines = [
+        _emit(
+            args,
+            None,
+            summary.to_json_dict,
+            lambda: [
                 f"claim    {summary.claim}",
                 f"group    {summary.group.label()}",
                 f"total    {summary.total}",
             ]
-            for outcome, count in summary.counts.items():
-                lines.append(f"{outcome:<14} {count}")
-            for lit in summary.violations:
-                lines.append(f"violating set: {lit}")
-            _print_lines(lines, sys.stdout)
+            + [f"{outcome:<14} {count}" for outcome, count in summary.counts.items()]
+            + [f"violating set: {lit}" for lit in summary.violations],
+        )
         return 3 if summary.counts.get(VIOLATED) else 0
     if args.set is None:
         raise ParseError("check needs a set literal or --sweep GROUP", "", 0)
     parsed = parse_set_literal(args.set)
-    arity = _CLAIM_ARITY.get(args.claim, (args.n + 1, 0))
-    A, modulus = _embed_for(parsed, arity)
+    A, modulus = _embed_for(parsed, claim_arity(args.claim, args.n))
     v = run_claim(args.claim, A, n=args.n, cap=cap)
-    if args.format == "json":
-        payload = v.to_json_dict()
-        if modulus is not None:
-            payload["modulus"] = modulus
-        _print_json(payload, sys.stdout)
-    else:
-        lines = _verdict_lines(v)
-        if modulus is not None:
-            lines.insert(1, f"modulus  Z{modulus} (embedding)")
-        _print_lines(lines, sys.stdout)
+    _emit(args, modulus, v.to_json_dict, lambda: _verdict_lines(v))
     return 3 if v.outcome == VIOLATED else 0
 
 
@@ -300,8 +331,10 @@ def _cmd_witness(args, config: dict) -> int:
         inj = build_injection(A, table)
         injective = verify_injective(inj)
         surjective = check_surjective(inj)
-        if args.format == "json":
-            payload = {
+        _emit(
+            args,
+            modulus,
+            lambda: {
                 "set": args.set,
                 "injective": injective,
                 "surjective": surjective,
@@ -312,46 +345,37 @@ def _cmd_witness(args, config: dict) -> int:
                     {"a": a, "u": u, "out1": o1, "out2": o2}
                     for (a, u), (o1, o2) in sorted(inj.pairs.items())
                 ],
-            }
-            if modulus is not None:
-                payload["modulus"] = modulus
-            _print_json(payload, sys.stdout)
-        else:
-            lines = [f"set        {args.set}"]
-            if modulus is not None:
-                lines.append(f"modulus    Z{modulus} (embedding)")
-            lines += [
+            },
+            lambda: [
+                f"set        {args.set}",
                 f"injective  {str(injective).lower()}",
                 f"surjective {str(surjective).lower()}",
                 f"domain     {len(inj.pairs)} pairs; codomain {sumset(A, A).card}^2",
             ]
-            for w, (u, v) in sorted(table.pairs.items()):
-                lines.append(f"  w={w}: u={u} v={v}")
-            _print_lines(lines, sys.stdout)
+            + [f"  w={w}: u={u} v={v}" for w, (u, v) in sorted(table.pairs.items())],
+            "modulus    Z{} (embedding)",
+        )
         return 0
     # petridis
-    cap = _cap(args, config, "minimizer_cap", 20)
-    if parsed.kind == "ints":
-        A, modulus = _embed_for(parsed, (2, 1))
-        lo = min(parsed.values)
-        span = max(parsed.values) - lo
-        if args.C is not None:
-            cpts = _parse_int_list(args.C)
-            if any(not lo <= c <= lo + span for c in cpts):
+    cap = _setting(args, config, "minimizer_cap", 20)
+    A, modulus = _embed_for(parsed, (2, 1))
+    C = A
+    if args.C is not None:
+        cpts = _parse_int_list(args.C)
+        lo = 0
+        if modulus is not None:  # integer mode: C lies in the set's range, shifted like A
+            lo = min(parsed.values)
+            if any(not lo <= c <= max(parsed.values) for c in cpts):
                 raise ParseError("--C values must lie within the set's own range", args.C, 0)
-            C = GSet(A.group, (c - lo for c in cpts))
-        else:
-            C = A
-    else:
-        A, modulus = parsed.gset(), None
-        C = GSet(A.group, _parse_int_list(args.C)) if args.C is not None else A
+        C = GSet(A.group, (c - lo for c in cpts))
     base = GSet(A.group, _parse_int_list(args.base)) if args.base is not None else A.negate()
     mn = find_minimizer(A, base, cap=cap)
     order = C.elements() if args.order == "asc" else tuple(reversed(C.elements()))
     tr = replay_trace(A, mn.x, C, order)
     cert = extract_certificate(tr)
-    if args.format == "json":
-        payload = {
+
+    def payload() -> dict:
+        return {
             "set": args.set,
             "X": list(mn.x),
             "K": [mn.k.numerator, mn.k.denominator],
@@ -373,66 +397,59 @@ def _cmd_witness(args, config: dict) -> int:
             "equality": tr.equality,
             "certificate": {"Q": list(cert.q)} if cert else None,
         }
-        if modulus is not None:
-            payload["modulus"] = modulus
-        _print_json(payload, sys.stdout)
-    else:
-        lines = [f"set      {args.set}"]
-        if modulus is not None:
-            lines.append(f"modulus  Z{modulus} (embedding)")
-        lines += [
+
+    def lines() -> list:
+        out = [
+            f"set      {args.set}",
             f"X        {{{','.join(map(str, mn.x))}}}",
             f"K        {_ratio(mn.k)} {_approx(mn.k)}",
             f"C        {{{','.join(map(str, C))}}} processed {args.order}ending",
         ]
         for st in tr.steps:
             rhs = tr.k * st.xc_size
-            lines.append(
+            out.append(
                 f"step {st.index}: c={st.element} |X+A+C_k|={st.lhs_size}"
                 f" K|X+C_k|={_ratio(rhs)}"
                 f" X_k={{{','.join(map(str, st.x_k))}}}"
                 f" Y_k={{{','.join(map(str, st.y_k))}}}"
                 f" conditions={''.join('T' if c else 'F' for c in st.conditions)}"
             )
-        lines.append(f"equality {str(tr.equality).lower()}")
+        out.append(f"equality {str(tr.equality).lower()}")
         if cert:
-            lines.append(f"Q        {{{','.join(map(str, cert.q))}}}")
-        _print_lines(lines, sys.stdout)
+            out.append(f"Q        {{{','.join(map(str, cert.q))}}}")
+        return out
+
+    _emit(args, modulus, payload, lines)
     return 0
 
 
-def _parse_int_list(text: str) -> tuple:
-    out = []
-    pos = 0
-    for tok in text.split(","):
-        if re.fullmatch(r"-?\d+", tok.strip()) is None:
-            raise ParseError(f"expected an integer, got {tok!r}", text, pos)
-        out.append(int(tok))
-        pos += len(tok) + 1
-    return tuple(out)
-
-
-def _parse_ints_window(text: str) -> tuple:
-    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
+def _parse_pair(text: str, pattern: str, expected: str) -> tuple[int, int]:
+    m = re.fullmatch(pattern, text.strip())
     if m is None:
-        raise ParseError("expected an integer window like 0..14", text, 0)
+        raise ParseError(f"expected {expected}", text, 0)
     return int(m.group(1)), int(m.group(2))
 
 
-def _parse_mask_range(text: str) -> tuple:
-    m = re.fullmatch(r"(\d+):(\d+)", text.strip())
-    if m is None:
-        raise ParseError("expected a mask range like 1:4096", text, 0)
-    return int(m.group(1)), int(m.group(2))
+def _parse_mask_range(text: str) -> tuple[int, int]:
+    lo, hi = _parse_pair(text, r"(\d+):(\d+)", "a mask range like 1:4096")
+    if hi < lo:
+        raise ParseError("mask range ends before it starts", text, 0)
+    return lo, hi
 
 
 def _campaign_from(args, config: dict) -> Campaign:
     group = parse_group_literal(args.group) if args.group else None
-    ints = _parse_ints_window(args.ints) if args.ints else None
+    ints = None
+    if args.ints:
+        ints = _parse_pair(args.ints, r"(-?\d+)\.\.(-?\d+)", "an integer window like 0..14")
     if group is None and ints is None:
         raise ParseError("need --group or --ints", "", 0)
+    min_size = getattr(args, "min_size", 1)
     max_size = getattr(args, "max_size", None)
-    min_size = getattr(args, "min_size", None) or 1
+    if min_size < 1:
+        raise ParseError(f"--min-size must be >= 1, got {min_size}")
+    if max_size is not None and max_size < min_size:
+        raise ParseError(f"--max-size {max_size} is below the minimum size {min_size}")
     return Campaign(
         group=group,
         ints=ints,
@@ -440,8 +457,8 @@ def _campaign_from(args, config: dict) -> Campaign:
         max_size=max_size,
         mode=args.mode,
         mstd_only=getattr(args, "mstd", False),
-        group_cap=_cap(args, config, "group_cap", 24),
-        width_cap=_cap(args, config, "width_cap", 16),
+        group_cap=_setting(args, config, "group_cap", 24),
+        width_cap=_setting(args, config, "width_cap", 16),
     )
 
 
@@ -450,7 +467,7 @@ def _summary_lines(summary) -> list:
         f"representatives {summary.representatives}",
         f"universe        {summary.universe}",
     ]
-    for key in ("coset", "sum_dominant", "diff_dominant", "balanced", "eq_upper", "eq_lower"):
+    for key in summary.counts:
         lines.append(f"{key:<15} {summary.counts[key]} ({summary.rep_counts[key]} reps)")
     if summary.max_exponent_up is not None:
         lines.append(f"max exponent_up   {summary.max_exponent_up:.5f} at {', '.join(summary.argmax_up)}")
@@ -458,20 +475,12 @@ def _summary_lines(summary) -> list:
     return lines
 
 
-def _threads(args, config: dict) -> int:
-    if args.threads is not None:
-        return args.threads
-    if "threads" in config:
-        return int(config["threads"])
-    return os.cpu_count() or 1
-
-
 def _cmd_scan(args, config: dict) -> int:
     campaign = _campaign_from(args, config)
     mask_range = _parse_mask_range(args.range) if args.range else None
     records, summary = scan(campaign, threads=_threads(args, config), mask_range=mask_range)
-    fh, close = _open_out(args, config)
-    try:
+
+    def render(fh) -> None:
         if args.format == "csv":
             write_csv(records, fh, campaign)
         elif args.format == "json":
@@ -499,47 +508,41 @@ def _cmd_scan(args, config: dict) -> int:
             if args.exponents and records:
                 lines.append(exponent_report(records).render())
             _print_lines(lines, fh)
-    finally:
-        if close:
-            fh.close()
+
+    _write_out(args, config, render)
     return 0
 
 
 def _cmd_mstd(args, config: dict) -> int:
-    group = parse_group_literal(args.group) if args.group else None
-    ints = _parse_ints_window(args.ints) if args.ints else None
-    if group is None and ints is None:
-        raise ParseError("need --group or --ints", "", 0)
+    c = _campaign_from(args, config)
     records = find_mstd(
-        group=group,
-        ints=ints,
-        max_size=args.max_size,
-        mode=args.mode,
-        group_cap=_cap(args, config, "group_cap", 24),
-        width_cap=_cap(args, config, "width_cap", 16),
+        group=c.group,
+        ints=c.ints,
+        max_size=c.max_size,
+        mode=c.mode,
+        group_cap=c.group_cap,
+        width_cap=c.width_cap,
         threads=_threads(args, config),
     )
-    fh, close = _open_out(args, config)
-    try:
+
+    def render(fh) -> None:
         if args.format == "csv":
             write_csv(records, fh)
         elif args.format == "json":
             _print_json({"records": [r.to_json_dict() for r in records]}, fh)
+        elif not records:
+            _print_lines(["no sum-dominant sets found"], fh)
         else:
-            if not records:
-                _print_lines(["no sum-dominant sets found"], fh)
-            else:
-                _print_lines(
-                    [
-                        f"{r.set_literal()}  |A+A|={r.sum_card} |A-A|={r.diff_card}"
-                        f" surplus={r.sum_card - r.diff_card}"
-                        for r in records
-                    ],
-                    fh,
-                )
-    finally:
-        if close:
-            fh.close()
+            _print_lines(
+                [
+                    f"{r.set_literal()}  |A+A|={r.sum_card} |A-A|={r.diff_card}"
+                    f" surplus={r.sum_card - r.diff_card}"
+                    for r in records
+                ],
+                fh,
+            )
+
+    _write_out(args, config, render)
     return 0
 
 
@@ -586,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", help="group literal, e.g. Z10")
     p.add_argument("--ints", help="integer window, e.g. 0..14")
     p.add_argument("--all", action="store_true", help="every non-empty subset (default)")
-    p.add_argument("--min-size", dest="min_size", type=int)
+    p.add_argument("--min-size", dest="min_size", type=int, default=1)
     p.add_argument("--max-size", dest="max_size", type=int)
     p.add_argument("--mode", choices=MODES, default=MODE_TRANSLATION_NEGATION)
     p.add_argument("--mstd", action="store_true", help="keep only sum-dominant records")

@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "SumdiffError",
+    "GroupMismatchError",
+    "EmptySetError",
+    "InvalidElementError",
+    "CapExceededError",
+    "HypothesisViolationError",
+    "CertificateError",
+    "ParseError",
+]
+
 
 class SumdiffError(Exception):
     """Base class for all workbench-specific failures."""

@@ -553,11 +553,10 @@ def exponent_report(records) -> ExponentReport:
     if not records:
         raise ValueError("exponent_report needs at least one record")
     non_coset = [r for r in records if not r.coset and r.exponent_up is not None]
-    if not non_coset:
-        return ExponentReport(0, None, (), PENMAN_WELLS_EXPONENT)
-    best = max(r.exponent_up for r in non_coset)
-    argmax = tuple(r for r in non_coset if r.exponent_up == best)
-    return ExponentReport(len(non_coset), best, argmax, PENMAN_WELLS_EXPONENT)
+    best = (None, ())
+    for r in non_coset:
+        best = _fold_max(best, r.exponent_up, (r,))
+    return ExponentReport(len(non_coset), *best, PENMAN_WELLS_EXPONENT)
 
 
 # -- output ------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .groups import GroupSpec, iter_bits
 
 __all__ = [
     "GSet",
-    "Ratio",
     "sumset",
     "diffset",
     "iterated",
@@ -28,10 +27,6 @@ __all__ = [
     "embed_integer_set",
     "subsets",
 ]
-
-# Exact nonnegative rational; stored reduced, compared by cross-multiplication.
-Ratio = Fraction
-
 
 class GSet:
     """An immutable subset of a finite abelian group, stored as a bitmask."""

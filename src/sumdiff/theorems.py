@@ -256,19 +256,15 @@ _CLAIMS = {
 CLAIM_IDS = tuple(_CLAIMS)
 
 
-def _claim(claim: str) -> tuple:
-    if claim not in _CLAIMS:
-        raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
-    return _CLAIMS[claim]
-
-
 def claim_arity(claim: str, n: int = 2) -> tuple[int, int]:
     """The (n, m) that integer sets are embedded with for this claim."""
-    return _claim(claim)[0](n)
+    return _CLAIMS[claim][0](n)
 
 
 def run_claim(claim: str, A: GSet, *, n: int = 2, cap: int = 20) -> Verdict:
-    return _claim(claim)[1](A, n, cap)
+    if claim not in _CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
+    return _CLAIMS[claim][1](A, n, cap)
 
 
 @dataclass(frozen=True)
