@@ -4,7 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from sumdiff import GroupSpec, ParseError
+from sumdiff import GroupSpec, ParseError, cli
 from sumdiff.cli import main, parse_group_literal, parse_set_literal
 
 
@@ -236,3 +236,63 @@ def test_config_out_dir(tmp_path):
         ["--config", str(cfg), "scan", "--group", "Z6", "--format", "csv", "--out", "res.csv", "--threads", "1"]
     )
     assert code == 0 and (tmp_path / "res.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["scan", "--group", "Z6", "--threads", "0"], None),
+        (["scan", "--group", "Z6", "--threads", "-3"], None),
+        (["mstd", "--group", "Z6", "--threads", "0"], None),
+        (["scan", "--group", "Z6"], "threads=0\n"),
+        (["scan", "--group", "Z8", "--range", "5:2", "--threads", "1"], None),
+        (["scan", "--group", "Z6", "--min-size", "0", "--threads", "1"], None),
+        (["scan", "--group", "Z6", "--max-size", "-1", "--threads", "1"], None),
+        (["scan", "--group", "Z6", "--min-size", "4", "--max-size", "3", "--threads", "1"], None),
+        (["mstd", "--group", "Z6", "--max-size", "-1", "--threads", "1"], None),
+        (["constants", "0,0,1@Z8"], None),
+        (["check", "ineq1", "3,3,1@Z"], None),
+        (["witness", "petridis", "0,1@Z5", "--C", "1,1"], None),
+        (["witness", "petridis", "0,1@Z5", "--base", "0,4,0"], None),
+    ],
+)
+def test_bad_input_exits_1(tmp_path, argv, config):
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_threads_clamped_to_cores(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    parse = cli.build_parser().parse_args
+    assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "64"]), {}) == 2
+    assert cli._threads(parse(["mstd", "--group", "Z6"]), {"threads": "5"}) == 2
+    assert cli._threads(parse(["scan", "--group", "Z6"]), {}) == 2
+    assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "1"]), {"threads": "2"}) == 1
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_out_is_atomic(tmp_path, monkeypatch, exc):
+    target = tmp_path / "scan.csv"
+    target.write_text("previous run\n")
+    argv = ["scan", "--group", "Z6", "--format", "csv", "--out", str(target), "--threads", "1"]
+    write_csv = cli.write_csv
+
+    def partial_then_fail(records, fh, campaign=None):
+        fh.write("# sumdiff partial header\n")
+        fh.flush()
+        raise exc("render interrupted")
+
+    monkeypatch.setattr(cli, "write_csv", partial_then_fail)
+    with pytest.raises(exc):
+        run(argv)
+    assert target.read_text() == "previous run\n"
+    assert list(tmp_path.iterdir()) == [target]
+    monkeypatch.setattr(cli, "write_csv", write_csv)
+    assert run(argv)[0] == 0
+    assert target.read_text().startswith("# sumdiff ")
+    assert list(tmp_path.iterdir()) == [target]

@@ -22,6 +22,7 @@ from sumdiff import (
     sigma,
     write_csv,
 )
+from sumdiff import explorer
 from sumdiff.explorer import CSV_COLUMNS
 
 from oracles import divisor_coset_count, int_iterated
@@ -183,3 +184,21 @@ def test_scan_partitioning_and_threads():
     assert a + b == full
     par, s_par = scan(c, threads=2)
     assert par == full and s_par == s_full
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize(
+    "campaign",
+    [Campaign(group=GroupSpec((12,))), Campaign(ints=(0, 11))],
+    ids=["Z12", "ints0..11"],
+)
+def test_parallel_merge_matches_serial(monkeypatch, campaign, threads):
+    serial_records, serial_summary = scan(campaign)
+    merges = []
+    merge = explorer._Stats.merge
+    monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
+    monkeypatch.setattr(explorer._Stats, "merge", lambda self, o: merges.append(merge(self, o)))
+    records, summary = scan(campaign, threads=threads)
+    assert len(merges) == threads  # one merge per worker chunk: the parallel path ran
+    assert records == serial_records
+    assert summary == serial_summary  # argmax tuples compare in order, ties included
