@@ -186,8 +186,9 @@ def _write_out(args, config: dict, render) -> None:
         path = os.path.join(out_dir, path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with fh:
             render(fh)
         os.replace(tmp, path)
     finally:
@@ -204,7 +205,7 @@ def _print_lines(lines, fh) -> None:
         fh.write(line + "\n")
 
 
-def _emit(args, modulus: int | None, payload, lines, echo: str = "modulus  Z{} (embedding)"):
+def _emit(args, modulus: int | None, payload, lines, echo="modulus  Z{} (embedding)") -> None:
     """Print ``payload()`` as JSON or ``lines()`` as text, per --format.
 
     An integer-mode literal's embedding modulus is added as the JSON key
@@ -446,8 +447,6 @@ def _campaign_from(args, config: dict) -> Campaign:
         raise ParseError("need --group or --ints", "", 0)
     min_size = getattr(args, "min_size", 1)
     max_size = getattr(args, "max_size", None)
-    if min_size < 1:
-        raise ParseError(f"--min-size must be >= 1, got {min_size}")
     if max_size is not None and max_size < min_size:
         raise ParseError(f"--max-size {max_size} is below the minimum size {min_size}")
     return Campaign(

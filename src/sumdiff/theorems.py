@@ -256,7 +256,7 @@ _CLAIMS = {
 CLAIM_IDS = tuple(_CLAIMS)
 
 
-def claim_arity(claim: str, n: int = 2) -> tuple[int, int]:
+def claim_arity(claim: str, n: int) -> tuple[int, int]:
     """The (n, m) that integer sets are embedded with for this claim."""
     return _CLAIMS[claim][0](n)
 
