@@ -102,12 +102,7 @@ class GroupSpec:
         self.check_element(a)
         if len(self.moduli) == 1:
             return -a % self.moduli[0]
-        idx, stride = 0, 1
-        for n in self.moduli:
-            a, ra = divmod(a, n)
-            idx += (-ra % n) * stride
-            stride *= n
-        return idx
+        return self.scale(a, -1)
 
     def scale(self, a: int, u: int) -> int:
         """Scalar multiple u*a, computed residue-wise."""
@@ -152,23 +147,21 @@ class GroupSpec:
             out = acc
         return out
 
+    # neg_mask maps through the table itself: calling scale_mask would count
+    # one negation twice wherever both methods are instrumented.
     def neg_mask(self, mask: int) -> int:
-        if mask == 0:
-            return 0
-        table = _neg_bit(self)
-        acc = 0
-        for i in iter_bits(mask):
-            acc |= table[i]
-        return acc
+        return _map_bits(_scale_bit(self, -1), mask)
 
     def scale_mask(self, mask: int, u: int) -> int:
-        if mask == 0:
-            return 0
-        table = _scale_bit(self, u)
-        acc = 0
-        for i in iter_bits(mask):
-            acc |= table[i]
-        return acc
+        return _map_bits(_scale_bit(self, u), mask)
+
+
+def _map_bits(table: tuple[int, ...], mask: int) -> int:
+    """Union of ``table[i]`` over the set bits i of ``mask``."""
+    acc = 0
+    for i in iter_bits(mask):
+        acc |= table[i]
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -183,11 +176,6 @@ def _digit_layout(g: GroupSpec) -> tuple:
         layout.append((stride, tuple(sel)))
         stride *= n
     return tuple(layout)
-
-
-@lru_cache(maxsize=None)
-def _neg_bit(g: GroupSpec) -> tuple[int, ...]:
-    return tuple(1 << g.neg(i) for i in range(g.order))
 
 
 @lru_cache(maxsize=None)

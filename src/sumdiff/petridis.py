@@ -9,9 +9,11 @@ every C. The replay walks C one element at a time and logs which of the three
 equality conditions hold at each step; the equality case is certified by the
 subset Q of C whose translates contribute disjoint fresh blocks.
 
-Subset searches are exhaustive by design and use incremental prefix unions:
-the union for a subset mask is derived from the mask with its lowest bit
-cleared, so each candidate costs one word-OR of bitmasks.
+Subset searches are exhaustive by design and stream the candidates in
+ascending mask order. The base is split into two halves, each with a table of
+the prefix unions of A's translates over its own subsets, so a candidate costs
+one word-OR of a high-half entry with a low-half entry and the search holds
+2^ceil(n/2) masks rather than 2^n.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import (
     CapExceededError,
@@ -26,7 +29,7 @@ from .errors import (
     EmptySetError,
     HypothesisViolationError,
 )
-from .groups import iter_bits
+from .groups import GroupSpec, iter_bits
 from .sets import GSet, _require_same_group, independent, sumset
 
 __all__ = [
@@ -91,12 +94,34 @@ class EqualityCertificate:
     q: GSet
 
 
+def _prefix_unions(shifts: list[int]) -> list[int]:
+    """Union of the chosen ``shifts`` for every subset mask, indexed by the mask."""
+    unions = [0]
+    for s in shifts:
+        unions += [u | s for u in unions]
+    return unions
+
+
+def _union_sizes(A: GSet, elems: tuple[int, ...]) -> Iterator[int]:
+    """|A+X| for every subset X of ``elems``, the empty one first, in ascending mask order."""
+    shifts = [A.group.shift_mask(A.mask, x) for x in elems]
+    half = (len(elems) + 1) // 2
+    low = _prefix_unions(shifts[:half])
+    for high in _prefix_unions(shifts[half:]):
+        for u in low:
+            yield (high | u).bit_count()
+
+
+def _subset_of(g: GroupSpec, elems: tuple[int, ...], cmask: int) -> GSet:
+    return GSet.from_mask(g, sum(1 << elems[i] for i in iter_bits(cmask)))
+
+
 def find_minimizer(A: GSet, base: GSet, cap: int = 20) -> MinimizerResult:
     """Global minimum of |A+X| / |X| over non-empty X inside ``base``.
 
-    Exhaustive over all 2^|base| - 1 candidates with incremental unions.
-    Ties go to the smaller cardinality, then the smaller bitmask, so the
-    result is reproducible.
+    Exhaustive over all 2^|base| - 1 candidates, streamed from two half-size
+    tables of unions. Ties go to the smaller cardinality, then the smaller
+    bitmask, so the result is reproducible.
     """
     _require_same_group(A, base, "find_minimizer")
     if not A.card:
@@ -105,29 +130,16 @@ def find_minimizer(A: GSet, base: GSet, cap: int = 20) -> MinimizerResult:
         raise EmptySetError("find_minimizer needs a non-empty base")
     if base.card > cap:
         raise CapExceededError(f"minimizer base size {base.card} exceeds cap {cap}")
-    g = A.group
     elems = base.elements()
-    shifts = [g.shift_mask(A.mask, x) for x in elems]
-    nb = len(elems)
-    unions = [0] * (1 << nb)
-    best_num = best_card = best_pos = 0
-    for cmask in range(1, 1 << nb):
-        low = cmask & -cmask
-        u = unions[cmask ^ low] | shifts[low.bit_length() - 1]
-        unions[cmask] = u
-        num = u.bit_count()
+    sizes = _union_sizes(A, elems)
+    next(sizes)  # the empty subset
+    best_num, best_card, best_pos = next(sizes), 1, 1
+    for cmask, num in enumerate(sizes, 2):
         card = cmask.bit_count()
-        if best_card == 0:
-            better = True
-        else:
-            d = num * best_card - best_num * card
-            better = d < 0 or (d == 0 and card < best_card)
-        if better:
+        d = num * best_card - best_num * card
+        if d < 0 or (d == 0 and card < best_card):
             best_num, best_card, best_pos = num, card, cmask
-    xmask = 0
-    for i in iter_bits(best_pos):
-        xmask |= 1 << elems[i]
-    x = GSet.from_mask(g, xmask)
+    x = _subset_of(A.group, elems, best_pos)
     k = Fraction(best_num, best_card)
     return MinimizerResult(x, k, _violating_subset(A, x, k) is None)
 
@@ -141,37 +153,32 @@ def _violating_subset(A: GSet, X: GSet, K: Fraction) -> GSet | None:
     order over X's elements; the full set is reported last if its equality
     fails. All comparisons cross-multiply integers.
     """
-    g = A.group
     elems = X.elements()
-    shifts = [g.shift_mask(A.mask, x) for x in elems]
-    nb = len(elems)
     kn, kd = K.numerator, K.denominator
-    full = (1 << nb) - 1
-    unions = [0] * (1 << nb)
-    for cmask in range(1, full + 1):
-        low = cmask & -cmask
-        u = unions[cmask ^ low] | shifts[low.bit_length() - 1]
-        unions[cmask] = u
-        num = u.bit_count()
+    full = (1 << len(elems)) - 1
+    sizes = _union_sizes(A, elems)
+    next(sizes)  # the empty subset
+    for cmask, num in enumerate(sizes, 1):
         card = cmask.bit_count()
         if cmask == full:
             if num * kd != kn * card:
                 return X
         elif num * kd <= kn * card:
-            bad = 0
-            for i in iter_bits(cmask):
-                bad |= 1 << elems[i]
-            return GSet.from_mask(g, bad)
+            return _subset_of(A.group, elems, cmask)
     return None
 
 
-def verify_hypothesis(A: GSet, X: GSet, K, cap: int = 20) -> bool:
-    """Exhaustive exact check of |A+X| = K|X| plus strictness on proper subsets."""
+def _checked_violation(A: GSet, X: GSet, K: Fraction, cap: int) -> GSet | None:
     if not X.card:
         raise EmptySetError("hypothesis check needs a non-empty X")
     if X.card > cap:
         raise CapExceededError(f"hypothesis check over {X.card} elements exceeds cap {cap}")
-    return _violating_subset(A, X, Fraction(K)) is None
+    return _violating_subset(A, X, K)
+
+
+def verify_hypothesis(A: GSet, X: GSet, K, cap: int = 20) -> bool:
+    """Exhaustive exact check of |A+X| = K|X| plus strictness on proper subsets."""
+    return _checked_violation(A, X, Fraction(K), cap) is None
 
 
 def petridis_inequality(
@@ -184,9 +191,7 @@ def petridis_inequality(
     """
     K = Fraction(K)
     if check_hypothesis:
-        if X.card > cap:
-            raise CapExceededError(f"hypothesis check over {X.card} elements exceeds cap {cap}")
-        bad = _violating_subset(A, X, K)
+        bad = _checked_violation(A, X, K, cap)
         if bad is not None:
             raise HypothesisViolationError(
                 f"hypothesis fails for X' = {bad}: |A+X'| <= K|X'|"

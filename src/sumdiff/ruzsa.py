@@ -43,8 +43,8 @@ class InjectionTable:
 def build_witness_table(A: GSet) -> WitnessTable:
     """Canonical witnesses: the lexicographically least (u, v) per difference.
 
-    Since v = u - w is forced once u is chosen, scanning members in ascending
-    index order gives the lexicographic minimum; in particular the difference
+    Since v = u - w is forced once u is chosen, the least member u of
+    A & (A + w) gives the lexicographic minimum; in particular the difference
     0 is always witnessed by (a0, a0) with a0 the least member.
     """
     if not A.card:
@@ -52,12 +52,9 @@ def build_witness_table(A: GSet) -> WitnessTable:
     g = A.group
     pairs = {}
     for w in diffset(A, A):
-        neg_w = g.neg(w)
-        for u in A:
-            v = g.add(u, neg_w)
-            if v in A:
-                pairs[w] = (u, v)
-                break
+        both = A.mask & g.shift_mask(A.mask, w)
+        u = (both & -both).bit_length() - 1
+        pairs[w] = (u, g.add(u, g.neg(w)))
     return WitnessTable(A, pairs)
 
 

@@ -11,6 +11,7 @@ nothing on a decision path ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator
 
 from .errors import EmptySetError, GroupMismatchError, InvalidElementError
@@ -138,14 +139,7 @@ def iterated(A: GSet, n: int, m: int) -> GSet:
         raise ValueError(f"need n, m >= 0 with n + m >= 1, got n={n}, m={m}")
     if not A.card:
         raise EmptySetError("iterated sumset needs a non-empty set")
-    acc = None
-    for _ in range(n):
-        acc = A if acc is None else sumset(acc, A)
-    if m:
-        neg_a = A.negate()
-        for _ in range(m):
-            acc = neg_a if acc is None else sumset(acc, neg_a)
-    return acc
+    return reduce(sumset, [A] * n + ([A.negate()] * m if m else []))
 
 
 def sigma(A: GSet) -> Fraction:

@@ -27,7 +27,7 @@ from .errors import CapExceededError, EmptySetError
 from .groups import GroupSpec, is_coset
 from .petridis import find_minimizer
 from .ruzsa import build_injection, check_surjective, verify_injective
-from .sets import GSet, diffset, iterated, subsets, sumset
+from .sets import GSet, diffset, subsets, sumset
 
 __all__ = [
     "Verdict",
@@ -214,11 +214,6 @@ def check_plunnecke(A: GSet, n: int, cap: int = 20) -> Verdict:
     a, s, _, _, ratios = _base(A)
     mn = find_minimizer(A, A, cap=cap)
     x, k = mn.x, mn.k
-    na = iterated(A, n, 0).card
-    main_lhs = na * a ** (n - 1)
-    main_rhs = s ** n
-    strict_required = s > a
-    main_ok = main_lhs < main_rhs if strict_required else main_lhs == main_rhs
     aux = []
     aux_ok = True
     cur = A
@@ -231,6 +226,11 @@ def check_plunnecke(A: GSet, n: int, cap: int = 20) -> Verdict:
         aux_ok = aux_ok and ok
         if j < n:
             cur = sumset(cur, A)
+    na = cur.card  # cur is nA once the chain ends
+    main_lhs = na * a ** (n - 1)
+    main_rhs = s ** n
+    strict_required = s > a
+    main_ok = main_lhs < main_rhs if strict_required else main_lhs == main_rhs
     return _verdict(
         "thm5",
         A,
@@ -301,6 +301,8 @@ def sweep_claim(
     sample draws masks uniformly with replacement from a seeded generator, so
     identical invocations see identical sets.
     """
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample size must be >= 1, got {sample}")
     if sample is None and g.order > group_cap:
         raise CapExceededError(
             f"exhaustive sweep needs group order <= {group_cap}, got {g.order}"

@@ -7,7 +7,9 @@ production paths are checked against a genuinely separate route.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from fractions import Fraction
 
 
 def decode(moduli, idx):
@@ -108,3 +110,38 @@ def naive_coset_masks(moduli):
 def divisor_coset_count(n):
     """Number of cosets in a cyclic group: one subgroup per divisor d, n/d translates."""
     return sum(n // d for d in range(1, n + 1) if n % d == 0)
+
+
+def scale_idx(moduli, a, u):
+    return encode(moduli, tuple(u * x for x in decode(moduli, a)))
+
+
+@functools.lru_cache(maxsize=64)
+def _ratio_subsets(moduli, A, base):
+    """(|A+X|, |X|, bitmask of X, X) for every non-empty X inside base, by size.
+
+    Arguments are tuples, so repeated searches over one base share the work."""
+    return tuple(
+        (len(naive_sumset(moduli, A, X)), size, sum(1 << x for x in X), X)
+        for size in range(1, len(base) + 1)
+        for X in itertools.combinations(sorted(base), size)
+    )
+
+
+def naive_minimizer(moduli, A, base):
+    """(X, K) minimizing |A+X| / |X|; ties go to smaller |X|, then the smaller mask."""
+    num, size, _, X = min(
+        _ratio_subsets(moduli, A, base), key=lambda t: (Fraction(t[0], t[1]), t[1], t[2])
+    )
+    return sorted(X), Fraction(num, size)
+
+
+def naive_violating_subset(moduli, A, X, K):
+    """First proper non-empty X' (ascending mask) with |A+X'| <= K |X'|, else
+    X itself when |A+X| != K |X|, else None."""
+    by_mask = sorted((mask, num, size, Y) for num, size, mask, Y in _ratio_subsets(moduli, A, X))
+    for _, num, size, Y in by_mask[:-1]:
+        if num <= K * size:
+            return sorted(Y)
+    _, num, size, _ = by_mask[-1]  # the largest mask is X itself
+    return None if num == K * size else sorted(X)

@@ -254,6 +254,8 @@ def test_config_out_dir(tmp_path):
         (["check", "ineq1", "3,3,1@Z"], None),
         (["witness", "petridis", "0,1@Z5", "--C", "1,1"], None),
         (["witness", "petridis", "0,1@Z5", "--base", "0,4,0"], None),
+        (["check", "thm1", "--sweep", "Z9", "--sample", "0"], None),
+        (["check", "thm1", "--sweep", "Z9", "--sample", "-4"], None),
     ],
 )
 def test_bad_input_exits_1(tmp_path, argv, config):

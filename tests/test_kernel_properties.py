@@ -1,0 +1,38 @@
+"""Property tests of the mask kernels against the residue-tuple oracles."""
+
+from math import prod
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from sumdiff import GroupSpec, GSet, sumset
+
+from oracles import add_idx, naive_sumset, neg_idx, scale_idx
+
+MODULI = st.lists(st.integers(1, 12), min_size=1, max_size=4).filter(lambda m: prod(m) <= 256)
+
+
+def members(mask):
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def mask_of(elements):
+    return sum(1 << x for x in set(elements))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(moduli=MODULI, data=st.data())
+def test_mask_kernels_match_oracles(moduli, data):
+    g = GroupSpec(tuple(moduli))
+    mask = data.draw(st.integers(0, g.full_mask), label="mask")
+    a = data.draw(st.integers(0, g.order - 1), label="a")
+    u = data.draw(st.integers(-13, 13), label="u")
+    small = data.draw(st.sets(st.integers(0, g.order - 1), max_size=6), label="small")
+    xs = members(mask)
+    assert g.shift_mask(mask, a) == mask_of(add_idx(moduli, x, a) for x in xs)
+    assert g.neg_mask(mask) == mask_of(neg_idx(moduli, x) for x in xs)
+    assert g.scale_mask(mask, u) == mask_of(scale_idx(moduli, x, u) for x in xs)
+    got = sumset(GSet.from_mask(g, mask), GSet(g, small))
+    assert list(got) == naive_sumset(moduli, xs, small)

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,8 @@ from sumdiff import (
     sumset,
     verify_hypothesis,
 )
+
+from oracles import naive_minimizer, naive_sumset, naive_violating_subset
 
 
 def gs(moduli, members):
@@ -84,6 +88,8 @@ def test_inequality_rejects_bad_hypothesis():
     with pytest.raises(HypothesisViolationError) as err:
         petridis_inequality(A6, gs((6,), [0, 1]), 2, gs((6,), [0]))
     assert err.value.violating.elements() == (0,)
+    with pytest.raises(EmptySetError):
+        petridis_inequality(A6, gs((6,), []), 1, gs((6,), [0]))
 
 
 def test_trace_strict_example():
@@ -196,3 +202,41 @@ def test_k_bounded_by_delta():
     for A in subsets(g):
         mn = find_minimizer(A, A.negate())
         assert mn.k <= delta(A)
+
+
+def test_subset_searches_match_brute_force():
+    # cyclic and product groups of order <= 64, every base size 1..12
+    rng = random.Random(2024)
+    pool = [(13,), (24,), (37,), (64,), (2, 8), (3, 6), (2, 3, 5), (2, 2, 4), (4, 4, 4)]
+    for size in range(1, 13):
+        for moduli in rng.sample(pool, 2):
+            g = GroupSpec(moduli)
+            A = GSet(g, rng.sample(range(g.order), rng.randint(1, 5)))
+            base = GSet(g, rng.sample(range(g.order), size))
+            mn = find_minimizer(A, base)
+            want_x, want_k = naive_minimizer(moduli, A.elements(), base.elements())
+            assert (list(mn.x), mn.k) == (want_x, want_k)
+            k_base = Fraction(len(naive_sumset(moduli, A.elements(), base.elements())), size)
+            for X, K in ((base, k_base), (base, want_k), (mn.x, want_k), (base, k_base + 1)):
+                want = naive_violating_subset(moduli, A.elements(), X.elements(), K)
+                try:
+                    petridis_inequality(A, X, K, A)
+                except HypothesisViolationError as err:
+                    got = list(err.violating)
+                else:
+                    got = None
+                assert got == want
+
+
+def test_minimizer_memory_is_sub_exponential():
+    # the search keeps two half tables of 2^7 unions, not one of 2^14
+    g = GroupSpec((64,))
+    A = GSet(g, [0, 5, 9, 17, 30, 33])
+    base = GSet(g, range(1, 64, 4)[:14])
+    tracemalloc.start()
+    try:
+        find_minimizer(A, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000

@@ -36,6 +36,7 @@ def test_witness_zero_maps_to_least_member():
         assert t.pairs[0] == (a0, a0)
         for w, (u, v) in t.pairs.items():
             assert u in A and v in A and g.add(u, g.neg(v)) == w
+            assert u == min(x for x in A if g.add(x, g.neg(w)) in A)  # lexicographically least
         assert sorted(t.pairs) == list(diffset(A, A))
 
 

@@ -145,6 +145,9 @@ def test_sweep_summary_and_caps():
     sampled = sweep_claim("ineq1", GroupSpec((26,)), sample=50, seed=1)
     assert sampled.total == 50 and sampled.counts[VIOLATED] == 0
     assert sampled == sweep_claim("ineq1", GroupSpec((26,)), sample=50, seed=1)
+    for bad in (0, -4):
+        with pytest.raises(ValueError):
+            sweep_claim("thm1", GroupSpec((9,)), sample=bad)
 
 
 UNIVERSE = [
