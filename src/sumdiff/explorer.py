@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -25,7 +24,7 @@ from typing import Iterator
 from ._version import VERSION
 from .errors import CapExceededError
 from .groups import GroupSpec, iter_bits, is_coset
-from .sets import GSet, diffset, embed_integer_set, sumset
+from .sets import GSet, diffset, sumset
 
 __all__ = [
     "MODE_NONE",
@@ -232,28 +231,25 @@ class Campaign:
 # -- orbit machinery ---------------------------------------------------------
 
 
-def _group_orbit(g: GroupSpec, mask: int, mode: str) -> Iterator[int]:
-    if mode == MODE_NONE:
-        yield mask
-        return
+def _group_orbit(g: GroupSpec, mask: int, mode: str) -> set:
+    """Every image of ``mask`` under the symmetries of ``mode`` (not ``none``)."""
     if mode == MODE_TRANSLATION:
         seeds = (mask,)
     elif mode == MODE_TRANSLATION_NEGATION:
         seeds = (mask, g.neg_mask(mask))
     else:
-        seeds = tuple(g.scale_mask(mask, u) for u in g.units())
+        seeds = {g.scale_mask(mask, u) for u in g.units()}
+    shift = g.shift_mask
+    orbit = set()
     for s in seeds:
-        for t in g.elements():
-            yield g.shift_mask(s, t)
+        if s not in orbit:  # else its translates are already in
+            orbit.update([shift(s, t) for t in g.elements()])
+    return orbit
 
 
 def _reflect(mask: int) -> int:
-    """Mirror a min-normalized integer-set mask: the image of S under max - S."""
-    span = mask.bit_length() - 1
-    out = 0
-    for b in iter_bits(mask):
-        out |= 1 << (span - b)
-    return out
+    """Mirror a mask within its span: bit b goes to bit (bit_length - 1 - b)."""
+    return int(bin(mask)[:1:-1], 2)
 
 
 def _int_canonical(mask: int, mode: str) -> bool:
@@ -277,23 +273,38 @@ def _int_orbit_size(mask: int, width: int, mode: str) -> int:
 
 
 def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int) -> Iterator[tuple[int, int]]:
-    """Yield (representative mask, orbit size) with masks ascending in [lo, hi)."""
-    hi_size = campaign.max_size if campaign.max_size is not None else campaign.width()
-    if campaign.group is not None:
-        g = campaign.group
-        for mask in range(max(lo_mask, 1), hi_mask):
-            if not campaign.min_size <= mask.bit_count() <= hi_size:
+    """Yield (representative mask, orbit size) with masks ascending in [lo, hi).
+
+    A group orbit is built once, at its least member inside the window, and
+    its other members there are marked visited. Members below ``lo`` only
+    decide whether that least member is the representative, so windows that
+    partition a range concatenate to the scan of the whole range.
+    """
+    lo = max(lo_mask, 1)
+    min_size = campaign.min_size
+    max_size = campaign.max_size if campaign.max_size is not None else campaign.width()
+    mode = campaign.mode
+    g = campaign.group
+    if g is None:
+        width = campaign.width()
+        for mask in range(lo, hi_mask):
+            if min_size <= mask.bit_count() <= max_size and _int_canonical(mask, mode):
+                yield mask, _int_orbit_size(mask, width, mode)
+    elif mode == MODE_NONE:
+        for mask in range(lo, hi_mask):
+            if min_size <= mask.bit_count() <= max_size:
+                yield mask, 1
+    else:
+        visited = bytearray(max(hi_mask - lo, 0))
+        for mask in range(lo, hi_mask):
+            if visited[mask - lo] or not min_size <= mask.bit_count() <= max_size:
                 continue
-            orbit = set(_group_orbit(g, mask, campaign.mode))
+            orbit = _group_orbit(g, mask, mode)
+            for m in orbit:
+                if mask < m < hi_mask:
+                    visited[m - lo] = 1
             if mask == min(orbit):
                 yield mask, len(orbit)
-    else:
-        width = campaign.width()
-        for mask in range(max(lo_mask, 1), hi_mask):
-            if not campaign.min_size <= mask.bit_count() <= hi_size:
-                continue
-            if _int_canonical(mask, campaign.mode):
-                yield mask, _int_orbit_size(mask, width, campaign.mode)
 
 
 def enumerate_canonical(campaign: Campaign):
@@ -316,25 +327,34 @@ def enumerate_canonical(campaign: Campaign):
 
 def _record_for_group_mask(g: GroupSpec, mask: int, orbit_size: int) -> SearchRecord:
     A = GSet.from_mask(g, mask)
+    s = sumset(A, A).card
     return SearchRecord(
         g.label(),
         A.elements(),
         A.card,
-        sumset(A, A).card,
+        s,
         diffset(A, A).card,
-        is_coset(A) is not None,
+        # a coset a+H has |A+A| = |H| = |A|, so no other set needs the test
+        s == A.card and is_coset(A) is not None,
         orbit_size,
     )
 
 
+def _int_sum_card(a: int, b: int) -> int:
+    """|A+B| for integer sets given as masks: the OR of a << x over x in B."""
+    acc = 0
+    for x in iter_bits(b):
+        acc |= a << x
+    return acc.bit_count()
+
+
 def _record_for_int_mask(mask: int, lo: int, orbit_size: int) -> SearchRecord:
     pts = tuple(b + lo for b in iter_bits(mask))
-    _, A = embed_integer_set(pts, 1, 1)
-    a = A.card
-    s = sumset(A, A).card
-    d = diffset(A, A).card
+    # A - A is a translate of A + reflect(A)
+    s = _int_sum_card(mask, mask)
+    d = _int_sum_card(mask, _reflect(mask))
     # in the integers only singletons are cosets of a finite subgroup
-    return SearchRecord("Z", pts, a, s, d, a == 1, orbit_size)
+    return SearchRecord("Z", pts, len(pts), s, d, len(pts) == 1, orbit_size)
 
 
 # -- scanning ----------------------------------------------------------------
@@ -473,6 +493,8 @@ def scan(
         spans = [s for s in spans if s[0] < s[1]]
         stats = _Stats()
         records = []
+        from concurrent.futures import ProcessPoolExecutor  # lazily: keeps imports light
+
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             for recs, st in pool.map(_scan_chunk, *zip(*((campaign, a, b) for a, b in spans))):
                 records.extend(recs)

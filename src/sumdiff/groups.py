@@ -11,7 +11,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterator
 
@@ -125,27 +125,41 @@ class GroupSpec:
 
     def shift_mask(self, mask: int, a: int) -> int:
         """Image of a dense subset mask under translation by element ``a``."""
-        self.check_element(a)
+        n = self.order
+        if type(a) is not int or not 0 <= a < n:  # only then can check_element raise
+            self.check_element(a)
         if a == 0 or mask == 0:
             return mask
-        n = self.order
         if len(self.moduli) == 1:
             return ((mask << a) | (mask >> (n - a))) & ((1 << n) - 1)
-        out = mask
-        rem = a
-        for (stride, sel), nj in zip(_digit_layout(self), self.moduli):
-            rem, aj = divmod(rem, nj)
-            if aj == 0 or nj == 1:
-                continue
-            acc = 0
-            for r in range(nj):
-                part = out & sel[r]
-                if not part:
-                    continue
-                d = ((r + aj) % nj - r) * stride
-                acc |= part << d if d >= 0 else part >> -d
-            out = acc
-        return out
+        for nj, moves in self._shift_layout:
+            a, aj = divmod(a, nj)
+            if aj:
+                keep, up, wrap, down = moves[aj]
+                mask = ((mask & keep) << up) | ((mask & wrap) >> down)
+        return mask
+
+    @cached_property
+    def _shift_layout(self) -> tuple:
+        """Per factor j, (n_j, moves) with moves[a_j] = (keep, up, wrap, down).
+
+        Adding a_j to digit j moves the elements whose digit stays below n_j
+        (``keep``) up by a_j strides, and wraps the rest (``wrap``) down by
+        n_j - a_j strides.
+        """
+        layout = []
+        stride = 1
+        for nj in self.moduli:
+            sel = [0] * nj  # sel[r]: the elements whose digit j is r; disjoint, so sum = union
+            for i in range(self.order):
+                sel[(i // stride) % nj] |= 1 << i
+            moves = [None] + [
+                (sum(sel[: nj - aj]), aj * stride, sum(sel[nj - aj :]), (nj - aj) * stride)
+                for aj in range(1, nj)
+            ]
+            layout.append((nj, tuple(moves)))
+            stride *= nj
+        return tuple(layout)
 
     # neg_mask maps through the table itself: calling scale_mask would count
     # one negation twice wherever both methods are instrumented.
@@ -162,20 +176,6 @@ def _map_bits(table: tuple[int, ...], mask: int) -> int:
     for i in iter_bits(mask):
         acc |= table[i]
     return acc
-
-
-@lru_cache(maxsize=None)
-def _digit_layout(g: GroupSpec) -> tuple:
-    """Per-factor (stride, residue-selection masks) over the index range."""
-    layout = []
-    stride = 1
-    for n in g.moduli:
-        sel = [0] * n
-        for i in range(g.order):
-            sel[(i // stride) % n] |= 1 << i
-        layout.append((stride, tuple(sel)))
-        stride *= n
-    return tuple(layout)
 
 
 @lru_cache(maxsize=None)

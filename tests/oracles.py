@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -145,3 +146,54 @@ def naive_violating_subset(moduli, A, X, K):
             return sorted(Y)
     _, num, size, _ = by_mask[-1]  # the largest mask is X itself
     return None if num == K * size else sorted(X)
+
+
+def _affine_perms(moduli, mode):
+    """Every map x -> u*x + t of ``mode`` as a tuple over the element indices."""
+    order = math.prod(moduli)
+    if mode == "none":
+        return {tuple(range(order))}
+    exponent = math.lcm(*moduli)
+    scalars = {
+        "translation": [1],
+        "translation+negation": [1, -1],
+        "full-affine": [u for u in range(1, exponent + 1) if math.gcd(u, exponent) == 1],
+    }[mode]
+    return {
+        tuple(add_idx(moduli, scale_idx(moduli, x, u), t) for x in range(order))
+        for u in scalars
+        for t in range(order)
+    }
+
+
+def _fixed_by_size(perm):
+    """Coefficients of prod over cycles of (1 + x^len): fixed subsets by size."""
+    seen = [False] * len(perm)
+    poly = [1]
+    for start in range(len(perm)):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length:
+            grown = poly + [0] * length
+            for k, c in enumerate(poly):
+                grown[k + length] += c
+            poly = grown
+    return poly
+
+
+def burnside_orbit_count(moduli, mode, min_size=1, max_size=None):
+    """Orbits of subsets with min_size <= |A| <= max_size under the maps of
+    ``mode`` (Cauchy-Frobenius: the mean number of fixed subsets)."""
+    perms = _affine_perms(tuple(moduli), mode)
+    order = len(next(iter(perms)))
+    hi = order if max_size is None else max_size
+    total = 0
+    for perm in perms:
+        poly = _fixed_by_size(perm)
+        total += sum(poly[min_size : hi + 1])
+    assert total % len(perms) == 0, "the maps do not form a group"
+    return total // len(perms)

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import sumdiff
 from sumdiff import GroupSpec, ParseError, cli
 from sumdiff.cli import main, parse_group_literal, parse_set_literal
 
@@ -298,3 +302,12 @@ def test_out_is_atomic(tmp_path, monkeypatch, exc):
     assert run(argv)[0] == 0
     assert target.read_text().startswith("# sumdiff ")
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the process pool is imported only when a scan fans out
+    src = os.path.dirname(os.path.dirname(sumdiff.__file__))
+    code = "import sys, sumdiff.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "False\n")

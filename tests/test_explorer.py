@@ -25,7 +25,7 @@ from sumdiff import (
 from sumdiff import explorer
 from sumdiff.explorer import CSV_COLUMNS
 
-from oracles import divisor_coset_count, int_iterated
+from oracles import burnside_orbit_count, divisor_coset_count, int_iterated, int_sumset
 
 
 def test_canonical_examples():
@@ -202,3 +202,51 @@ def test_parallel_merge_matches_serial(monkeypatch, campaign, threads):
     assert len(merges) == threads  # one merge per worker chunk: the parallel path ran
     assert records == serial_records
     assert summary == serial_summary  # argmax tuples compare in order, ties included
+
+
+BURNSIDE_GROUPS = [(n,) for n in range(1, 13)] + [(2, 4), (2, 6), (3, 3), (2, 2, 2), (2, 8)]
+
+
+@pytest.mark.parametrize("mode", explorer.MODES)
+@pytest.mark.parametrize("moduli", BURNSIDE_GROUPS, ids=lambda m: "x".join(f"Z{n}" for n in m))
+def test_scan_matches_burnside(moduli, mode):
+    g = GroupSpec(moduli)
+    n = g.order
+    windows = [(1, None)] + ([(3, 5)] if n >= 5 else [])
+    for lo, hi in windows:
+        records, summary = scan(Campaign(group=g, mode=mode, min_size=lo, max_size=hi))
+        assert summary.representatives == burnside_orbit_count(moduli, mode, lo, hi)
+        subsets = sum(math.comb(n, k) for k in range(lo, (n if hi is None else hi) + 1))
+        assert sum(r.orbit_size for r in records) == summary.universe == subsets
+
+
+WINDOW_CUTS = (1, 7, 300, 1500, 2900, 1 << 12)  # five uneven windows
+
+
+@pytest.mark.parametrize("mode", explorer.MODES)
+@pytest.mark.parametrize("moduli", [(12,), (2, 6)], ids=["Z12", "Z2xZ6"])
+def test_windows_and_chunks_concatenate(monkeypatch, moduli, mode):
+    g = GroupSpec(moduli)
+    campaign = Campaign(group=g, mode=mode)
+    full, summary = scan(campaign)
+    windows = list(zip(WINDOW_CUTS, WINDOW_CUTS[1:]))
+    parts = [scan(campaign, mask_range=w)[0] for w in windows]
+    assert [r for part in parts for r in part] == full
+    if mode != MODE_NONE:
+        # every cut splits some orbit: its least member lies in an earlier window
+        orbits = [explorer._group_orbit(g, sum(1 << e for e in r.elements), mode) for r in full]
+        for cut in WINDOW_CUTS[1:-1]:
+            assert any(min(orbit) < cut <= max(orbit) for orbit in orbits)
+    monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
+    assert scan(campaign, threads=2) == (full, summary)
+
+
+def test_int_records_match_oracles():
+    lo = -4
+    for mask in range(1, 1 << 10):
+        r = explorer._record_for_int_mask(mask, lo, 1)
+        pts = [b + lo for b in range(10) if mask >> b & 1]
+        assert r.elements == tuple(pts)
+        assert r.sum_card == len(int_sumset(pts, pts))
+        assert r.diff_card == len(int_iterated(pts, 1, 1))
+        assert r.coset == (len(pts) == 1)

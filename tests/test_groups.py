@@ -76,6 +76,10 @@ def test_invalid_elements():
         g.neg(-1)
     with pytest.raises(InvalidElementError):
         GSet(g, [7])
+    for g in (GroupSpec((6,)), GroupSpec((2, 3))):
+        for bad in (6, -1, 1.0):
+            with pytest.raises(InvalidElementError):
+                g.shift_mask(0b101, bad)
 
 
 def test_groupspec_equality_is_elementwise():
