@@ -149,22 +149,20 @@ def load_config(path: str) -> dict:
 
 
 def _setting(args, config: dict, key: str, default: int) -> int:
-    """A numeric setting: the flag if given, else the config file, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return int(config[key])
-    return default
+    """A numeric setting of at least 1: the flag if given, else the config
+    file, else default."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = int(config[key]) if key in config else default
+    if value < 1:
+        raise ParseError(f"{key} must be >= 1, got {value}")
+    return value
 
 
 def _threads(args, config: dict) -> int:
     """Worker processes: at least 1, at most the number of cores."""
     cores = os.cpu_count() or 1
-    threads = _setting(args, config, "threads", cores)
-    if threads < 1:
-        raise ParseError(f"threads must be >= 1, got {threads}")
-    return min(threads, cores)
+    return min(_setting(args, config, "threads", cores), cores)
 
 
 # -- output helpers --------------------------------------------------------------

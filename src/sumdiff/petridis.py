@@ -9,19 +9,26 @@ every C. The replay walks C one element at a time and logs which of the three
 equality conditions hold at each step; the equality case is certified by the
 subset Q of C whose translates contribute disjoint fresh blocks.
 
-Subset searches are exhaustive by design and stream the candidates in
-ascending mask order. The base is split into two halves, each with a table of
-the prefix unions of A's translates over its own subsets, so a candidate costs
-one word-OR of a high-half entry with a low-half entry and the search holds
-2^ceil(n/2) masks rather than 2^n.
+Subset searches are exact over all 2^n subsets of an n-element base, but
+decide most candidates a block at a time. The base is split into a low part
+of w = max(ceil(n/2), min(n, 10)) elements and a high part of the rest, each
+with a table of the prefix unions of A's translates over its own subsets, so
+a candidate's A+X is one word-OR of a high entry with a low entry and the
+search holds at most 2^10 masks for n <= 20 (2^ceil(n/2) above), never 2^n.
+A block is one high entry paired with one popcount class of the low part;
+every |A+X| in it is at least the larger of the high entry's size and that
+class's least low-entry size, so a block whose bound cannot matter is skipped
+whole, and a block that is counted costs one OR and one popcount per
+candidate in a plain loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator
+from functools import cache, reduce
+from operator import or_
+from typing import Callable
 
 from .errors import (
     CapExceededError,
@@ -29,7 +36,7 @@ from .errors import (
     EmptySetError,
     HypothesisViolationError,
 )
-from .groups import GroupSpec, iter_bits
+from .groups import GroupSpec
 from .sets import GSet, _require_same_group, independent, sumset
 
 __all__ = [
@@ -102,26 +109,91 @@ def _prefix_unions(shifts: list[int]) -> list[int]:
     return unions
 
 
-def _union_sizes(A: GSet, elems: tuple[int, ...]) -> Iterator[int]:
-    """|A+X| for every subset X of ``elems``, the empty one first, in ascending mask order."""
-    shifts = [A.group.shift_mask(A.mask, x) for x in elems]
-    half = (len(elems) + 1) // 2
-    low = _prefix_unions(shifts[:half])
-    for high in _prefix_unions(shifts[half:]):
-        for u in low:
-            yield (high | u).bit_count()
+_LOW_WIDTH = 10  # the low table covers min(n, 10) elements, or ceil(n/2) if more
+
+
+@cache
+def _classes(w: int) -> tuple[tuple[int, ...], ...]:
+    """The masks 0 .. 2^w - 1 grouped by popcount, ascending within each group."""
+    groups = [[] for _ in range(w + 1)]
+    for i in range(1 << w):
+        groups[i.bit_count()].append(i)
+    return tuple(map(tuple, groups))
+
+
+def _blocks(a_card: int, shifts: list[int], limit: Callable[[int], int]):
+    """The subset walk, row by row in ascending mask order.
+
+    A candidate X is a high-part mask j above a low-part mask i; its union
+    A+X is ``high[j] | low[i]``. Row j holds one block per popcount class c
+    of the low part, so all candidates of a block have |X| = |j| + c. The
+    walk yields ``(card, least, first, scan)`` for each block, in ascending
+    c, whose least |A+X| is at most ``limit(card)``: ``first`` is the first
+    mask reaching ``least`` and ``scan`` is what ``_first_at_most`` needs.
+    It yields None at the end of every row. ``limit`` is read afresh at
+    every block. Before a block is counted, its lower bound
+    max(|high[j]|, floor[c]) is checked against the limit: floor[c] is |A|
+    (every non-empty X has |A+X| >= |A|) until row 0 has counted class c,
+    and then that class's least |low[i]|, since high[0] is empty.
+    """
+    n = len(shifts)
+    w = n if n <= _LOW_WIDTH else max((n + 1) // 2, _LOW_WIDTH)
+    classes = _classes(w)
+    low = _prefix_unions(shifts[:w])
+    floors = [0] + [a_card] * w
+    for j, h in enumerate(_prefix_unions(shifts[w:])):
+        hc, hs, hi = j.bit_count(), h.bit_count(), j << w
+        for c in range(not j, w + 1):
+            card = hc + c
+            t = limit(card)
+            if hs > t or floors[c] > t:
+                continue
+            least = a_card * card + 1  # |A+X| <= |A| |X|
+            for i in classes[c]:
+                size = (h | low[i] if j else low[i]).bit_count()
+                if size < least:
+                    least, first = size, i
+            if not j:
+                floors[c] = least
+            if least <= t:
+                yield card, least, hi | first, (hi, classes[c], h, low)
+        yield None
+
+
+def _first_at_most(scan: tuple, size: int) -> int:
+    """The first candidate mask of a block with |A+X| <= size; there is one."""
+    hi, cls, h, low = scan
+    return hi | next(i for i in cls if (h | low[i]).bit_count() <= size)
+
+
+def _shifts(A: GSet, elems: tuple[int, ...]) -> list[int]:
+    """A's translate by each element of ``elems``."""
+    return [A.group.shift_mask(A.mask, x) for x in elems]
 
 
 def _subset_of(g: GroupSpec, elems: tuple[int, ...], cmask: int) -> GSet:
-    return GSet.from_mask(g, sum(1 << elems[i] for i in iter_bits(cmask)))
+    mask = 0
+    for i, x in enumerate(elems):
+        if cmask >> i & 1:
+            mask |= 1 << x
+    return GSet.from_mask(g, mask)
 
 
 def find_minimizer(A: GSet, base: GSet, cap: int = 20) -> MinimizerResult:
     """Global minimum of |A+X| / |X| over non-empty X inside ``base``.
 
-    Exhaustive over all 2^|base| - 1 candidates, streamed from two half-size
-    tables of unions. Ties go to the smaller cardinality, then the smaller
-    bitmask, so the result is reproducible.
+    Exact over all 2^|base| - 1 candidates. Ties go to the smaller
+    cardinality, then the smaller bitmask, so the result is reproducible.
+
+    The search starts from the whole base as the best so far and walks the
+    blocks of ``_blocks`` in ascending mask order. A block is counted only
+    when its lower bound could still beat the best, on ratio or on |X| at an
+    equal ratio, and the best then moves to the block's least |A+X| at the
+    first mask that reaches it. All candidates of a block share |X|, and a
+    later block of the same |X| holds only larger masks, so a tie on ratio
+    and |X| keeps the earlier mask: the result is that of a walk over every
+    candidate in mask order. The strictness flag rechecks the result with
+    an independent walk over the subsets of X.
     """
     _require_same_group(A, base, "find_minimizer")
     if not A.card:
@@ -131,49 +203,59 @@ def find_minimizer(A: GSet, base: GSet, cap: int = 20) -> MinimizerResult:
     if base.card > cap:
         raise CapExceededError(f"minimizer base size {base.card} exceeds cap {cap}")
     elems = base.elements()
-    sizes = _union_sizes(A, elems)
-    next(sizes)  # the empty subset
-    best_num, best_card, best_pos = next(sizes), 1, 1
-    for cmask, num in enumerate(sizes, 2):
-        card = cmask.bit_count()
-        d = num * best_card - best_num * card
-        if d < 0 or (d == 0 and card < best_card):
-            best_num, best_card, best_pos = num, card, cmask
-    x = _subset_of(A.group, elems, best_pos)
+    shifts = _shifts(A, elems)
+    best_num, best_card = reduce(or_, shifts).bit_count(), len(elems)
+    best_pos = (1 << best_card) - 1
+
+    def limit(card: int) -> int:
+        # the largest |A+X| with which a candidate of this |X| would beat the best
+        return (best_num * card - (card >= best_card)) // best_card
+
+    for block in _blocks(A.card, shifts, limit):
+        if block:
+            best_card, best_num, best_pos, _ = block
     k = Fraction(best_num, best_card)
-    return MinimizerResult(x, k, _violating_subset(A, x, k) is None)
+    x_shifts = [s for i, s in enumerate(shifts) if best_pos >> i & 1]
+    return MinimizerResult(
+        _subset_of(A.group, elems, best_pos), k, _violation(A.card, x_shifts, k) is None
+    )
 
 
-@lru_cache(maxsize=65536)
-def _violating_subset(A: GSet, X: GSet, K: Fraction) -> GSet | None:
-    """First witness against the equality hypothesis, or None.
+def _violation(a_card: int, shifts: list[int], K: Fraction) -> int | None:
+    """The mask of the first witness against the equality hypothesis, or None.
 
     The hypothesis: |A+X| = K |X| exactly, and |A+X'| > K |X'| for every
-    proper non-empty X' of X. Proper subsets are scanned in ascending-mask
-    order over X's elements; the full set is reported last if its equality
-    fails. All comparisons cross-multiply integers.
+    proper non-empty X' of X, where X is the set of ``shifts``. Proper subsets
+    are searched in ascending-mask order, a block at a time: a block is
+    counted only when its lower bound is at most floor(K |X'|), and the first
+    row with a hit gives the witness, the least of its blocks' first hits.
+    The full mask is reported last if its equality fails. All comparisons
+    are on integers.
     """
-    elems = X.elements()
+    n = len(shifts)
     kn, kd = K.numerator, K.denominator
-    full = (1 << len(elems)) - 1
-    sizes = _union_sizes(A, elems)
-    next(sizes)  # the empty subset
-    for cmask, num in enumerate(sizes, 1):
-        card = cmask.bit_count()
-        if cmask == full:
-            if num * kd != kn * card:
-                return X
-        elif num * kd <= kn * card:
-            return _subset_of(A.group, elems, cmask)
-    return None
+
+    def limit(card: int) -> int:
+        return -1 if card == n else kn * card // kd  # the full set is no proper subset
+
+    hits = []
+    for block in _blocks(a_card, shifts, limit):
+        if block:
+            hits.append(_first_at_most(block[3], limit(block[0])))
+        elif hits:  # the end of the first row with a hit
+            return min(hits)
+    return None if reduce(or_, shifts).bit_count() * kd == kn * n else (1 << n) - 1
 
 
 def _checked_violation(A: GSet, X: GSet, K: Fraction, cap: int) -> GSet | None:
+    """First witness against the equality hypothesis for X, or None."""
     if not X.card:
         raise EmptySetError("hypothesis check needs a non-empty X")
     if X.card > cap:
         raise CapExceededError(f"hypothesis check over {X.card} elements exceeds cap {cap}")
-    return _violating_subset(A, X, K)
+    elems = X.elements()
+    bad = _violation(A.card, _shifts(A, elems), K)
+    return None if bad is None else _subset_of(A.group, elems, bad)
 
 
 def verify_hypothesis(A: GSet, X: GSet, K, cap: int = 20) -> bool:

@@ -2,7 +2,11 @@
 
 Everything here computes from first principles with its own modular
 arithmetic over residue tuples (no bitmasks, no kernel code), so the
-production paths are checked against a genuinely separate route.
+production paths are checked against a genuinely separate route. The one
+exception is the pair of ascending walks, the plain per-candidate form of the
+pruned Petridis subset searches: they share only the shift kernel, which the
+residue oracles check on its own, and reach sizes far past what
+``naive_minimizer`` can enumerate.
 """
 
 from __future__ import annotations
@@ -146,6 +150,44 @@ def naive_violating_subset(moduli, A, X, K):
             return sorted(Y)
     _, num, size, _ = by_mask[-1]  # the largest mask is X itself
     return None if num == K * size else sorted(X)
+
+
+def _ascending_union_sizes(A, elems):
+    """|A+X| for every subset X of ``elems``, the empty one first, in ascending mask order."""
+    unions = [0]
+    for x in elems:
+        s = A.group.shift_mask(A.mask, x)
+        unions += [u | s for u in unions]
+    return [u.bit_count() for u in unions]
+
+
+def ascending_minimizer(A, base):
+    """(X, K) minimizing |A+X| / |X| over non-empty X inside ``base``, one
+    candidate at a time in ascending mask order; ties go to smaller |X|, then
+    the first mask. A and base are sumdiff GSets; X is a sorted tuple."""
+    elems = base.elements()
+    sizes = _ascending_union_sizes(A, elems)
+    best_num, best_card, best_pos = sizes[1], 1, 1
+    for cmask in range(2, len(sizes)):
+        num, card = sizes[cmask], cmask.bit_count()
+        d = num * best_card - best_num * card
+        if d < 0 or (d == 0 and card < best_card):
+            best_num, best_card, best_pos = num, card, cmask
+    x = tuple(e for i, e in enumerate(elems) if best_pos >> i & 1)
+    return x, Fraction(best_num, best_card)
+
+
+def ascending_violating_subset(A, X, K):
+    """First proper non-empty X' of X (ascending mask) with |A+X'| <= K |X'|,
+    else X itself when |A+X| != K |X|, else None, one candidate at a time."""
+    elems = X.elements()
+    sizes = _ascending_union_sizes(A, elems)
+    kn, kd = K.numerator, K.denominator
+    full = len(sizes) - 1
+    for cmask in range(1, full):
+        if sizes[cmask] * kd <= kn * cmask.bit_count():
+            return tuple(e for i, e in enumerate(elems) if cmask >> i & 1)
+    return None if sizes[full] * kd == kn * len(elems) else elems
 
 
 def _affine_perms(moduli, mode):

@@ -260,6 +260,15 @@ def test_config_out_dir(tmp_path):
         (["witness", "petridis", "0,1@Z5", "--base", "0,4,0"], None),
         (["check", "thm1", "--sweep", "Z9", "--sample", "0"], None),
         (["check", "thm1", "--sweep", "Z9", "--sample", "-4"], None),
+        (["check", "thm3", "0,1,3@Z8", "--minimizer-cap", "0"], None),
+        (["check", "thm5", "0,1,3@Z8", "--minimizer-cap", "-2"], None),
+        (["witness", "petridis", "0,1@Z5", "--minimizer-cap", "0"], None),
+        (["check", "thm3", "0,1,3@Z8"], "minimizer_cap=0\n"),
+        (["check", "thm1", "--sweep", "Z8", "--group-cap", "0"], None),
+        (["scan", "--group", "Z8", "--group-cap", "0", "--threads", "1"], None),
+        (["mstd", "--group", "Z8", "--threads", "1"], "group_cap=-1\n"),
+        (["scan", "--ints", "0..5", "--width-cap", "0", "--threads", "1"], None),
+        (["mstd", "--ints", "0..5", "--threads", "1"], "width_cap=0\n"),
     ],
 )
 def test_bad_input_exits_1(tmp_path, argv, config):

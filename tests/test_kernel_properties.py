@@ -1,4 +1,5 @@
-"""Property tests of the mask kernels against the residue-tuple oracles."""
+"""Property tests of the mask kernels and the minimizer search against the
+residue-tuple oracles."""
 
 from math import prod
 
@@ -7,9 +8,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from sumdiff import GroupSpec, GSet, sumset
+from sumdiff import GroupSpec, GSet, find_minimizer, sumset
 
-from oracles import add_idx, naive_sumset, neg_idx, scale_idx
+from oracles import add_idx, naive_minimizer, naive_sumset, neg_idx, scale_idx
 
 MODULI = st.lists(st.integers(1, 12), min_size=1, max_size=4).filter(lambda m: prod(m) <= 256)
 
@@ -36,3 +37,16 @@ def test_mask_kernels_match_oracles(moduli, data):
     assert g.scale_mask(mask, u) == mask_of(scale_idx(moduli, x, u) for x in xs)
     got = sumset(GSet.from_mask(g, mask), GSet(g, small))
     assert list(got) == naive_sumset(moduli, xs, small)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(moduli=MODULI, data=st.data())
+def test_find_minimizer_matches_naive(moduli, data):
+    g = GroupSpec(tuple(moduli))
+    element = st.integers(0, g.order - 1)
+    A = data.draw(st.sets(element, min_size=1, max_size=5), label="A")
+    base = data.draw(st.sets(element, min_size=1, max_size=9), label="base")
+    mn = find_minimizer(GSet(g, A), GSet(g, base))
+    want = naive_minimizer(tuple(moduli), tuple(sorted(A)), tuple(sorted(base)))
+    assert (list(mn.x), mn.k) == want
+    assert mn.strict_on_proper_subsets

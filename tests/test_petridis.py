@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from sumdiff import (
     HypothesisViolationError,
     brute_force_certificate,
     delta,
+    enumerate_subgroups,
     extract_certificate,
     find_minimizer,
     independent,
@@ -23,7 +26,13 @@ from sumdiff import (
     verify_hypothesis,
 )
 
-from oracles import naive_minimizer, naive_sumset, naive_violating_subset
+from oracles import (
+    ascending_minimizer,
+    ascending_violating_subset,
+    naive_minimizer,
+    naive_sumset,
+    naive_violating_subset,
+)
 
 
 def gs(moduli, members):
@@ -228,15 +237,90 @@ def test_subset_searches_match_brute_force():
                 assert got == want
 
 
+def _violating(A, X, K):
+    """The witness ``petridis_inequality`` reports against (X, K), or None."""
+    try:
+        petridis_inequality(A, X, K, A, cap=X.card)
+    except HypothesisViolationError as err:
+        return err.violating.elements()
+    return None
+
+
+def _kinds(g, rng):
+    """One A of each kind: random, arithmetic progression, a coset plus one
+    point, a subgroup, and a singleton (every ratio |A+X|/|X| is then 1)."""
+    H = rng.choice([H for H in enumerate_subgroups(g) if 1 < H.card <= 16])
+    coset = H.translate(rng.randrange(g.order))
+    extra = rng.choice([x for x in g.elements() if x not in coset])
+    ap, x, d = [], rng.randrange(g.order), rng.randrange(1, g.order)
+    for _ in range(rng.randint(2, 5)):
+        ap.append(x)
+        x = g.add(x, d)
+    return {
+        "random": GSet(g, rng.sample(range(g.order), rng.randint(2, 6))),
+        "ap": GSet(g, set(ap)),
+        "coset+x": GSet.from_mask(g, coset.mask | 1 << extra),
+        "subgroup": H,
+        "singleton": GSet(g, [rng.randrange(g.order)]),
+    }
+
+
+@pytest.mark.parametrize("size", range(1, 19))
+def test_block_walk_matches_ascending_walk(size):
+    # |base| 1-18 straddles the switch to a 10-wide low table (11) and the
+    # uneven high halves (13, 17); the reference visits every candidate
+    rng = random.Random(700 + size)
+    groups = [(64,), (4, 4, 4)] if size > 12 else [(40,), (64,), (2, 2, 8), (3, 6, 2)]
+    near = Fraction(1, 997)  # below the gap between two ratios with |X| <= 18
+    for moduli in groups:
+        g = GroupSpec(moduli)
+        kinds = list(_kinds(g, rng).items())
+        if size > 12:
+            kinds = [kinds[size % 5], kinds[(size + 2) % 5]]
+        for kind, A in kinds:
+            base = GSet(g, rng.sample(range(g.order), size))
+            mn = find_minimizer(A, base)
+            want_x, want_k = ascending_minimizer(A, base)
+            assert (mn.x.elements(), mn.k) == (want_x, want_k), (kind, A, base)
+            assert mn.strict_on_proper_subsets
+            assert ascending_violating_subset(A, mn.x, mn.k) is None
+            k_rand = Fraction(rng.randint(1, 3 * A.card), rng.randint(1, 4))
+            for X, K in (
+                (base, want_k),
+                (base, want_k + near),
+                (base, want_k - near),
+                (base, k_rand),
+                (mn.x, want_k + near),
+                (mn.x, want_k - near),
+            ):
+                assert _violating(A, X, K) == ascending_violating_subset(A, X, K), (kind, A, X, K)
+
+
 def test_minimizer_memory_is_sub_exponential():
-    # the search keeps two half tables of 2^7 unions, not one of 2^14
+    # the search keeps a low table of at most 2^10 unions and a high table
+    # of 2^(size-10), never one of 2^size
     g = GroupSpec((64,))
     A = GSet(g, [0, 5, 9, 17, 30, 33])
-    base = GSet(g, range(1, 64, 4)[:14])
-    tracemalloc.start()
-    try:
-        find_minimizer(A, base)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 500_000
+    for size in (14, 20):
+        base = GSet(g, range(1, 64, 3)[:size])
+        tracemalloc.start()
+        try:
+            find_minimizer(A, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, size
+
+
+def test_searches_keep_no_group_alive():
+    # nothing caches a request's sets, so its group (with a product group's
+    # shift tables) is freed once the caller lets go of it
+    g = GroupSpec((2, 4, 8))
+    ref = weakref.ref(g)
+    A = GSet(g, [0, 3, 9, 17, 40, 41])
+    mn = find_minimizer(A, A)
+    assert verify_hypothesis(A, mn.x, mn.k)
+    assert not verify_hypothesis(A, A, mn.k + 1)
+    del g, A, mn
+    gc.collect()
+    assert ref() is None
