@@ -23,8 +23,8 @@ from typing import Iterator
 
 from ._version import VERSION
 from .errors import CapExceededError
-from .groups import GroupSpec, iter_bits, is_coset
-from .sets import GSet, diffset, sumset
+from .groups import GroupSpec, _map_bits, iter_bits, is_coset
+from .sets import GSet
 
 __all__ = [
     "MODE_NONE",
@@ -231,20 +231,18 @@ class Campaign:
 # -- orbit machinery ---------------------------------------------------------
 
 
-def _group_orbit(g: GroupSpec, mask: int, mode: str) -> set:
-    """Every image of ``mask`` under the symmetries of ``mode`` (not ``none``)."""
-    if mode == MODE_TRANSLATION:
-        seeds = (mask,)
-    elif mode == MODE_TRANSLATION_NEGATION:
-        seeds = (mask, g.neg_mask(mask))
-    else:
-        seeds = {g.scale_mask(mask, u) for u in g.units()}
+def _group_orbit(g: GroupSpec, mask: int, mode: str) -> tuple[set, list]:
+    """Every image of ``mask`` under the symmetries of ``mode`` (not ``none``),
+    and the mask's own translates: ``translates[t]`` is A + t."""
     shift = g.shift_mask
-    orbit = set()
-    for s in seeds:
-        if s not in orbit:  # else its translates are already in
-            orbit.update([shift(s, t) for t in g.elements()])
-    return orbit
+    translates = [shift(mask, t) for t in g.elements()]
+    orbit = set(translates)
+    if mode != MODE_TRANSLATION:
+        units = (-1,) if mode == MODE_TRANSLATION_NEGATION else g.units()
+        for s in {g.scale_mask(mask, u) for u in units}:
+            if s not in orbit:  # else its translates are already in
+                orbit.update([shift(s, t) for t in g.elements()])
+    return orbit, translates
 
 
 def _reflect(mask: int) -> int:
@@ -252,28 +250,24 @@ def _reflect(mask: int) -> int:
     return int(bin(mask)[:1:-1], 2)
 
 
-def _int_canonical(mask: int, mode: str) -> bool:
-    if mode == MODE_NONE:
-        return True
-    if mask & 1 == 0:  # canonical translate hugs the window's left edge
-        return False
-    if mode == MODE_TRANSLATION:
-        return True
-    return mask <= _reflect(mask)
-
-
 def _int_orbit_size(mask: int, width: int, mode: str) -> int:
+    """The orbit size if ``mask`` is canonical, else 0: the canonical translate
+    hugs the window's left edge and, under negation, is at most its mirror."""
     if mode == MODE_NONE:
         return 1
-    span = mask.bit_length() - 1
-    translates = width - span
+    if mask & 1 == 0:
+        return 0
+    translates = width - mask.bit_length() + 1
     if mode == MODE_TRANSLATION:
         return translates
-    return translates if _reflect(mask) == mask else 2 * translates
+    mirror = _reflect(mask)
+    return 0 if mirror < mask else translates if mirror == mask else 2 * translates
 
 
-def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int) -> Iterator[tuple[int, int]]:
-    """Yield (representative mask, orbit size) with masks ascending in [lo, hi).
+def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int) -> Iterator[tuple]:
+    """Yield (representative mask, orbit size, translates) with masks ascending
+    in [lo, hi); ``translates[t]`` is the set shifted by t, for every t that
+    ``_record`` reads.
 
     A group orbit is built once, at its least member inside the window, and
     its other members there are marked visited. Members below ``lo`` only
@@ -288,23 +282,25 @@ def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int) -> Iterator
     if g is None:
         width = campaign.width()
         for mask in range(lo, hi_mask):
-            if min_size <= mask.bit_count() <= max_size and _int_canonical(mask, mode):
-                yield mask, _int_orbit_size(mask, width, mode)
+            if min_size <= mask.bit_count() <= max_size:
+                size = _int_orbit_size(mask, width, mode)
+                if size:  # the record reads A + t only for t in A or in its mirror
+                    yield mask, size, [mask << t for t in range(mask.bit_length())]
     elif mode == MODE_NONE:
         for mask in range(lo, hi_mask):
             if min_size <= mask.bit_count() <= max_size:
-                yield mask, 1
+                yield mask, 1, [g.shift_mask(mask, t) for t in g.elements()]
     else:
         visited = bytearray(max(hi_mask - lo, 0))
         for mask in range(lo, hi_mask):
             if visited[mask - lo] or not min_size <= mask.bit_count() <= max_size:
                 continue
-            orbit = _group_orbit(g, mask, mode)
+            orbit, translates = _group_orbit(g, mask, mode)
             for m in orbit:
                 if mask < m < hi_mask:
                     visited[m - lo] = 1
             if mask == min(orbit):
-                yield mask, len(orbit)
+                yield mask, len(orbit), translates
 
 
 def enumerate_canonical(campaign: Campaign):
@@ -313,48 +309,32 @@ def enumerate_canonical(campaign: Campaign):
     Group campaigns yield GSets; integer campaigns yield tuples of integers.
     """
     campaign.validate()
-    if campaign.group is not None:
-        for mask, _ in _canonical_masks(campaign, 1, 1 << campaign.width()):
-            yield GSet.from_mask(campaign.group, mask)
-    else:
-        lo = campaign.ints[0]
-        for mask, _ in _canonical_masks(campaign, 1, 1 << campaign.width()):
-            yield tuple(b + lo for b in iter_bits(mask))
+    g = campaign.group
+    lo = campaign.ints[0] if g is None else 0
+    for mask, _, _ in _canonical_masks(campaign, 1, 1 << campaign.width()):
+        yield GSet.from_mask(g, mask) if g else tuple(b + lo for b in iter_bits(mask))
 
 
 # -- records -----------------------------------------------------------------
 
 
-def _record_for_group_mask(g: GroupSpec, mask: int, orbit_size: int) -> SearchRecord:
-    A = GSet.from_mask(g, mask)
-    s = sumset(A, A).card
-    return SearchRecord(
-        g.label(),
-        A.elements(),
-        A.card,
-        s,
-        diffset(A, A).card,
-        # a coset a+H has |A+A| = |H| = |A|, so no other set needs the test
-        s == A.card and is_coset(A) is not None,
-        orbit_size,
-    )
+def _record(campaign: Campaign, mask: int, orbit_size: int, translates: list) -> SearchRecord:
+    """The record of the set A with this mask, given ``translates[t]`` = A + t.
 
-
-def _int_sum_card(a: int, b: int) -> int:
-    """|A+B| for integer sets given as masks: the OR of a << x over x in B."""
-    acc = 0
-    for x in iter_bits(b):
-        acc |= a << x
-    return acc.bit_count()
-
-
-def _record_for_int_mask(mask: int, lo: int, orbit_size: int) -> SearchRecord:
-    pts = tuple(b + lo for b in iter_bits(mask))
-    # A - A is a translate of A + reflect(A)
-    s = _int_sum_card(mask, mask)
-    d = _int_sum_card(mask, _reflect(mask))
-    # in the integers only singletons are cosets of a finite subgroup
-    return SearchRecord("Z", pts, len(pts), s, d, len(pts) == 1, orbit_size)
+    A+A is the union of A + a over a in A, and A-A that of A + b over b in
+    -A; in the integers A-A is a translate of A + reflect(A) instead.
+    """
+    g = campaign.group
+    card = mask.bit_count()
+    s = _map_bits(translates, mask).bit_count()
+    d = _map_bits(translates, g.neg_mask(mask) if g else _reflect(mask)).bit_count()
+    if g is None:  # |A+A| = |A| only for a singleton, the one kind of finite coset in Z
+        lo = campaign.ints[0]
+        pts = tuple(b + lo for b in iter_bits(mask))
+        return SearchRecord("Z", pts, card, s, d, s == card, orbit_size)
+    # a coset a+H has |A+A| = |H| = |A|, so no other set needs the test
+    coset = s == card and is_coset(GSet.from_mask(g, mask)) is not None
+    return SearchRecord(g.label(), tuple(iter_bits(mask)), card, s, d, coset, orbit_size)
 
 
 # -- scanning ----------------------------------------------------------------
@@ -453,12 +433,8 @@ class _Stats:
 def _scan_chunk(campaign: Campaign, lo_mask: int, hi_mask: int) -> tuple[list, _Stats]:
     records = []
     stats = _Stats()
-    lo_int = campaign.ints[0] if campaign.ints else 0
-    for mask, orbit_size in _canonical_masks(campaign, lo_mask, hi_mask):
-        if campaign.group is not None:
-            rec = _record_for_group_mask(campaign.group, mask, orbit_size)
-        else:
-            rec = _record_for_int_mask(mask, lo_int, orbit_size)
+    for mask, orbit_size, translates in _canonical_masks(campaign, lo_mask, hi_mask):
+        rec = _record(campaign, mask, orbit_size, translates)
         stats.absorb(rec)
         if not campaign.mstd_only or rec.mstd:
             records.append(rec)
@@ -570,15 +546,15 @@ class ExponentReport:
 
 
 def exponent_report(records) -> ExponentReport:
-    """Maximum of log(sigma)/log(delta) over non-coset records, with context."""
-    records = list(records)
-    if not records:
+    """Maximum of log(sigma)/log(delta) over non-coset records, with context.
+    Only a coset has sigma or delta 1, so every other scan record has one."""
+    stats = _Stats()
+    for r in records:
+        stats.absorb(r)
+    if not stats.representatives:
         raise ValueError("exponent_report needs at least one record")
-    non_coset = [r for r in records if not r.coset and r.exponent_up is not None]
-    best = (None, ())
-    for r in non_coset:
-        best = _fold_max(best, r.exponent_up, (r,))
-    return ExponentReport(len(non_coset), *best, PENMAN_WELLS_EXPONENT)
+    non_coset = stats.representatives - stats.rep_counts["coset"]
+    return ExponentReport(non_coset, *stats.up, PENMAN_WELLS_EXPONENT)
 
 
 # -- output ------------------------------------------------------------------

@@ -11,7 +11,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterator
 
@@ -34,6 +34,9 @@ class GroupSpec:
 
     moduli: tuple[int, ...]
     order: int = field(init=False, repr=False, compare=False)
+    # u -> the bit of u*i per element i, filled by _scale_bit, freed with the group. Set
+    # in __post_init__: a key added to the instance dict later slows every attribute read.
+    _scale_tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mods = tuple(int(n) for n in self.moduli)
@@ -43,6 +46,7 @@ class GroupSpec:
             raise ValueError(f"moduli must all be >= 1, got {mods}")
         object.__setattr__(self, "moduli", mods)
         object.__setattr__(self, "order", prod(mods))
+        object.__setattr__(self, "_scale_tables", {})
 
     def label(self) -> str:
         return "x".join(f"Z{n}" for n in self.moduli)
@@ -164,10 +168,20 @@ class GroupSpec:
     # neg_mask maps through the table itself: calling scale_mask would count
     # one negation twice wherever both methods are instrumented.
     def neg_mask(self, mask: int) -> int:
-        return _map_bits(_scale_bit(self, -1), mask)
+        return _map_bits(self._scale_bit(-1), mask)
 
     def scale_mask(self, mask: int, u: int) -> int:
-        return _map_bits(_scale_bit(self, u), mask)
+        return _map_bits(self._scale_bit(u), mask)
+
+    def _scale_bit(self, u: int) -> tuple[int, ...]:
+        tables = self._scale_tables
+        if u not in tables:
+            images, stride = [0], 1  # u*i residue-wise, built one cyclic factor at a time
+            for n in self.moduli:
+                images = [x + (r * u % n) * stride for r in range(n) for x in images]
+                stride *= n
+            tables[u] = tuple(1 << x for x in images)
+        return tables[u]
 
 
 def _map_bits(table: tuple[int, ...], mask: int) -> int:
@@ -176,11 +190,6 @@ def _map_bits(table: tuple[int, ...], mask: int) -> int:
     for i in iter_bits(mask):
         acc |= table[i]
     return acc
-
-
-@lru_cache(maxsize=None)
-def _scale_bit(g: GroupSpec, u: int) -> tuple[int, ...]:
-    return tuple(1 << g.scale(i, u) for i in range(g.order))
 
 
 def _close_under_addition(g: GroupSpec, mask: int) -> int:

@@ -16,9 +16,9 @@ with a table of the prefix unions of A's translates over its own subsets, so
 a candidate's A+X is one word-OR of a high entry with a low entry and the
 search holds at most 2^10 masks for n <= 20 (2^ceil(n/2) above), never 2^n.
 A block is one high entry paired with one popcount class of the low part;
-every |A+X| in it is at least the larger of the high entry's size and that
-class's least low-entry size, so a block whose bound cannot matter is skipped
-whole, and a block that is counted costs one OR and one popcount per
+every |A+X| in it is at least the largest of the high entry's size, that
+class's least low-entry size and |X|, so a block whose bound cannot matter is
+skipped whole, and a block that is counted costs one OR and one popcount per
 candidate in a plain loop.
 """
 
@@ -132,9 +132,10 @@ def _blocks(a_card: int, shifts: list[int], limit: Callable[[int], int]):
     mask reaching ``least`` and ``scan`` is what ``_first_at_most`` needs.
     It yields None at the end of every row. ``limit`` is read afresh at
     every block. Before a block is counted, its lower bound
-    max(|high[j]|, floor[c]) is checked against the limit: floor[c] is |A|
-    (every non-empty X has |A+X| >= |A|) until row 0 has counted class c,
-    and then that class's least |low[i]|, since high[0] is empty.
+    max(|high[j]|, floor[c], |X|) is checked against the limit: floor[c] is
+    |A| (every non-empty X has |A+X| >= |A|) until row 0 has counted class
+    c, and then that class's least |low[i]|, since high[0] is empty; and
+    |A+X| >= |X| in every group.
     """
     n = len(shifts)
     w = n if n <= _LOW_WIDTH else max((n + 1) // 2, _LOW_WIDTH)
@@ -146,7 +147,7 @@ def _blocks(a_card: int, shifts: list[int], limit: Callable[[int], int]):
         for c in range(not j, w + 1):
             card = hc + c
             t = limit(card)
-            if hs > t or floors[c] > t:
+            if hs > t or floors[c] > t or card > t:
                 continue
             least = a_card * card + 1  # |A+X| <= |A| |X|
             for i in classes[c]:

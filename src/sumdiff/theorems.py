@@ -19,8 +19,11 @@ Claim identifiers accepted throughout (also by the CLI):
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 from random import Random
 
 from .errors import CapExceededError, EmptySetError
@@ -298,6 +301,15 @@ class SweepSummary:
         }
 
 
+def _draw(rng: Random, n: int, top: int) -> int:
+    """One mask, uniform over the non-empty subsets of n elements with at most top members."""
+    if top >= n:
+        return rng.randrange(1, 1 << n)
+    bounds = list(accumulate(comb(n, k) for k in range(1, top + 1)))  # exact weights C(n, k)
+    k = bisect_right(bounds, rng.randrange(bounds[-1])) + 1
+    return sum(1 << x for x in rng.sample(range(n), k))
+
+
 def sweep_claim(
     claim: str,
     g: GroupSpec,
@@ -312,7 +324,9 @@ def sweep_claim(
 
     Exhaustive sweeps are capped by group order; sampling lifts that cap. A
     sample draws masks uniformly with replacement from a seeded generator, so
-    identical invocations see identical sets.
+    identical invocations see identical sets. The minimizer claims (thm3,
+    thm5) search subsets of A, so on groups of order above ``cap`` they
+    sample uniformly among the sets of at most ``cap`` elements.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"sample size must be >= 1, got {sample}")
@@ -324,9 +338,8 @@ def sweep_claim(
     total_universe = (1 << g.order) - 1
     if sample is not None and total_universe > sample:
         rng = Random(seed)
-        universe = (
-            GSet.from_mask(g, rng.randrange(1, total_universe + 1)) for _ in range(sample)
-        )
+        top = cap if claim in ("thm3", "thm5") else g.order
+        universe = (GSet.from_mask(g, _draw(rng, g.order, top)) for _ in range(sample))
     else:
         universe = subsets(g)
     counts = {HOLDS: 0, EQUALITY: 0, VIOLATED: 0}

@@ -112,6 +112,13 @@ def naive_coset_masks(moduli):
     return cosets
 
 
+def naive_is_coset(moduli, A):
+    """A non-empty A is a coset when A - a0 is closed under addition, for its
+    least member a0 (a finite non-empty set closed under addition is a subgroup)."""
+    H = {add_idx(moduli, x, neg_idx(moduli, min(A))) for x in A}
+    return all(add_idx(moduli, x, y) in H for x in H for y in H)
+
+
 def divisor_coset_count(n):
     """Number of cosets in a cyclic group: one subgroup per divisor d, n/d translates."""
     return sum(n // d for d in range(1, n + 1) if n % d == 0)

@@ -90,6 +90,17 @@ def test_check_sweep():
     assert payload["counts"]["violated"] == 0
 
 
+@pytest.mark.parametrize("claim", ["thm3", "thm5"])
+def test_sampled_minimizer_sweep_of_a_large_group(claim):
+    # the minimizer claims sample sets within the minimizer cap instead of aborting
+    argv = ["check", claim, "--sweep", "Z64", "--sample", "10", "--format", "json"]
+    code, out, _ = run(argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["total"] == 10 and payload["counts"]["violated"] == 0
+    assert run(argv) == (code, out, "")
+
+
 def test_check_integer_mode():
     code, out, _ = run(["check", "ineq1", "0,2,3,14@Z"])
     assert code == 0 and "outcome  holds" in out

@@ -22,10 +22,18 @@ from sumdiff import (
     sigma,
     write_csv,
 )
-from sumdiff import explorer
+from sumdiff import explorer, sets
 from sumdiff.explorer import CSV_COLUMNS
 
-from oracles import burnside_orbit_count, divisor_coset_count, int_iterated, int_sumset
+from oracles import (
+    burnside_orbit_count,
+    divisor_coset_count,
+    int_iterated,
+    int_sumset,
+    naive_coset_masks,
+    naive_diffset,
+    naive_sumset,
+)
 
 
 def test_canonical_examples():
@@ -234,7 +242,7 @@ def test_windows_and_chunks_concatenate(monkeypatch, moduli, mode):
     assert [r for part in parts for r in part] == full
     if mode != MODE_NONE:
         # every cut splits some orbit: its least member lies in an earlier window
-        orbits = [explorer._group_orbit(g, sum(1 << e for e in r.elements), mode) for r in full]
+        orbits = [explorer._group_orbit(g, sum(1 << e for e in r.elements), mode)[0] for r in full]
         for cut in WINDOW_CUTS[1:-1]:
             assert any(min(orbit) < cut <= max(orbit) for orbit in orbits)
     monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
@@ -243,10 +251,56 @@ def test_windows_and_chunks_concatenate(monkeypatch, moduli, mode):
 
 def test_int_records_match_oracles():
     lo = -4
-    for mask in range(1, 1 << 10):
-        r = explorer._record_for_int_mask(mask, lo, 1)
+    campaign = Campaign(ints=(lo, lo + 9), mode=MODE_NONE)
+    masks = explorer._canonical_masks(campaign, 1, 1 << 10)
+    for want, (mask, orbit_size, translates) in enumerate(masks, 1):
+        assert (mask, orbit_size) == (want, 1)
+        r = explorer._record(campaign, mask, orbit_size, translates)
         pts = [b + lo for b in range(10) if mask >> b & 1]
         assert r.elements == tuple(pts)
         assert r.sum_card == len(int_sumset(pts, pts))
         assert r.diff_card == len(int_iterated(pts, 1, 1))
         assert r.coset == (len(pts) == 1)
+
+
+@pytest.mark.parametrize("moduli", [(9,), (2, 4), (3, 3)], ids=["Z9", "Z2xZ4", "Z3xZ3"])
+def test_records_match_naive_oracles_on_every_mask(moduli):
+    # mode none records every mask from its plain translates; each orbit
+    # mode's table is checked on every mask too, not only on representatives
+    g = GroupSpec(moduli)
+    cosets = naive_coset_masks(moduli)
+    want = {}
+    for mask in range(1, 1 << g.order):
+        A = [x for x in g.elements() if mask >> x & 1]
+        sizes = len(naive_sumset(moduli, A, A)), len(naive_diffset(moduli, A, A))
+        want[mask] = (g.label(), tuple(A), len(A), *sizes, mask in cosets)
+    for mode in explorer.MODES:
+        campaign = Campaign(group=g, mode=mode)
+        records, _ = scan(campaign)
+        for r in records:
+            mask = sum(1 << x for x in r.elements)
+            assert (r.group, r.elements, r.card, r.sum_card, r.diff_card, r.coset) == want[mask]
+        if mode == MODE_NONE:
+            assert len(records) == len(want)
+            continue
+        for mask, expected in want.items():
+            translates = explorer._group_orbit(g, mask, mode)[1]
+            r = explorer._record(campaign, mask, 1, translates)
+            assert (r.group, r.elements, r.card, r.sum_card, r.diff_card, r.coset) == expected
+
+
+def test_scans_never_call_the_sumset_kernels(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a scan called a sumset kernel")
+
+    monkeypatch.setattr(sets, "sumset", refuse)
+    monkeypatch.setattr(sets, "diffset", refuse)
+    # explorer holds no name of its own that would dodge the patch
+    assert not hasattr(explorer, "sumset") and not hasattr(explorer, "diffset")
+    with pytest.raises(AssertionError):
+        GSet(GroupSpec((4,)), [1]) + GSet(GroupSpec((4,)), [2])
+    for mode in explorer.MODES:
+        _, summary = scan(Campaign(group=GroupSpec((12,)), mode=mode))
+        assert summary.universe == 4095 and summary.counts["coset"] == 28
+        _, summary = scan(Campaign(ints=(0, 9), mode=mode))
+        assert summary.universe == 1023 and summary.counts["coset"] == 10

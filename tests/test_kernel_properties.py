@@ -8,9 +8,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from sumdiff import GroupSpec, GSet, find_minimizer, sumset
+from sumdiff import Campaign, GroupSpec, GSet, explorer, find_minimizer, sumset
+from sumdiff.groups import _close_under_addition
 
-from oracles import add_idx, naive_minimizer, naive_sumset, neg_idx, scale_idx
+from oracles import (
+    add_idx,
+    naive_diffset,
+    naive_is_coset,
+    naive_minimizer,
+    naive_sumset,
+    neg_idx,
+    scale_idx,
+)
 
 MODULI = st.lists(st.integers(1, 12), min_size=1, max_size=4).filter(lambda m: prod(m) <= 256)
 
@@ -50,3 +59,27 @@ def test_find_minimizer_matches_naive(moduli, data):
     want = naive_minimizer(tuple(moduli), tuple(sorted(A)), tuple(sorted(base)))
     assert (list(mn.x), mn.k) == want
     assert mn.strict_on_proper_subsets
+
+
+PRODUCTS = st.lists(st.integers(2, 8), min_size=2, max_size=3).filter(lambda m: prod(m) <= 64)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(moduli=PRODUCTS, mode=st.sampled_from(explorer.MODES), data=st.data())
+def test_scan_record_matches_oracles(moduli, mode, data):
+    g = GroupSpec(tuple(moduli))
+    mask = data.draw(st.integers(1, g.full_mask), label="mask")
+    if data.draw(st.booleans(), label="coset"):  # a translate of the subgroup mask generates
+        t = data.draw(st.integers(0, g.order - 1), label="t")
+        mask = g.shift_mask(_close_under_addition(g, mask), t)
+    campaign = Campaign(group=g, mode=mode)
+    if mode == explorer.MODE_NONE:  # the one-mask window yields just this mask
+        [(_, _, translates)] = explorer._canonical_masks(campaign, mask, mask + 1)
+    else:
+        translates = explorer._group_orbit(g, mask, mode)[1]
+    r = explorer._record(campaign, mask, 1, translates)
+    xs = members(mask)
+    assert (r.elements, r.card) == (tuple(xs), len(xs))
+    assert r.sum_card == len(naive_sumset(moduli, xs, xs))
+    assert r.diff_card == len(naive_diffset(moduli, xs, xs))
+    assert r.coset == naive_is_coset(moduli, xs)

@@ -23,6 +23,7 @@ from sumdiff import (
     replay_trace,
     subsets,
     sumset,
+    petridis,
     verify_hypothesis,
 )
 
@@ -294,6 +295,45 @@ def test_block_walk_matches_ascending_walk(size):
                 (mn.x, want_k - near),
             ):
                 assert _violating(A, X, K) == ascending_violating_subset(A, X, K), (kind, A, X, K)
+
+
+@pytest.mark.parametrize("moduli", [(64,), (4, 4, 4), (2, 2, 8)], ids=["Z64", "Z4^3", "Z2xZ2xZ8"])
+def test_singleton_and_coset_searches_match_ascending_walk(moduli):
+    # every ratio |A+X|/|X| is at least 1 and, for these A, often exactly 1:
+    # the |A+X| >= |X| floor prunes the most here
+    rng = random.Random(sum(moduli))
+    g = GroupSpec(moduli)
+    subgroups = [H for H in enumerate_subgroups(g) if 1 < H.card <= 8]
+    for size in (1, 2, 5, 10, 11, 14, 16):
+        singleton = GSet(g, [rng.randrange(g.order)])
+        coset = rng.choice(subgroups).translate(rng.randrange(g.order))
+        for A in (singleton, coset):
+            base = GSet(g, rng.sample(range(g.order), size))
+            mn = find_minimizer(A, base)
+            want_x, want_k = ascending_minimizer(A, base)
+            assert (mn.x.elements(), mn.k) == (want_x, want_k), (A, base)
+            assert mn.strict_on_proper_subsets
+            for X, K in ((base, want_k), (base, want_k + 1), (mn.x, want_k)):
+                assert _violating(A, X, K) == ascending_violating_subset(A, X, K), (A, X, K)
+
+
+def test_singleton_minimizer_counts_one_block(monkeypatch):
+    # for a singleton A, |A+X| = |X|: once X = {first element} gives K = 1,
+    # the floor |X| exceeds every later block's limit, so no other block is counted
+    counted = []
+
+    class Counting(tuple):
+        def __iter__(self):
+            counted.append(len(self))
+            return super().__iter__()
+
+    classes = petridis._classes
+    monkeypatch.setattr(petridis, "_classes", lambda w: tuple(map(Counting, classes(w))))
+    g = GroupSpec((64,))
+    A, base = GSet(g, [5]), GSet(g, range(0, 40, 2))
+    mn = find_minimizer(A, base)
+    assert (mn.x.elements(), mn.k) == ascending_minimizer(A, base) == ((0,), 1)
+    assert counted == [10]  # row 0's singletons: the one counted block
 
 
 def test_minimizer_memory_is_sub_exponential():

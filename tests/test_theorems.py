@@ -1,4 +1,8 @@
+import gc
+import weakref
+from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -18,6 +22,7 @@ from sumdiff import (
     run_claim,
     subsets,
     sweep_claim,
+    theorems,
 )
 
 from oracles import divisor_coset_count, naive_coset_masks
@@ -173,3 +178,52 @@ def test_no_violations_over_desk_universe():
                 if claim == "thm1" and v.outcome == EQUALITY:
                     thm1_eq.add(A.mask)
         assert fact1_eq == thm1_eq
+
+
+def test_verdicts_keep_no_group_alive():
+    # the negation and scaling tables live on the group, so a request's
+    # product group is freed once the caller lets go of it
+    g = GroupSpec((2, 4, 8))
+    ref = weakref.ref(g)
+    A = GSet(g, [0, 3, 9, 17, 40, 41])
+    v = check_lower_chain(A)
+    assert v.outcome == HOLDS
+    assert g.scale_mask(A.mask, 3) == sum(1 << g.scale(x, 3) for x in A)
+    del g, A, v
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("claim", ["thm3", "thm5"])
+def test_sampled_minimizer_sweeps_stay_within_cap(monkeypatch, claim):
+    # a uniform mask of Z64 has about 32 members, past any minimizer cap
+    drawn = []
+    run = theorems.run_claim
+    monkeypatch.setattr(
+        theorems, "run_claim", lambda c, A, **kw: drawn.append(A) or run(c, A, **kw)
+    )
+    g = GroupSpec((64,))
+    s = sweep_claim(claim, g, sample=12, seed=5, cap=9)
+    assert s.total == 12 and s.counts[VIOLATED] == 0
+    assert len(drawn) == 12 and all(1 <= A.card <= 9 for A in drawn)
+    first = list(drawn)
+    assert sweep_claim(claim, g, sample=12, seed=5, cap=9) == s
+    assert drawn[12:] == first  # the same seed draws the same sets
+    sweep_claim(claim, g, sample=12, seed=6, cap=9)
+    assert drawn[24:] != first
+
+
+def test_capped_draw_is_uniform_over_small_sets():
+    rng = Random(3)
+    counts = Counter(theorems._draw(rng, 6, 2) for _ in range(4200))
+    # the 6 singletons and 15 pairs of 6 elements, each drawn about 200 times
+    assert len(counts) == 21 and all(1 <= m.bit_count() <= 2 for m in counts)
+    assert all(140 <= c <= 260 for c in counts.values())
+
+
+def test_uncapped_draw_keeps_the_plain_mask_draw():
+    # groups of order <= cap draw exactly as before, so sampled sweeps keep their sets
+    ours, plain = Random(11), Random(11)
+    assert [theorems._draw(ours, 9, 20) for _ in range(50)] == [
+        plain.randrange(1, 1 << 9) for _ in range(50)
+    ]
