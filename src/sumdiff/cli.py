@@ -625,15 +625,9 @@ def main(argv=None) -> int:
         if args.config:
             config = load_config(args.config)
         return args.func(args, config)
-    except ParseError as exc:
+    except (SumdiffError, ValueError, OSError) as exc:  # ParseError is a SumdiffError
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SumdiffError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CapExceededError) else 1
 
 
 def console() -> None:

@@ -8,17 +8,20 @@ are orbit-weighted, i.e. they describe the raw universe before dedup.
 
 Canonical representative = the lexicographically least bitmask in the orbit.
 Enumeration is in ascending representative order and can be partitioned into
-disjoint mask ranges whose results concatenate deterministically, which is
-what both the resumable CSV output and the process-parallel path rely on.
+disjoint mask ranges whose results concatenate deterministically (resumable
+output), or into size windows whose results merge by mask (worker processes).
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Iterator
 
 from ._version import VERSION
@@ -71,7 +74,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchRecord:
     group: str  # group label, or "Z" for integer mode
     elements: tuple[int, ...]
@@ -121,6 +124,9 @@ class SearchRecord:
         if self.sum_card == self.card or self.diff_card == self.card:
             return None
         return math.log(self.diff_card / self.card) / math.log(self.sum_card / self.card)
+
+    def __reduce__(self):  # by constructor: the slots default pickles through slower hooks
+        return SearchRecord, tuple(map(self.__getattribute__, self.__slots__))
 
     def set_literal(self) -> str:
         return ",".join(map(str, self.elements)) + "@" + self.group
@@ -377,14 +383,20 @@ def _categories(r: SearchRecord) -> Iterator[str]:
         yield "eq_lower"
 
 
-def _fold_max(best: tuple, value: float | None, argmax: tuple) -> tuple:
-    """Fold (value, argmax) into best = (max, argmax); ties keep both, in order."""
+def _mask_order(r: SearchRecord) -> tuple:
+    """Sort key of a record's mask: masks compare as their bits read from the top."""
+    return r.elements[::-1]
+
+
+def _fold_max(best: tuple, value: float | None, argmax: list) -> tuple:
+    """Fold (value, argmax) into best = (max, argmax), taking the argmax list over."""
     top, arg = best
     if value is None or (top is not None and value < top):
         return best
     if top is None or value > top:
         return value, argmax
-    return top, arg + argmax
+    arg.extend(argmax)  # ties keep both, in order; in place, so n ties cost O(n)
+    return best
 
 
 @dataclass
@@ -406,8 +418,8 @@ class _Stats:
             self.counts[key] += r.orbit_size
             self.rep_counts[key] += 1
         if not r.coset:
-            self.up = _fold_max(self.up, r.exponent_up, (r,))
-            self.down = _fold_max(self.down, r.exponent_down, (r,))
+            self.up = _fold_max(self.up, r.exponent_up, [r])
+            self.down = _fold_max(self.down, r.exponent_down, [r])
 
     def merge(self, other: "_Stats") -> None:
         self.universe += other.universe
@@ -424,15 +436,14 @@ class _Stats:
             counts={k: self.counts[k] for k in _CATEGORIES},
             rep_counts={k: self.rep_counts[k] for k in _CATEGORIES},
             max_exponent_up=self.up[0],
-            argmax_up=tuple(r.set_literal() for r in self.up[1]),
+            argmax_up=tuple(r.set_literal() for r in sorted(self.up[1], key=_mask_order)),
             max_exponent_down=self.down[0],
-            argmax_down=tuple(r.set_literal() for r in self.down[1]),
+            argmax_down=tuple(r.set_literal() for r in sorted(self.down[1], key=_mask_order)),
         )
 
 
 def _scan_chunk(campaign: Campaign, lo_mask: int, hi_mask: int) -> tuple[list, _Stats]:
-    records = []
-    stats = _Stats()
+    records, stats = [], _Stats()
     for mask, orbit_size, translates in _canonical_masks(campaign, lo_mask, hi_mask):
         rec = _record(campaign, mask, orbit_size, translates)
         stats.absorb(rec)
@@ -441,8 +452,21 @@ def _scan_chunk(campaign: Campaign, lo_mask: int, hi_mask: int) -> tuple[list, _
     return records, stats
 
 
-# Below this, parallel fan-out costs more than it saves.
-_PARALLEL_THRESHOLD = 1 << 14
+# Windows this wide or wider use workers: on 2 cores two beat one from Z16, not Z15.
+_PARALLEL_THRESHOLD = 1 << 15
+
+
+def _size_parts(campaign: Campaign, parts: int) -> list:
+    """Cut the size window into at most ``parts`` windows of about equal cost: a set of
+    size k costs about n + k (its share of the orbit walk, a record reading k translates)."""
+    n = campaign.width()
+    sizes = range(campaign.min_size, min(n if campaign.max_size is None else campaign.max_size, n) + 1)
+    if parts < 2 or len(sizes) < 2:
+        return [campaign]
+    cost = list(accumulate(math.comb(n, k) * (n + k) for k in sizes))
+    near = lambda share: min(sizes[:-1], key=lambda k: abs(cost[k - sizes[0]] - share))
+    ends = [sizes[0] - 1, *sorted({near(cost[-1] * i / parts) for i in range(1, parts)}), sizes[-1]]
+    return [replace(campaign, min_size=a + 1, max_size=b) for a, b in zip(ends, ends[1:])]
 
 
 def scan(
@@ -456,27 +480,24 @@ def scan(
     Records are canonical representatives in ascending-mask order (filtered
     when the campaign asks for it); summary counts are orbit-weighted so they
     describe the raw universe. ``mask_range`` restricts to a half-open window
-    of representative masks for resumable partitioning; ``threads`` > 1
-    partitions the range over worker processes with a deterministic merge.
+    of representative masks for resumable partitioning; ``threads`` > 1 runs
+    size windows over it in worker processes and merges their records by mask.
     """
     campaign.validate()
-    full = (1, 1 << campaign.width())
-    lo, hi = mask_range if mask_range is not None else full
-    lo, hi = max(lo, 1), min(hi, full[1])
-    if threads > 1 and hi - lo >= _PARALLEL_THRESHOLD:
-        chunk = (hi - lo + threads - 1) // threads
-        spans = [(lo + i * chunk, min(lo + (i + 1) * chunk, hi)) for i in range(threads)]
-        spans = [s for s in spans if s[0] < s[1]]
-        stats = _Stats()
-        records = []
+    lo, hi = mask_range or (1, 1 << campaign.width())
+    lo, hi = max(lo, 1), min(hi, 1 << campaign.width())
+    parts = _size_parts(campaign, threads if hi - lo >= _PARALLEL_THRESHOLD else 1)
+    pool = None
+    if len(parts) > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazily: keeps imports light
 
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            for recs, st in pool.map(_scan_chunk, *zip(*((campaign, a, b) for a, b in spans))):
-                records.extend(recs)
-                stats.merge(st)
-    else:
-        records, stats = _scan_chunk(campaign, lo, hi)
+        pool = ProcessPoolExecutor(max_workers=len(parts))
+    with pool or nullcontext():
+        results = list((pool.map if pool else map)(_scan_chunk, parts, repeat(lo), repeat(hi)))
+    stats = _Stats()
+    for _, part_stats in results:
+        stats.merge(part_stats)
+    records = list(heapq.merge(*(recs for recs, _ in results), key=_mask_order))
     return records, stats.summary()
 
 
@@ -554,7 +575,7 @@ def exponent_report(records) -> ExponentReport:
     if not stats.representatives:
         raise ValueError("exponent_report needs at least one record")
     non_coset = stats.representatives - stats.rep_counts["coset"]
-    return ExponentReport(non_coset, *stats.up, PENMAN_WELLS_EXPONENT)
+    return ExponentReport(non_coset, stats.up[0], tuple(stats.up[1]), PENMAN_WELLS_EXPONENT)
 
 
 # -- output ------------------------------------------------------------------

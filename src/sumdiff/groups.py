@@ -11,7 +11,6 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterator
 
@@ -34,9 +33,10 @@ class GroupSpec:
 
     moduli: tuple[int, ...]
     order: int = field(init=False, repr=False, compare=False)
-    # u -> the bit of u*i per element i, filled by _scale_bit, freed with the group. Set
-    # in __post_init__: a key added to the instance dict later slows every attribute read.
+    # Filled on first use, freed with the group: _scale_bit's u -> bit of u*i per element
+    # i, and shift_mask's moves. Set in __post_init__: a later dict key slows every read.
     _scale_tables: dict = field(init=False, repr=False, compare=False)
+    _shift_layout: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mods = tuple(int(n) for n in self.moduli)
@@ -47,6 +47,7 @@ class GroupSpec:
         object.__setattr__(self, "moduli", mods)
         object.__setattr__(self, "order", prod(mods))
         object.__setattr__(self, "_scale_tables", {})
+        object.__setattr__(self, "_shift_layout", [])
 
     def label(self) -> str:
         return "x".join(f"Z{n}" for n in self.moduli)
@@ -136,22 +137,21 @@ class GroupSpec:
             return mask
         if len(self.moduli) == 1:
             return ((mask << a) | (mask >> (n - a))) & ((1 << n) - 1)
-        for nj, moves in self._shift_layout:
+        for nj, moves in self._shift_layout or self._fill_shift_layout():
             a, aj = divmod(a, nj)
             if aj:
                 keep, up, wrap, down = moves[aj]
                 mask = ((mask & keep) << up) | ((mask & wrap) >> down)
         return mask
 
-    @cached_property
-    def _shift_layout(self) -> tuple:
+    def _fill_shift_layout(self) -> list:
         """Per factor j, (n_j, moves) with moves[a_j] = (keep, up, wrap, down).
 
         Adding a_j to digit j moves the elements whose digit stays below n_j
         (``keep``) up by a_j strides, and wraps the rest (``wrap``) down by
         n_j - a_j strides.
         """
-        layout = []
+        layout = self._shift_layout
         stride = 1
         for nj in self.moduli:
             sel = [0] * nj  # sel[r]: the elements whose digit j is r; disjoint, so sum = union
@@ -163,7 +163,7 @@ class GroupSpec:
             ]
             layout.append((nj, tuple(moves)))
             stride *= nj
-        return tuple(layout)
+        return layout
 
     # neg_mask maps through the table itself: calling scale_mask would count
     # one negation twice wherever both methods are instrumented.

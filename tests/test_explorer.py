@@ -1,4 +1,5 @@
 import io
+import pickle
 import math
 import random
 
@@ -304,3 +305,112 @@ def test_scans_never_call_the_sumset_kernels(monkeypatch):
         assert summary.universe == 4095 and summary.counts["coset"] == 28
         _, summary = scan(Campaign(ints=(0, 9), mode=mode))
         assert summary.universe == 1023 and summary.counts["coset"] == 10
+
+
+# -- the size split behind threads > 1 ------------------------------------------
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: maps in this process, so a test can
+    count the work of every part of a split scan."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+@pytest.fixture
+def inline_split(monkeypatch):
+    """Split every scan with threads > 1, running the parts in this process;
+    yields the part count of each split."""
+    import concurrent.futures
+
+    parts = []
+    monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 1)
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: parts.append(max_workers) or _InlinePool()
+    )
+    return parts
+
+
+SPLIT_GROUPS = [(12,), (2, 6), (3, 3)]
+
+
+def _mask(r):
+    return sum(1 << x for x in r.elements)
+
+
+@pytest.mark.parametrize("mode", explorer.MODES)
+@pytest.mark.parametrize("moduli", SPLIT_GROUPS, ids=lambda m: "x".join(f"Z{n}" for n in m))
+def test_split_builds_each_orbit_once(monkeypatch, inline_split, moduli, mode):
+    calls = {"orbit": 0, "shift": 0}
+    orbit, shift = explorer._group_orbit, GroupSpec.shift_mask
+
+    def counted_orbit(*args):
+        calls["orbit"] += 1
+        return orbit(*args)
+
+    def counted_shift(*args):
+        calls["shift"] += 1
+        return shift(*args)
+
+    monkeypatch.setattr(explorer, "_group_orbit", counted_orbit)
+    monkeypatch.setattr(GroupSpec, "shift_mask", counted_shift)
+    campaign = Campaign(group=GroupSpec(moduli), mode=mode)
+    work = []
+    for threads in (1, 2, 3, 4):
+        calls.update(orbit=0, shift=0)
+        _, summary = scan(campaign, threads=threads)
+        work.append(dict(calls))
+        if mode != MODE_NONE:  # one orbit built per representative, in whichever part
+            assert calls["orbit"] == summary.representatives
+    assert inline_split == [2, 3, 4]  # every split ran, one part per worker
+    assert all(w == work[0] for w in work)  # the work does not grow with the worker count
+
+
+SPLIT_CAMPAIGNS = [
+    *(Campaign(group=GroupSpec(m), mode=mode) for m in SPLIT_GROUPS for mode in explorer.MODES),
+    *(Campaign(ints=(0, 11), mode=mode) for mode in explorer.MODES),
+    Campaign(group=GroupSpec((2, 6)), min_size=3, max_size=7),
+    Campaign(ints=(0, 11), min_size=5, max_size=6),  # fewer sizes than workers
+    Campaign(group=GroupSpec((12,)), mstd_only=True),
+]
+
+
+@pytest.mark.parametrize("mask_range", [None, (300, 2900)], ids=["full", "window"])
+@pytest.mark.parametrize("campaign", SPLIT_CAMPAIGNS, ids=lambda c: c.describe())
+def test_split_scan_matches_serial(inline_split, campaign, mask_range):
+    serial = scan(campaign, mask_range=mask_range)
+    masks = [_mask(r) for r in serial[0]]
+    assert masks == sorted(masks)
+    n = campaign.width()
+    lo, hi = mask_range or (1, 1 << n)
+    assert all(lo <= m < hi for m in masks)
+    sizes = (campaign.max_size or n) - campaign.min_size + 1
+    for threads in (2, 3, 4):
+        assert scan(campaign, threads=threads, mask_range=mask_range) == serial
+        assert inline_split.pop() == min(threads, sizes)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_exponent_ties_come_in_mask_order(inline_split, threads):
+    # above half the group A+A = A-A = Z14, so every non-coset ties at exponent 1
+    records, summary = scan(Campaign(group=GroupSpec((14,)), min_size=8), threads=threads)
+    non_coset = [r for r in records if not r.coset]
+    assert len(non_coset) == summary.representatives - 1  # Z14 itself is the one coset
+    assert summary.max_exponent_up == summary.max_exponent_down == 1.0
+    literals = tuple(r.set_literal() for r in non_coset)
+    assert summary.argmax_up == summary.argmax_down == literals
+    assert [_mask(r) for r in non_coset] == sorted(map(_mask, non_coset))
+    assert exponent_report(records).argmax == tuple(non_coset)
+
+
+def test_search_record_has_slots_and_pickles():
+    records, _ = scan(Campaign(group=GroupSpec((2, 6)), mode=MODE_NONE))
+    for r in records[::97]:
+        assert not hasattr(r, "__dict__")
+        assert pickle.loads(pickle.dumps(r)) == r

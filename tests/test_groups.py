@@ -160,3 +160,11 @@ def test_coset_detection_order_independent():
 def test_coset_iff_sigma_one(g):
     for A in subsets(g):
         assert (is_coset(A) is not None) == (sigma(A) == 1)
+
+
+def test_shift_mask_adds_no_instance_attribute():
+    # a key added to the instance dict after construction slows every later attribute read
+    g = GroupSpec((2, 6))
+    before = set(vars(g))
+    assert g.shift_mask(0b1011, 7) == g.shift_mask(0b1011, 7)
+    assert set(vars(g)) == before

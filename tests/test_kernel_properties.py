@@ -1,6 +1,7 @@
 """Property tests of the mask kernels and the minimizer search against the
 residue-tuple oracles."""
 
+from functools import lru_cache
 from math import prod
 
 import pytest
@@ -8,13 +9,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from sumdiff import Campaign, GroupSpec, GSet, explorer, find_minimizer, sumset
+from sumdiff import CLAIM_IDS, Campaign, GroupSpec, GSet, explorer, find_minimizer, run_claim, sumset
 from sumdiff.groups import _close_under_addition
 
 from oracles import (
     add_idx,
     naive_diffset,
     naive_is_coset,
+    naive_coset_masks,
     naive_minimizer,
     naive_sumset,
     neg_idx,
@@ -83,3 +85,23 @@ def test_scan_record_matches_oracles(moduli, mode, data):
     assert r.sum_card == len(naive_sumset(moduli, xs, xs))
     assert r.diff_card == len(naive_diffset(moduli, xs, xs))
     assert r.coset == naive_is_coset(moduli, xs)
+
+
+coset_masks = lru_cache(maxsize=None)(naive_coset_masks)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(moduli=PRODUCTS, data=st.data())
+def test_claim_verdicts_match_coset_oracles(moduli, data):
+    g = GroupSpec(tuple(moduli))
+    mask = mask_of(data.draw(st.sets(st.integers(0, g.order - 1), min_size=1, max_size=10), label="A"))
+    coset = g.shift_mask(_close_under_addition(g, mask), data.draw(st.integers(0, g.order - 1), label="t"))
+    if data.draw(st.booleans(), label="coset") and coset.bit_count() <= 10:
+        mask = coset
+    xs = members(mask)
+    # every mask of the group is enumerated only where that stays small
+    want = mask in coset_masks(tuple(moduli)) if g.order <= 12 else naive_is_coset(moduli, xs)
+    for claim in CLAIM_IDS:
+        outcome = run_claim(claim, GSet(g, xs)).outcome
+        assert outcome != "violated", (claim, xs)
+        assert (outcome == "equality-case") == want, (claim, xs)
