@@ -26,7 +26,7 @@ from typing import Iterator
 
 from ._version import VERSION
 from .errors import CapExceededError
-from .groups import GroupSpec, _map_bits, iter_bits, is_coset
+from .groups import GroupSpec, iter_bits, is_coset
 from .sets import GSet
 
 __all__ = [
@@ -132,21 +132,10 @@ class SearchRecord:
         return ",".join(map(str, self.elements)) + "@" + self.group
 
     def csv_row(self) -> tuple:
-        return (
-            self.group,
-            ",".join(map(str, self.elements)),
-            self.card,
-            self.sum_card,
-            self.diff_card,
-            self.sigma.numerator,
-            self.sigma.denominator,
-            self.delta.numerator,
-            self.delta.denominator,
-            _csv_bool(self.coset),
-            _csv_bool(self.mstd),
-            _csv_bool(self.eq_upper),
-            _csv_bool(self.eq_lower),
-        )
+        card, s, d = self.card, self.sum_card, self.diff_card
+        flags = self.coset, self.mstd, self.eq_upper, self.eq_lower
+        return (self.group, ",".join(map(str, self.elements)), card, s, d,
+                *_reduced(s, card), *_reduced(d, card), *[_CSV_BOOL[f] for f in flags])
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,8 +144,8 @@ class SearchRecord:
             "card": self.card,
             "sum_card": self.sum_card,
             "diff_card": self.diff_card,
-            "sigma": [self.sigma.numerator, self.sigma.denominator],
-            "delta": [self.delta.numerator, self.delta.denominator],
+            "sigma": list(_reduced(self.sum_card, self.card)),
+            "delta": list(_reduced(self.diff_card, self.card)),
             "coset": self.coset,
             "mstd": self.mstd,
             "balanced": self.balanced,
@@ -168,8 +157,13 @@ class SearchRecord:
         }
 
 
-def _csv_bool(b: bool) -> str:
-    return "true" if b else "false"
+_CSV_BOOL = ("false", "true")
+
+
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    """p/q in lowest terms, the numerator and denominator of Fraction(p, q) for q >= 1."""
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 @dataclass(frozen=True)
@@ -327,20 +321,25 @@ def enumerate_canonical(campaign: Campaign):
 def _record(campaign: Campaign, mask: int, orbit_size: int, translates: list) -> SearchRecord:
     """The record of the set A with this mask, given ``translates[t]`` = A + t.
 
-    A+A is the union of A + a over a in A, and A-A that of A + b over b in
-    -A; in the integers A-A is a translate of A + reflect(A) instead.
+    A+A is the union of A + a over a in A, and A-A that of A + neg[a] over a
+    in A: neg[a] is -a in a group; in the integers it is max(A) - a, and A-A
+    is that union shifted down by max(A).
     """
     g = campaign.group
-    card = mask.bit_count()
-    s = _map_bits(translates, mask).bit_count()
-    d = _map_bits(translates, g.neg_mask(mask) if g else _reflect(mask)).bit_count()
+    bits = iter_bits(mask)
+    card = len(bits)
+    neg = (g._neg_index or g._fill_neg_index()) if g else range(bits[-1], -1, -1)
+    s = d = 0
+    for b in bits:
+        s |= translates[b]
+        d |= translates[neg[b]]
+    s, d = s.bit_count(), d.bit_count()
     if g is None:  # |A+A| = |A| only for a singleton, the one kind of finite coset in Z
         lo = campaign.ints[0]
-        pts = tuple(b + lo for b in iter_bits(mask))
-        return SearchRecord("Z", pts, card, s, d, s == card, orbit_size)
+        return SearchRecord("Z", tuple([b + lo for b in bits]), card, s, d, s == card, orbit_size)
     # a coset a+H has |A+A| = |H| = |A|, so no other set needs the test
     coset = s == card and is_coset(GSet.from_mask(g, mask)) is not None
-    return SearchRecord(g.label(), tuple(iter_bits(mask)), card, s, d, coset, orbit_size)
+    return SearchRecord(g.label(), bits, card, s, d, coset, orbit_size)
 
 
 # -- scanning ----------------------------------------------------------------
@@ -417,9 +416,14 @@ class _Stats:
         for key in _categories(r):
             self.counts[key] += r.orbit_size
             self.rep_counts[key] += 1
-        if not r.coset:
-            self.up = _fold_max(self.up, r.exponent_up, [r])
-            self.down = _fold_max(self.down, r.exponent_down, [r])
+        card, s, d = r.card, r.sum_card, r.diff_card
+        if r.coset or s == card or d == card:  # sigma or delta 1: no exponent
+            return
+        log_s, log_d = math.log(s / card), math.log(d / card)  # as exponent_up/down take them
+        if self.up[0] is None or log_s / log_d >= self.up[0]:  # a list only at the max
+            self.up = _fold_max(self.up, log_s / log_d, [r])
+        if self.down[0] is None or log_d / log_s >= self.down[0]:
+            self.down = _fold_max(self.down, log_d / log_s, [r])
 
     def merge(self, other: "_Stats") -> None:
         self.universe += other.universe
@@ -589,5 +593,4 @@ def write_csv(records, fh, campaign: Campaign | None = None) -> None:
     fh.write(header + "\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(r.csv_row())
+    writer.writerows(map(SearchRecord.csv_row, records))

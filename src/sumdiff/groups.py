@@ -12,19 +12,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
-from typing import Iterator
 
 from .errors import CapExceededError, EmptySetError, InvalidElementError
 
 __all__ = ["GroupSpec", "iter_bits", "enumerate_subgroups", "is_coset"]
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
+# _BYTE_BITS[k][b]: the set bit positions of b << 8k, ascending; grown on first use.
+_BYTE_BITS: list = []
+
+
+def iter_bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask`` in ascending order, one table read per byte."""
+    tables = _BYTE_BITS
+    while len(tables) << 3 <= mask.bit_length():  # `<=`: tables[0] too, which mask 0 reads
+        pos = [*range(len(tables) << 3, len(tables) + 1 << 3)]  # one int per bit, shared
+        tables.append(tuple(tuple(p for i, p in enumerate(pos) if b >> i & 1) for b in range(256)))
+    bits = tables[0][mask & 255]
+    mask >>= 8
+    k = 1
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        bits += tables[k][mask & 255]
+        mask >>= 8
+        k += 1
+    return bits
 
 
 @dataclass(frozen=True)
@@ -33,9 +44,11 @@ class GroupSpec:
 
     moduli: tuple[int, ...]
     order: int = field(init=False, repr=False, compare=False)
-    # Filled on first use, freed with the group: _scale_bit's u -> bit of u*i per element
-    # i, and shift_mask's moves. Set in __post_init__: a later dict key slows every read.
+    _label: str = field(init=False, repr=False, compare=False)
+    # Filled on first use, freed with the group: _scale_bit's u -> bit of u*i per element i,
+    # the index of -i per i, and shift_mask's moves. Set in __post_init__: a later key slows reads.
     _scale_tables: dict = field(init=False, repr=False, compare=False)
+    _neg_index: list = field(init=False, repr=False, compare=False)
     _shift_layout: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -46,11 +59,13 @@ class GroupSpec:
             raise ValueError(f"moduli must all be >= 1, got {mods}")
         object.__setattr__(self, "moduli", mods)
         object.__setattr__(self, "order", prod(mods))
+        object.__setattr__(self, "_label", "x".join(f"Z{n}" for n in mods))
         object.__setattr__(self, "_scale_tables", {})
+        object.__setattr__(self, "_neg_index", [])
         object.__setattr__(self, "_shift_layout", [])
 
     def label(self) -> str:
-        return "x".join(f"Z{n}" for n in self.moduli)
+        return self._label
 
     @property
     def full_mask(self) -> int:
@@ -105,9 +120,7 @@ class GroupSpec:
 
     def neg(self, a: int) -> int:
         self.check_element(a)
-        if len(self.moduli) == 1:
-            return -a % self.moduli[0]
-        return self.scale(a, -1)
+        return (self._neg_index or self._fill_neg_index())[a]
 
     def scale(self, a: int, u: int) -> int:
         """Scalar multiple u*a, computed residue-wise."""
@@ -172,6 +185,10 @@ class GroupSpec:
 
     def scale_mask(self, mask: int, u: int) -> int:
         return _map_bits(self._scale_bit(u), mask)
+
+    def _fill_neg_index(self) -> list:
+        self._neg_index.extend(b.bit_length() - 1 for b in self._scale_bit(-1))
+        return self._neg_index
 
     def _scale_bit(self, u: int) -> tuple[int, ...]:
         tables = self._scale_tables

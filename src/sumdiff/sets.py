@@ -60,7 +60,7 @@ class GSet:
         return self.card > 0
 
     def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.mask)
+        return iter(iter_bits(self.mask))
 
     def __contains__(self, a: int) -> bool:
         return 0 <= a < self.group.order and (self.mask >> a) & 1 == 1
@@ -80,7 +80,7 @@ class GSet:
         return f"GSet({str(self)!r})"
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(self)
+        return iter_bits(self.mask)
 
     def issubset(self, other: "GSet") -> bool:
         _require_same_group(self, other, "issubset")

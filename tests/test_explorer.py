@@ -2,6 +2,7 @@ import io
 import pickle
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -414,3 +415,35 @@ def test_search_record_has_slots_and_pickles():
     for r in records[::97]:
         assert not hasattr(r, "__dict__")
         assert pickle.loads(pickle.dumps(r)) == r
+
+
+def test_ratios_reduce_as_fractions():
+    # sigma's columns read only s and delta's only d, so pairing each s with two d's
+    # (itself and its mirror in the range) covers every (card, s) and every (card, d)
+    for card in range(1, 25):
+        span = range(card, 24 * card + 1)
+        for s, d in [*zip(span, span), *zip(span, reversed(span))]:
+            r = explorer.SearchRecord("Z", (), card, s, d, False, 1)
+            want = [Fraction(s, card).as_integer_ratio(), Fraction(d, card).as_integer_ratio()]
+            assert [r.csv_row()[5:7], r.csv_row()[7:9]] == want
+            got = r.to_json_dict()
+            assert [tuple(got["sigma"]), tuple(got["delta"])] == want
+
+
+@pytest.mark.parametrize(
+    "campaign", [Campaign(group=GroupSpec((14,)), min_size=8), Campaign(ints=(0, 13))], ids=["Z14-ties", "ints0..13"]
+)
+def test_summary_exponents_fold_the_record_properties(campaign):
+    records, summary = scan(campaign)
+    for prop, top, argmax in (
+        ("exponent_up", summary.max_exponent_up, summary.argmax_up),
+        ("exponent_down", summary.max_exponent_down, summary.argmax_down),
+    ):
+        values = [(getattr(r, prop), r) for r in records if not r.coset]
+        best = max(v for v, _ in values if v is not None)
+        assert top.hex() == best.hex()
+        assert argmax == tuple(r.set_literal() for v, r in values if v == best)
+    for r in records:  # each record alone: the tally's logs give the properties' floats
+        one = explorer._Stats()
+        one.absorb(r)
+        assert (one.up[0], one.down[0]) == (r.exponent_up, r.exponent_down)

@@ -14,6 +14,8 @@ from sumdiff import (
     sigma,
     subsets,
 )
+from sumdiff import groups
+from sumdiff.groups import iter_bits
 
 from oracles import add_idx, naive_subgroup_masks, neg_idx
 
@@ -168,3 +170,41 @@ def test_shift_mask_adds_no_instance_attribute():
     before = set(vars(g))
     assert g.shift_mask(0b1011, 7) == g.shift_mask(0b1011, 7)
     assert set(vars(g)) == before
+
+
+
+def _shift_and_test(mask):
+    """Set bit positions by shifting the mask down one bit at a time."""
+    out, i = [], 0
+    while mask >> i:
+        if mask >> i & 1:
+            out.append(i)
+        i += 1
+    return tuple(out)
+
+
+ITER_BITS_MASKS = (
+    [0]
+    + [1 << b for b in (0, 7, 8, 15, 16, 63, 64, 255)]
+    + [0b11 << 7, 0b11 << 15, 0x1FF << 4, 0x8001 << 7, ((1 << 40) - 1) << 3, (1 << 64) - 1, 0xFF << 56]
+)
+
+
+def test_iter_bits_matches_shift_and_test(monkeypatch):
+    monkeypatch.setattr(groups, "_BYTE_BITS", [])  # grown from nothing, first by mask 0
+    rng = random.Random(8)
+    masks = ITER_BITS_MASKS + [rng.getrandbits(rng.randint(1, 300)) for _ in range(400)]
+    for mask in masks:
+        bits = iter_bits(mask)
+        assert type(bits) is tuple and bits == _shift_and_test(mask), hex(mask)
+
+
+def test_gset_iteration_is_unchanged():
+    g = GroupSpec((4, 20))
+    A = GSet(g, [71, 3, 8, 16])
+    assert next(iter(A)) == 3
+    it = iter(A)
+    assert iter(it) is it and list(it) == [3, 8, 16, 71] and list(it) == []
+    assert A.elements() == (3, 8, 16, 71) == tuple(A)
+    assert GSet(g, []).elements() == ()
+    assert GSet.from_mask(g, g.full_mask).elements() == tuple(range(80))

@@ -105,3 +105,25 @@ def test_claim_verdicts_match_coset_oracles(moduli, data):
         outcome = run_claim(claim, GSet(g, xs)).outcome
         assert outcome != "violated", (claim, xs)
         assert (outcome == "equality-case") == want, (claim, xs)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(moduli=PRODUCTS, mode=st.sampled_from(explorer.MODES), data=st.data())
+def test_scan_window_records_match_oracles(moduli, mode, data):
+    # windows around the representative of a random set: multi-byte bit lists, -a on wide masks
+    g = GroupSpec(tuple(moduli))
+    mask = data.draw(st.integers(1, g.full_mask), label="mask")
+    rep = mask if mode == explorer.MODE_NONE else min(explorer._group_orbit(g, mask, mode)[0])
+    lo = max(1, rep - data.draw(st.integers(0, 1 << 9), label="below"))
+    hi = min(rep + 1 + data.draw(st.integers(0, 1 << 9), label="above"), g.full_mask + 1)
+    records, summary = explorer.scan(Campaign(group=g, mode=mode, group_cap=64), mask_range=(lo, hi))
+    masks = [mask_of(r.elements) for r in records]
+    assert rep in masks and all(lo <= m < hi for m in masks) and summary.representatives == len(records)
+    if mode == explorer.MODE_NONE:
+        assert masks == list(range(lo, hi))
+    for r in records:
+        xs = list(r.elements)
+        assert xs == sorted(set(xs)) and r.card == len(xs)
+        assert r.sum_card == len(naive_sumset(moduli, xs, xs))
+        assert r.diff_card == len(naive_diffset(moduli, xs, xs))
+        assert r.coset == naive_is_coset(moduli, xs)
