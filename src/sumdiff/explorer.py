@@ -17,10 +17,10 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterator
 
@@ -132,10 +132,8 @@ class SearchRecord:
         return ",".join(map(str, self.elements)) + "@" + self.group
 
     def csv_row(self) -> tuple:
-        card, s, d = self.card, self.sum_card, self.diff_card
-        flags = self.coset, self.mstd, self.eq_upper, self.eq_lower
-        return (self.group, ",".join(map(str, self.elements)), card, s, d,
-                *_reduced(s, card), *_reduced(d, card), *[_CSV_BOOL[f] for f in flags])
+        tail = _csv_tail(self.card, self.sum_card, self.diff_card, self.coset)
+        return self.group, ",".join(map(str, self.elements)), *tail
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,6 +162,14 @@ def _reduced(p: int, q: int) -> tuple[int, int]:
     """p/q in lowest terms, the numerator and denominator of Fraction(p, q) for q >= 1."""
     g = math.gcd(p, q)
     return p // g, q // g
+
+
+@lru_cache(maxsize=1024)  # bounded: a Z20 scan has 154 distinct keys, ints 0..15 has 251
+def _csv_tail(card: int, s: int, d: int, coset: bool) -> tuple:
+    """The csv columns after the set: they depend only on the sizes and the coset flag."""
+    r = SearchRecord("", (), card, s, d, coset, 1)
+    flags = r.coset, r.mstd, r.eq_upper, r.eq_lower
+    return card, s, d, *_reduced(s, card), *_reduced(d, card), *[_CSV_BOOL[f] for f in flags]
 
 
 @dataclass(frozen=True)
@@ -234,14 +240,13 @@ class Campaign:
 def _group_orbit(g: GroupSpec, mask: int, mode: str) -> tuple[set, list]:
     """Every image of ``mask`` under the symmetries of ``mode`` (not ``none``),
     and the mask's own translates: ``translates[t]`` is A + t."""
-    shift = g.shift_mask
-    translates = [shift(mask, t) for t in g.elements()]
+    translates = g.translates(mask)
     orbit = set(translates)
     if mode != MODE_TRANSLATION:
         units = (-1,) if mode == MODE_TRANSLATION_NEGATION else g.units()
         for s in {g.scale_mask(mask, u) for u in units}:
             if s not in orbit:  # else its translates are already in
-                orbit.update([shift(s, t) for t in g.elements()])
+                orbit.update(g.translates(s))
     return orbit, translates
 
 
@@ -281,7 +286,8 @@ def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int) -> Iterator
     g = campaign.group
     if g is None:
         width = campaign.width()
-        for mask in range(lo, hi_mask):
+        step = 1 if mode == MODE_NONE else 2  # a canonical translate holds bit 0: odd masks only
+        for mask in range(lo if step == 1 else lo | 1, hi_mask, step):
             if min_size <= mask.bit_count() <= max_size:
                 size = _int_orbit_size(mask, width, mode)
                 if size:  # the record reads A + t only for t in A or in its mirror
@@ -289,7 +295,7 @@ def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int) -> Iterator
     elif mode == MODE_NONE:
         for mask in range(lo, hi_mask):
             if min_size <= mask.bit_count() <= max_size:
-                yield mask, 1, [g.shift_mask(mask, t) for t in g.elements()]
+                yield mask, 1, g.translates(mask)
     else:
         visited = bytearray(max(hi_mask - lo, 0))
         for mask in range(lo, hi_mask):
@@ -400,45 +406,48 @@ def _fold_max(best: tuple, value: float | None, argmax: list) -> tuple:
 
 @dataclass
 class _Stats:
-    """Scan tallies: orbit-weighted and per-representative category counts,
-    and the exponent maxima with their non-coset argmax records."""
+    """Scan tallies: per (card, |A+A|, |A-A|, coset) key its orbit-weighted and
+    representative counts and its exponents, and the exponent maxima with their
+    non-coset argmax records."""
 
-    universe: int = 0
-    representatives: int = 0
-    counts: Counter = field(default_factory=Counter)
-    rep_counts: Counter = field(default_factory=Counter)
+    keys: dict = field(default_factory=dict)  # key -> [weight, reps, exponent_up, exponent_down]
     up: tuple = (None, ())
     down: tuple = (None, ())
 
     def absorb(self, r: SearchRecord) -> None:
-        self.universe += r.orbit_size
-        self.representatives += 1
-        for key in _categories(r):
-            self.counts[key] += r.orbit_size
-            self.rep_counts[key] += 1
-        card, s, d = r.card, r.sum_card, r.diff_card
-        if r.coset or s == card or d == card:  # sigma or delta 1: no exponent
+        key = r.card, r.sum_card, r.diff_card, r.coset
+        entry = self.keys.get(key)
+        if entry is None:  # the properties themselves, so the floats are theirs
+            entry = self.keys[key] = [0, 0, r.exponent_up, r.exponent_down]
+        entry[0] += r.orbit_size
+        entry[1] += 1
+        up, down = entry[2], entry[3]
+        if up is None:  # sigma or delta 1: no exponent
             return
-        log_s, log_d = math.log(s / card), math.log(d / card)  # as exponent_up/down take them
-        if self.up[0] is None or log_s / log_d >= self.up[0]:  # a list only at the max
-            self.up = _fold_max(self.up, log_s / log_d, [r])
-        if self.down[0] is None or log_d / log_s >= self.down[0]:
-            self.down = _fold_max(self.down, log_d / log_s, [r])
+        if self.up[0] is None or up >= self.up[0]:  # a list only at the max
+            self.up = _fold_max(self.up, up, [r])
+        if self.down[0] is None or down >= self.down[0]:
+            self.down = _fold_max(self.down, down, [r])
 
     def merge(self, other: "_Stats") -> None:
-        self.universe += other.universe
-        self.representatives += other.representatives
-        self.counts.update(other.counts)
-        self.rep_counts.update(other.rep_counts)
+        for key, (weight, reps, up, down) in other.keys.items():
+            entry = self.keys.setdefault(key, [0, 0, up, down])
+            entry[0] += weight
+            entry[1] += reps
         self.up = _fold_max(self.up, *other.up)
         self.down = _fold_max(self.down, *other.down)
 
     def summary(self) -> ScanSummary:
+        counts, rep_counts = dict.fromkeys(_CATEGORIES, 0), dict.fromkeys(_CATEGORIES, 0)
+        for key, (weight, reps, _, _) in self.keys.items():
+            for category in _categories(SearchRecord("", (), *key, 1)):
+                counts[category] += weight
+                rep_counts[category] += reps
         return ScanSummary(
-            representatives=self.representatives,
-            universe=self.universe,
-            counts={k: self.counts[k] for k in _CATEGORIES},
-            rep_counts={k: self.rep_counts[k] for k in _CATEGORIES},
+            representatives=sum(entry[1] for entry in self.keys.values()),
+            universe=sum(entry[0] for entry in self.keys.values()),
+            counts=counts,
+            rep_counts=rep_counts,
             max_exponent_up=self.up[0],
             argmax_up=tuple(r.set_literal() for r in sorted(self.up[1], key=_mask_order)),
             max_exponent_down=self.down[0],
@@ -576,10 +585,11 @@ def exponent_report(records) -> ExponentReport:
     stats = _Stats()
     for r in records:
         stats.absorb(r)
-    if not stats.representatives:
+    summary = stats.summary()
+    if not summary.representatives:
         raise ValueError("exponent_report needs at least one record")
-    non_coset = stats.representatives - stats.rep_counts["coset"]
-    return ExponentReport(non_coset, stats.up[0], tuple(stats.up[1]), PENMAN_WELLS_EXPONENT)
+    non_coset = summary.representatives - summary.rep_counts["coset"]
+    return ExponentReport(non_coset, summary.max_exponent_up, tuple(stats.up[1]), PENMAN_WELLS_EXPONENT)
 
 
 # -- output ------------------------------------------------------------------

@@ -45,8 +45,8 @@ class GroupSpec:
     moduli: tuple[int, ...]
     order: int = field(init=False, repr=False, compare=False)
     _label: str = field(init=False, repr=False, compare=False)
-    # Filled on first use, freed with the group: _scale_bit's u -> bit of u*i per element i,
-    # the index of -i per i, and shift_mask's moves. Set in __post_init__: a later key slows reads.
+    # Filled on first use, freed with the group: u -> bit of u*i per i (_scale_bit), the index
+    # of -i per i, and the moves of shift_mask and translates. Set in __post_init__: a later key slows reads.
     _scale_tables: dict = field(init=False, repr=False, compare=False)
     _neg_index: list = field(init=False, repr=False, compare=False)
     _shift_layout: list = field(init=False, repr=False, compare=False)
@@ -156,6 +156,15 @@ class GroupSpec:
                 keep, up, wrap, down = moves[aj]
                 mask = ((mask & keep) << up) | ((mask & wrap) >> down)
         return mask
+
+    def translates(self, mask: int) -> list:
+        """``[A + t for t in elements()]`` for the set A with this mask. Each entry
+        is one keep/wrap move of one factor applied to an earlier entry, so a
+        product translate costs what a cyclic one costs."""
+        out = [mask]
+        for _, moves in self._shift_layout or self._fill_shift_layout():
+            out += [((m & keep) << up) | ((m & wrap) >> down) for keep, up, wrap, down in moves[1:] for m in out]
+        return out
 
     def _fill_shift_layout(self) -> list:
         """Per factor j, (n_j, moves) with moves[a_j] = (keep, up, wrap, down).

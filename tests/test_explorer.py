@@ -348,27 +348,30 @@ def _mask(r):
 @pytest.mark.parametrize("mode", explorer.MODES)
 @pytest.mark.parametrize("moduli", SPLIT_GROUPS, ids=lambda m: "x".join(f"Z{n}" for n in m))
 def test_split_builds_each_orbit_once(monkeypatch, inline_split, moduli, mode):
-    calls = {"orbit": 0, "shift": 0}
-    orbit, shift = explorer._group_orbit, GroupSpec.shift_mask
+    calls = {"orbit": 0, "translates": 0}
+    orbit, translates = explorer._group_orbit, GroupSpec.translates
 
     def counted_orbit(*args):
         calls["orbit"] += 1
         return orbit(*args)
 
-    def counted_shift(*args):
-        calls["shift"] += 1
-        return shift(*args)
+    def counted_translates(*args):
+        calls["translates"] += 1
+        return translates(*args)
 
     monkeypatch.setattr(explorer, "_group_orbit", counted_orbit)
-    monkeypatch.setattr(GroupSpec, "shift_mask", counted_shift)
+    monkeypatch.setattr(GroupSpec, "translates", counted_translates)
     campaign = Campaign(group=GroupSpec(moduli), mode=mode)
     work = []
     for threads in (1, 2, 3, 4):
-        calls.update(orbit=0, shift=0)
+        calls.update(orbit=0, translates=0)
         _, summary = scan(campaign, threads=threads)
         work.append(dict(calls))
         if mode != MODE_NONE:  # one orbit built per representative, in whichever part
             assert calls["orbit"] == summary.representatives
+        # every representative's table is built, and no mask's table twice in mode none
+        assert summary.representatives <= calls["translates"]
+        assert mode != MODE_NONE or calls["translates"] == summary.representatives
     assert inline_split == [2, 3, 4]  # every split ran, one part per worker
     assert all(w == work[0] for w in work)  # the work does not grow with the worker count
 
@@ -430,6 +433,19 @@ def test_ratios_reduce_as_fractions():
             assert [tuple(got["sigma"]), tuple(got["delta"])] == want
 
 
+def test_csv_columns_are_the_record_properties():
+    # eq_upper and eq_lower differ off the cosets, e.g. |A| = 2, |A+A| = 4, |A-A| = 8
+    for card in range(1, 9):
+        for s in range(card, 4 * card + 1):
+            for d in range(card, 4 * card + 1):
+                for coset in (False, True):
+                    r = explorer.SearchRecord("Z", (0, card), card, s, d, coset, 1)
+                    flags = r.coset, r.mstd, r.eq_upper, r.eq_lower
+                    want = ("Z", f"0,{card}", card, s, d, *r.sigma.as_integer_ratio(), *r.delta.as_integer_ratio())
+                    assert r.csv_row() == (*want, *(str(f).lower() for f in flags))
+    assert explorer._csv_tail.cache_info().currsize <= explorer._csv_tail.cache_info().maxsize <= 4096
+
+
 @pytest.mark.parametrize(
     "campaign", [Campaign(group=GroupSpec((14,)), min_size=8), Campaign(ints=(0, 13))], ids=["Z14-ties", "ints0..13"]
 )
@@ -447,3 +463,39 @@ def test_summary_exponents_fold_the_record_properties(campaign):
         one = explorer._Stats()
         one.absorb(r)
         assert (one.up[0], one.down[0]) == (r.exponent_up, r.exponent_down)
+
+
+def _recount(records):
+    """counts and rep_counts straight from each record's flag properties."""
+    counts, rep_counts = {}, {}
+    for r in records:
+        flags = {
+            "coset": r.coset,
+            "sum_dominant": r.mstd,
+            "diff_dominant": not r.mstd and not r.balanced,
+            "balanced": r.balanced,
+            "eq_upper": r.eq_upper,
+            "eq_lower": r.eq_lower,
+        }
+        for category, flag in flags.items():
+            counts[category] = counts.get(category, 0) + flag * r.orbit_size
+            rep_counts[category] = rep_counts.get(category, 0) + flag
+    return counts, rep_counts
+
+
+TALLY_CAMPAIGNS = [
+    *(Campaign(group=GroupSpec(m), mode=mode) for m in [(12,), (2, 6)] for mode in explorer.MODES),
+    *(Campaign(ints=(0, 11), mode=mode) for mode in explorer.MODES),
+]
+
+
+@pytest.mark.parametrize("campaign", TALLY_CAMPAIGNS, ids=lambda c: c.describe())
+def test_key_tally_matches_a_recount_of_the_records(inline_split, campaign):
+    for threads in (1, 3):
+        records, summary = scan(campaign, threads=threads)
+        counts, rep_counts = _recount(records)
+        assert (summary.counts, summary.rep_counts) == (counts, rep_counts)
+        assert list(summary.counts) == list(counts)  # the json keys keep their order
+        assert summary.universe == sum(r.orbit_size for r in records) == (1 << 12) - 1
+        assert summary.representatives == len(records)
+    assert inline_split == [3]  # the 3-part split ran and merged its tallies

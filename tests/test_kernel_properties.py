@@ -63,6 +63,17 @@ def test_find_minimizer_matches_naive(moduli, data):
     assert mn.strict_on_proper_subsets
 
 
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(moduli=st.lists(st.integers(1, 8), min_size=1, max_size=4).filter(lambda m: prod(m) <= 64), data=st.data())
+def test_translates_match_shift_mask_and_oracle(moduli, data):
+    g = GroupSpec(tuple(moduli))
+    mask = data.draw(st.sampled_from([0, g.full_mask]) | st.integers(0, g.full_mask), label="mask")
+    xs = members(mask)
+    got = g.translates(mask)
+    assert got == [g.shift_mask(mask, t) for t in g.elements()]
+    assert got == [mask_of(add_idx(moduli, x, t) for x in xs) for t in g.elements()]
+
+
 PRODUCTS = st.lists(st.integers(2, 8), min_size=2, max_size=3).filter(lambda m: prod(m) <= 64)
 
 
