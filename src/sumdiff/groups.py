@@ -106,10 +106,14 @@ class GroupSpec:
         return idx
 
     def add(self, a: int, b: int) -> int:
-        self.check_element(a)
-        self.check_element(b)
+        n = self.order
+        if type(a) is not int or not 0 <= a < n:  # only then can check_element raise
+            self.check_element(a)
+        if type(b) is not int or not 0 <= b < n:
+            self.check_element(b)
         if len(self.moduli) == 1:
-            return (a + b) % self.moduli[0]
+            s = a + b
+            return s - n if s >= n else s
         idx, stride = 0, 1
         for n in self.moduli:
             a, ra = divmod(a, n)

@@ -64,11 +64,13 @@ def build_injection(A: GSet, witness: WitnessTable | None = None) -> InjectionTa
         witness = build_witness_table(A)
     elif witness.base != A:
         raise ValueError("witness table was built from a different set")
-    g = A.group
-    out = {}
-    for a in A:
-        for w, (u, v) in witness.pairs.items():
-            out[(a, w)] = (g.add(a, u), g.add(a, v))
+    # Both members of every witness pair lie in A, so a table of a + u over
+    # pairs of members holds every output: |A|^2 sums, not 2 |A| |A-A|.
+    add = A.group.add
+    members = A.elements()
+    sums = {a: {u: add(a, u) for u in members} for a in members}
+    items = witness.pairs.items()
+    out = {(a, w): (row[u], row[v]) for a, row in sums.items() for w, (u, v) in items}
     return InjectionTable(A, witness, out)
 
 

@@ -185,27 +185,25 @@ def check_lower_chain(A: GSet, cap: int = 20) -> Verdict:
     x, k = mn.x, mn.k
     two_a_x = sumset(two_a, x).card
     xa = sumset(x, A).card
-    dd = ratios["delta"]
-    kk = k * k
-    values = [
-        Fraction(s),
-        Fraction(two_a_x),
-        k * xa,
-        kk * x.card,
-        kk * a,
-        dd * dd * a,
-    ]
+    # The six link values over one common denominator q^2 |A| (K = p/q,
+    # delta = d/|A|): links are decided on the integer numerators, and
+    # Fractions are built only for the details.
+    p, q = k.numerator, k.denominator
+    den = q * q * a
+    nums = [s * den, two_a_x * den, p * xa * q * a, p * p * x.card * a, p * p * a * a, d * d * q * q]
+    values = [Fraction(n, den) for n in nums]
     relations = ("<=", "<=", "==", "<=", "<=")
     links = []
     all_hold = True
     all_tight = True
-    for (lhs, rhs), rel in zip(zip(values, values[1:]), relations):
-        slack = rhs - lhs
-        tight = not slack
-        ok = tight if rel == "==" else slack >= 0
-        links.append({"lhs": lhs, "rel": rel, "rhs": rhs, "holds": ok, "slack": slack})
+    for i, rel in enumerate(relations):
+        slack = nums[i + 1] - nums[i]
+        ok = slack == 0 if rel == "==" else slack >= 0
+        links.append(
+            {"lhs": values[i], "rel": rel, "rhs": values[i + 1], "holds": ok, "slack": Fraction(slack, den)}
+        )
         all_hold = all_hold and ok
-        all_tight = all_tight and tight
+        all_tight = all_tight and not slack
     return _verdict(
         "thm3",
         A,

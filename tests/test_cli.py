@@ -331,3 +331,55 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (out.returncode, out.stdout) == (0, "False\n")
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of one main() call in a new interpreter,
+    which must not have built a parser on import."""
+    src = os.path.dirname(os.path.dirname(sumdiff.__file__))
+    code = (
+        "import sys, sumdiff.cli as c\n"
+        "assert c._parser is None, 'parser built at import'\n"
+        "sys.exit(c.main(sys.argv[1:]))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60)
+    return out.returncode, out.stdout, out.stderr
+
+
+@pytest.mark.parametrize(
+    "first, first_code",
+    [
+        (["check", "thm5", "0,1,3@Z8", "--n", "3", "--format", "json"], 0),
+        (["check", "thm5", "0,1,3@Z8", "--format", "json", "--bogus-flag"], 1),
+        (["--version"], 0),
+        (["--config", "{cfg}", "check", "thm5", "0,1,3@Z8", "--format", "json"], 2),
+    ],
+    ids=["n3", "bad-flag", "version", "config"],
+)
+def test_reused_parser_leaks_no_state(tmp_path, first, first_code):
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("minimizer_cap=1\n")
+    second = ["check", "thm5", "0,1,3@Z8", "--format", "json"]
+    assert run([a.replace("{cfg}", str(cfg)) for a in first])[0] == first_code
+    got = run(second)
+    assert got == _fresh_process(second)
+    assert json.loads(got[1])["details"]["n"] == 2
+
+
+def test_second_main_call_builds_no_parser(monkeypatch):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["constants", "0,1,3@Z8"])[0] == 0
+    assert built  # the first call builds the parser tree
+    built.clear()
+    assert run(["witness", "ruzsa", "0,1,3@Z8"])[0] == 0
+    assert run(["constants", "0,1,3@"])[0] == 1
+    assert built == []

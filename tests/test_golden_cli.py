@@ -162,6 +162,12 @@ def _cases() -> list:
         ["mstd", "--group", "Z25", "--threads", "1"],
         ["mstd", "--ints", "0..16", "--threads", "1"],
     ]
+    # Injections with |A| >= 12 on a cyclic and a product group of order 64.
+    for lit in ["0,1,3,7,12,20,30,33,41,50,55,62@Z64", "0,3,5,8,13,21,26,34,40,47,55,61,63@Z2xZ32"]:
+        for fmt in ("human", "json"):
+            cases.append(["witness", "ruzsa", lit, "--format", fmt])
+        cases.append(["check", "thm2", lit, "--format", "json"])
+        cases.append(["check", "thm3", lit, "--format", "json"])
     return cases
 
 

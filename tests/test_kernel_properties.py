@@ -9,7 +9,21 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from sumdiff import CLAIM_IDS, Campaign, GroupSpec, GSet, explorer, find_minimizer, run_claim, sumset
+from sumdiff import (
+    CLAIM_IDS,
+    Campaign,
+    GroupSpec,
+    GSet,
+    InvalidElementError,
+    build_injection,
+    build_witness_table,
+    check_surjective,
+    explorer,
+    find_minimizer,
+    run_claim,
+    sumset,
+    verify_injective,
+)
 from sumdiff.groups import _close_under_addition
 
 from oracles import (
@@ -138,3 +152,29 @@ def test_scan_window_records_match_oracles(moduli, mode, data):
         assert r.sum_card == len(naive_sumset(moduli, xs, xs))
         assert r.diff_card == len(naive_diffset(moduli, xs, xs))
         assert r.coset == naive_is_coset(moduli, xs)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(moduli=st.lists(st.integers(1, 16), min_size=1, max_size=3).filter(lambda m: prod(m) <= 64), data=st.data())
+def test_injection_matches_oracle_sums(moduli, data):
+    g = GroupSpec(tuple(moduli))
+    xs = sorted(data.draw(st.sets(st.integers(0, g.order - 1), min_size=1, max_size=12), label="A"))
+    A = GSet(g, xs)
+    pairs = sorted((u, v) for u in xs for v in xs)
+    want_witness = {}
+    for u, v in pairs:  # ascending, so the first pair seen per difference is the least
+        want_witness.setdefault(add_idx(moduli, u, neg_idx(moduli, v)), (u, v))
+    table = build_witness_table(A)
+    assert table.pairs == want_witness
+    inj = build_injection(A)
+    assert inj.pairs == {
+        (a, w): (add_idx(moduli, a, u), add_idx(moduli, a, v)) for a in xs for w, (u, v) in want_witness.items()
+    }
+    assert verify_injective(inj)
+    assert check_surjective(inj) == naive_is_coset(moduli, xs)
+    bad = data.draw(st.sampled_from([-1, g.order, g.order + 5, 1.0, "0", None]), label="bad")
+    ok = data.draw(st.integers(0, g.order - 1), label="ok")
+    assert g.add(ok, ok) == add_idx(moduli, ok, ok)
+    for args in ((bad, ok), (ok, bad)):
+        with pytest.raises(InvalidElementError):
+            g.add(*args)

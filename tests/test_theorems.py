@@ -94,6 +94,27 @@ def test_lower_chain_coset_all_tight():
     assert all(link["slack"] == 0 for link in v.details["links"])
 
 
+@pytest.mark.parametrize("moduli", [(9,), (2, 4)])
+def test_lower_chain_links_match_fraction_arithmetic(moduli):
+    # the integer link decisions against the chain evaluated in Fractions
+    for A in subsets(GroupSpec(moduli)):
+        v = check_lower_chain(A)
+        a, s, k, delta = A.card, v.sizes["AA"], v.ratios["K"], v.ratios["delta"]
+        values = [Fraction(s), Fraction(v.sizes["AAX"]), k * v.sizes["XA"], k * k * v.sizes["X"], k * k * a,
+                  delta * delta * a]
+        links = v.details["links"]
+        assert [(l["lhs"], l["rhs"], l["slack"]) for l in links] == [
+            (lo, hi, hi - lo) for lo, hi in zip(values, values[1:])
+        ]
+        assert all(type(l[key]) is Fraction for l in links for key in ("lhs", "rhs", "slack"))
+        rels = ("<=", "<=", "==", "<=", "<=")
+        assert [(l["rel"], l["holds"]) for l in links] == [
+            (rel, hi == lo if rel == "==" else hi >= lo) for (lo, hi), rel in zip(zip(values, values[1:]), rels)
+        ]
+        tight = all(hi == lo for lo, hi in zip(values, values[1:]))
+        assert v.outcome == (EQUALITY if tight and all(l["holds"] for l in links) else HOLDS)
+
+
 def test_lower_chain_z8_strict_somewhere():
     v = check_lower_chain(gs((8,), [0, 1, 3]))
     assert v.outcome == HOLDS
