@@ -194,31 +194,29 @@ def _write_out(args, config: dict, render) -> None:
             os.unlink(tmp)
 
 
-def _print_json(payload: dict, fh) -> None:
-    fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _print_lines(lines, fh) -> None:
-    for line in lines:
-        fh.write(line + "\n")
-
-
-def _emit(args, modulus: int | None, payload, lines, echo="modulus  Z{} (embedding)") -> None:
-    """Print ``payload()`` as JSON or ``lines()`` as text, per --format.
+def _emit(
+    args, config: dict, payload, lines, modulus: int | None = None, echo="modulus  Z{} (embedding)", csv=None
+) -> None:
+    """Write a command's output per --format through ``_write_out``: ``payload()``
+    as JSON, ``lines()`` as text, or ``csv(fh)`` as CSV. Only the chosen one is
+    called.
 
     An integer-mode literal's embedding modulus is added as the JSON key
     "modulus" and, formatted into ``echo``, as the second line of text.
     """
-    if args.format == "json":
+    if args.format == "csv":
+        render = csv
+    elif args.format == "json":
         out = payload()
         if modulus is not None:
             out["modulus"] = modulus
-        _print_json(out, sys.stdout)
+        render = lambda fh: fh.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
     else:
         text = lines()
         if modulus is not None:
             text.insert(1, echo.format(modulus))
-        _print_lines(text, sys.stdout)
+        render = lambda fh: fh.writelines(line + "\n" for line in text)
+    _write_out(args, config, render)
 
 
 # -- embedding for integer-mode literals ------------------------------------------
@@ -245,7 +243,7 @@ def _cmd_constants(args, config: dict) -> int:
     coset = is_coset(A) is not None if parsed.kind == "group" else A.card == 1
     _emit(
         args,
-        modulus,
+        config,
         lambda: {
             "set": args.set,
             "group": parsed.group.label() if parsed.group else "Z",
@@ -263,6 +261,7 @@ def _cmd_constants(args, config: dict) -> int:
             f"delta    {_ratio(dlt)} {_approx(dlt)}",
             f"coset    {str(coset).lower()}",
         ],
+        modulus,
         "modulus  Z{} (embedding, arity 1+1)",
     )
     return 0
@@ -302,7 +301,7 @@ def _cmd_check(args, config: dict) -> int:
         )
         _emit(
             args,
-            None,
+            config,
             summary.to_json_dict,
             lambda: [
                 f"claim    {summary.claim}",
@@ -318,7 +317,7 @@ def _cmd_check(args, config: dict) -> int:
     parsed = parse_set_literal(args.set)
     A, modulus = _embed_for(parsed, claim_arity(args.claim, args.n))
     v = run_claim(args.claim, A, n=args.n, cap=cap)
-    _emit(args, modulus, v.to_json_dict, lambda: _verdict_lines(v))
+    _emit(args, config, v.to_json_dict, lambda: _verdict_lines(v), modulus)
     return 3 if v.outcome == VIOLATED else 0
 
 
@@ -332,7 +331,7 @@ def _cmd_witness(args, config: dict) -> int:
         surjective = check_surjective(inj)
         _emit(
             args,
-            modulus,
+            config,
             lambda: {
                 "set": args.set,
                 "injective": injective,
@@ -352,6 +351,7 @@ def _cmd_witness(args, config: dict) -> int:
                 f"domain     {len(inj.pairs)} pairs; codomain {sumset(A, A).card}^2",
             ]
             + [f"  w={w}: u={u} v={v}" for w, (u, v) in sorted(table.pairs.items())],
+            modulus,
             "modulus    Z{} (embedding)",
         )
         return 0
@@ -418,7 +418,7 @@ def _cmd_witness(args, config: dict) -> int:
             out.append(f"Q        {{{','.join(map(str, cert.q))}}}")
         return out
 
-    _emit(args, modulus, payload, lines)
+    _emit(args, config, payload, lines, modulus)
     return 0
 
 
@@ -477,36 +477,28 @@ def _cmd_scan(args, config: dict) -> int:
     mask_range = _parse_mask_range(args.range) if args.range else None
     records, summary = scan(campaign, threads=_threads(args, config), mask_range=mask_range)
 
-    def render(fh) -> None:
-        if args.format == "csv":
-            write_csv(records, fh, campaign)
-        elif args.format == "json":
-            payload = {
-                "tool": f"sumdiff {VERSION}",
-                "campaign": campaign.to_json_dict(),
-                "summary": summary.to_json_dict(),
-                "records": [r.to_json_dict() for r in records],
-            }
-            if args.exponents:
-                payload["exponent_report"] = (
-                    exponent_report(records).to_json_dict() if records else None
-                )
-            _print_json(payload, fh)
-        else:
-            lines = [f"sumdiff {VERSION} | {campaign.describe()}"]
-            lines += _summary_lines(summary)
-            if campaign.mstd_only:
-                for r in records:
-                    lines.append(
-                        f"  {r.set_literal()}  |A+A|={r.sum_card} |A-A|={r.diff_card}"
-                    )
-            else:
-                lines.append(f"records         {len(records)}")
-            if args.exponents and records:
-                lines.append(exponent_report(records).render())
-            _print_lines(lines, fh)
+    def payload() -> dict:
+        out = {
+            "tool": f"sumdiff {VERSION}",
+            "campaign": campaign.to_json_dict(),
+            "summary": summary.to_json_dict(),
+            "records": [r.to_json_dict() for r in records],
+        }
+        if args.exponents:
+            out["exponent_report"] = exponent_report(records).to_json_dict() if records else None
+        return out
 
-    _write_out(args, config, render)
+    def lines() -> list:
+        out = [f"sumdiff {VERSION} | {campaign.describe()}", *_summary_lines(summary)]
+        if campaign.mstd_only:
+            out += [f"  {r.set_literal()}  |A+A|={r.sum_card} |A-A|={r.diff_card}" for r in records]
+        else:
+            out.append(f"records         {len(records)}")
+        if args.exponents and records:
+            out.append(exponent_report(records).render())
+        return out
+
+    _emit(args, config, payload, lines, csv=lambda fh: write_csv(records, fh, campaign))
     return 0
 
 
@@ -521,25 +513,17 @@ def _cmd_mstd(args, config: dict) -> int:
         width_cap=c.width_cap,
         threads=_threads(args, config),
     )
-
-    def render(fh) -> None:
-        if args.format == "csv":
-            write_csv(records, fh)
-        elif args.format == "json":
-            _print_json({"records": [r.to_json_dict() for r in records]}, fh)
-        elif not records:
-            _print_lines(["no sum-dominant sets found"], fh)
-        else:
-            _print_lines(
-                [
-                    f"{r.set_literal()}  |A+A|={r.sum_card} |A-A|={r.diff_card}"
-                    f" surplus={r.sum_card - r.diff_card}"
-                    for r in records
-                ],
-                fh,
-            )
-
-    _write_out(args, config, render)
+    _emit(
+        args,
+        config,
+        lambda: {"records": [r.to_json_dict() for r in records]},
+        lambda: [
+            f"{r.set_literal()}  |A+A|={r.sum_card} |A-A|={r.diff_card} surplus={r.sum_card - r.diff_card}"
+            for r in records
+        ]
+        or ["no sum-dominant sets found"],
+        csv=lambda fh: write_csv(records, fh),
+    )
     return 0
 
 

@@ -18,7 +18,7 @@ import csv
 import heapq
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -363,16 +363,7 @@ class ScanSummary:
     argmax_down: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "representatives": self.representatives,
-            "universe": self.universe,
-            "counts": dict(self.counts),
-            "rep_counts": dict(self.rep_counts),
-            "max_exponent_up": self.max_exponent_up,
-            "argmax_up": list(self.argmax_up),
-            "max_exponent_down": self.max_exponent_down,
-            "argmax_down": list(self.argmax_down),
-        }
+        return asdict(self)  # json.dumps writes the argmax tuples as arrays
 
 
 _CATEGORIES = ("coset", "sum_dominant", "diff_dominant", "balanced", "eq_upper", "eq_lower")
@@ -465,8 +456,9 @@ def _scan_chunk(campaign: Campaign, lo_mask: int, hi_mask: int) -> tuple[list, _
     return records, stats
 
 
-# Windows this wide or wider use workers: on 2 cores two beat one from Z16, not Z15.
-_PARALLEL_THRESHOLD = 1 << 15
+# Windows this wide or wider use workers: on 2 cores two beat one in 27 of 30
+# alternating in-process scans of Z20, but in only 10 of 20 of Z19.
+_PARALLEL_THRESHOLD = 1 << 19
 
 
 def _size_parts(campaign: Campaign, parts: int) -> list:

@@ -313,8 +313,8 @@ def replay_trace(A: GSet, X: GSet, C: GSet, order=None) -> InductionTrace:
     if sorted(order) != list(C.elements()):
         raise ValueError("order must be a permutation of C's elements")
     g = A.group
-    k_ratio = Fraction(sumset(A, X).card, X.card)
     ax_mask = sumset(A, X).mask
+    k_ratio = Fraction(ax_mask.bit_count(), X.card)
     a_mask = A.mask
     x_elems = X.elements()
     axc_prev = 0

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import sumdiff
-from sumdiff import GroupSpec, ParseError, cli
+from sumdiff import GroupSpec, ParseError, cli, explorer
 from sumdiff.cli import main, parse_group_literal, parse_set_literal
 
 
@@ -383,3 +383,33 @@ def test_second_main_call_builds_no_parser(monkeypatch):
     assert run(["witness", "ruzsa", "0,1,3@Z8"])[0] == 0
     assert run(["constants", "0,1,3@"])[0] == 1
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--group", "Z12", "--exponents", "--format", "json"],
+        ["scan", "--group", "Z2xZ6", "--format", "csv"],
+        ["scan", "--ints", "0..11", "--exponents"],
+        ["mstd", "--ints", "0..14", "--max-size", "8", "--format", "json"],
+    ],
+    ids=["scan-json", "scan-csv", "scan-human", "mstd-json"],
+)
+def test_two_workers_print_the_one_worker_bytes(monkeypatch, argv):
+    serial = run([*argv, "--threads", "1"])
+    merges = []
+    merge = explorer._Stats.merge
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
+    monkeypatch.setattr(explorer._Stats, "merge", lambda self, o: merges.append(merge(self, o)))
+    assert run([*argv, "--threads", "2"]) == serial
+    assert len(merges) == 2  # one merge per worker part: the worker path ran
+
+
+@pytest.mark.parametrize("fmt, builds", [("csv", 0), ("json", 1), ("human", 1)])
+def test_exponent_report_built_once_and_never_for_csv(monkeypatch, fmt, builds):
+    built = []
+    report = cli.exponent_report
+    monkeypatch.setattr(cli, "exponent_report", lambda records: built.append(1) or report(records))
+    assert run(["scan", "--group", "Z8", "--exponents", "--format", fmt, "--threads", "1"])[0] == 0
+    assert len(built) == builds

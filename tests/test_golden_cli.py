@@ -168,6 +168,8 @@ def _cases() -> list:
             cases.append(["witness", "ruzsa", lit, "--format", fmt])
         cases.append(["check", "thm2", lit, "--format", "json"])
         cases.append(["check", "thm3", lit, "--format", "json"])
+    # The exponent report stays out of csv.
+    cases.append(["scan", "--group", "Z10", "--exponents", "--format", "csv", "--threads", "1"])
     return cases
 
 
