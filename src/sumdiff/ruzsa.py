@@ -49,9 +49,14 @@ def build_witness_table(A: GSet) -> WitnessTable:
     """
     if not A.card:
         raise EmptySetError("witness table needs a non-empty set")
+    return _witness_table(A, diffset(A, A))
+
+
+def _witness_table(A: GSet, diff: GSet) -> WitnessTable:
+    """The table of a non-empty A, given ``diff`` = A-A."""
     g = A.group
     pairs = {}
-    for w in diffset(A, A):
+    for w in diff:
         both = A.mask & g.shift_mask(A.mask, w)
         u = (both & -both).bit_length() - 1
         pairs[w] = (u, g.add(u, g.neg(w)))
@@ -85,5 +90,9 @@ def verify_injective(inj: InjectionTable) -> bool:
 
 def check_surjective(inj: InjectionTable) -> bool:
     """True iff every pair in (A+A) x (A+A) is attained."""
-    s = sumset(inj.base, inj.base)
-    return len(set(inj.pairs.values())) == s.card ** 2
+    return _surjective(inj, sumset(inj.base, inj.base))
+
+
+def _surjective(inj: InjectionTable, two_a: GSet) -> bool:
+    """check_surjective, given ``two_a`` = A+A."""
+    return len(set(inj.pairs.values())) == two_a.card ** 2

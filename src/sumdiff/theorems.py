@@ -27,10 +27,11 @@ from math import comb
 from random import Random
 
 from .errors import CapExceededError, EmptySetError
+from .explorer import MODE_FULL_AFFINE, Campaign, _canonical_masks, _group_orbit
 from .groups import GroupSpec, is_coset
 from .petridis import find_minimizer
-from .ruzsa import build_injection, check_surjective, verify_injective
-from .sets import GSet, diffset, subsets, sumset
+from .ruzsa import _surjective, _witness_table, build_injection, verify_injective
+from .sets import GSet, diffset, sumset
 
 __all__ = [
     "Verdict",
@@ -94,14 +95,14 @@ def _two_a(A: GSet) -> GSet:
     return sumset(A, A)
 
 
-def _base(A: GSet, two_a: GSet | None = None) -> tuple[int, int, int, dict, dict]:
+def _base(A: GSet, two_a: GSet | None = None, diff: GSet | None = None) -> tuple:
     """|A|, |A+A|, |A-A| and the sizes and ratios dicts every verdict starts from.
 
-    ``two_a`` is A+A when the caller has already computed it.
+    ``two_a`` is A+A and ``diff`` is A-A when the caller has already computed them.
     """
     if two_a is None:
         two_a = _two_a(A)
-    a, s, d = A.card, two_a.card, diffset(A, A).card
+    a, s, d = A.card, two_a.card, (diffset(A, A) if diff is None else diff).card
     return a, s, d, {"A": a, "AA": s, "AmA": d}, {"sigma": Fraction(s, a), "delta": Fraction(d, a)}
 
 
@@ -144,10 +145,11 @@ def check_upper(A: GSet) -> Verdict:
     Cross-checked constructively: the witness injection must be injective
     always and surjective exactly when A is a coset.
     """
-    a, s, d, sizes, ratios = _base(A)
-    inj = build_injection(A)
+    two_a, diff = _two_a(A), diffset(A, A)
+    a, s, d, sizes, ratios = _base(A, two_a, diff)
+    inj = build_injection(A, _witness_table(A, diff))
     injective = verify_injective(inj)
-    surjective = check_surjective(inj)
+    surjective = _surjective(inj, two_a)
     coset = is_coset(A) is not None
     upper_ok = d * a <= s * s
     upper_tight = d * a == s * s
@@ -320,11 +322,17 @@ def sweep_claim(
 ) -> SweepSummary:
     """Run one claim over every non-empty subset of ``g`` (or a uniform sample).
 
+    Exhaustive means one verdict per full-affine orbit, counted with the orbit's
+    size: a claim reads only sizes of sums of A and -A and whether A is a coset,
+    which x -> ux + t keeps for every unit u. It lists the 32 least violating
+    masks, ascending; a sample lists the first 32 it draws.
+
     Exhaustive sweeps are capped by group order; sampling lifts that cap. A
     sample draws masks uniformly with replacement from a seeded generator, so
-    identical invocations see identical sets. The minimizer claims (thm3,
-    thm5) search subsets of A, so on groups of order above ``cap`` they
-    sample uniformly among the sets of at most ``cap`` elements.
+    identical invocations see identical sets; one at least as large as the
+    universe is exhaustive. The minimizer claims (thm3, thm5) search subsets
+    of A, so on groups of order above ``cap`` they sample uniformly among the
+    sets of at most ``cap`` elements.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"sample size must be >= 1, got {sample}")
@@ -334,19 +342,22 @@ def sweep_claim(
             " (use sampling for larger groups)"
         )
     total_universe = (1 << g.order) - 1
-    if sample is not None and total_universe > sample:
+    sampled = sample is not None and total_universe > sample
+    if sampled:
         rng = Random(seed)
         top = cap if claim in ("thm3", "thm5") else g.order
-        universe = (GSet.from_mask(g, _draw(rng, g.order, top)) for _ in range(sample))
+        weighted = ((_draw(rng, g.order, top), 1) for _ in range(sample))
     else:
-        universe = subsets(g)
+        reps = _canonical_masks(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, total_universe + 1)
+        weighted = ((mask, size) for mask, size, _ in reps)
     counts = {HOLDS: 0, EQUALITY: 0, VIOLATED: 0}
-    violations = []
-    total = 0
-    for A in universe:
-        v = run_claim(claim, A, n=n, cap=cap)
-        counts[v.outcome] += 1
-        total += 1
-        if v.outcome == VIOLATED and len(violations) < 32:
-            violations.append(str(A))
-    return SweepSummary(claim, g, total, counts, tuple(violations))
+    violations = []  # masks
+    for mask, weight in weighted:
+        outcome = run_claim(claim, GSet.from_mask(g, mask), n=n, cap=cap).outcome
+        counts[outcome] += weight
+        if outcome == VIOLATED and not sampled:  # an orbit's least member is its representative
+            violations = sorted([*violations, *_group_orbit(g, mask, MODE_FULL_AFFINE)[0]])[:32]
+        elif outcome == VIOLATED and len(violations) < 32:
+            violations.append(mask)
+    literals = tuple(str(GSet.from_mask(g, m)) for m in violations)
+    return SweepSummary(claim, g, sum(counts.values()), counts, literals)

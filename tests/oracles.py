@@ -6,7 +6,10 @@ production paths are checked against a genuinely separate route. The one
 exception is the pair of ascending walks, the plain per-candidate form of the
 pruned Petridis subset searches: they share only the shift kernel, which the
 residue oracles check on its own, and reach sizes far past what
-``naive_minimizer`` can enumerate.
+``naive_minimizer`` can enumerate. The other is ``per_subset_sweep``, the
+plain form of the orbit-weighted claim sweep: it takes its verdicts from the
+production verifiers, one subset at a time, so it checks the orbit weighting
+and the violation list rather than the verdicts.
 """
 
 from __future__ import annotations
@@ -246,3 +249,21 @@ def burnside_orbit_count(moduli, mode, min_size=1, max_size=None):
         total += sum(poly[min_size : hi + 1])
     assert total % len(perms) == 0, "the maps do not form a group"
     return total // len(perms)
+
+
+def per_subset_sweep(claim, g, *, n=2, cap=20):
+    """The SweepSummary of ``claim`` on every non-empty subset of the group g,
+    one verdict per subset in ascending mask order; the first 32 violating
+    sets are listed."""
+    from sumdiff.sets import GSet
+    from sumdiff.theorems import SweepSummary, run_claim
+
+    counts = {"holds": 0, "equality-case": 0, "violated": 0}
+    violations = []
+    for mask in range(1, 1 << g.order):
+        A = GSet.from_mask(g, mask)
+        outcome = run_claim(claim, A, n=n, cap=cap).outcome
+        counts[outcome] += 1
+        if outcome == "violated" and len(violations) < 32:
+            violations.append(str(A))
+    return SweepSummary(claim, g, (1 << g.order) - 1, counts, tuple(violations))

@@ -1,7 +1,10 @@
 import gc
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
+from math import comb
 from random import Random
 
 import pytest
@@ -19,13 +22,15 @@ from sumdiff import (
     check_main_theorem,
     check_plunnecke,
     check_upper,
+    is_coset,
     run_claim,
+    sets,
     subsets,
     sweep_claim,
     theorems,
 )
 
-from oracles import divisor_coset_count, naive_coset_masks
+from oracles import divisor_coset_count, naive_coset_masks, per_subset_sweep
 
 
 def gs(moduli, members):
@@ -248,3 +253,81 @@ def test_uncapped_draw_keeps_the_plain_mask_draw():
     assert [theorems._draw(ours, 9, 20) for _ in range(50)] == [
         plain.randrange(1, 1 << 9) for _ in range(50)
     ]
+
+
+# every group of order <= 10 up to isomorphism, and three of order 12
+SWEEP_GROUPS = [
+    *[GroupSpec((n,)) for n in range(1, 11)],
+    GroupSpec((2, 2)),
+    GroupSpec((2, 4)),
+    GroupSpec((2, 2, 2)),
+    GroupSpec((3, 3)),
+    GroupSpec((12,)),
+    GroupSpec((2, 6)),
+    GroupSpec((3, 4)),
+]
+
+
+@pytest.mark.parametrize("g", SWEEP_GROUPS, ids=GroupSpec.label)
+def test_orbit_weighted_sweep_matches_the_per_subset_sweep(g):
+    for claim in theorems.CLAIM_IDS:
+        assert sweep_claim(claim, g) == per_subset_sweep(claim, g), claim
+    assert sweep_claim("thm5", g, n=3) == per_subset_sweep("thm5", g, n=3)
+
+
+def _planted(violated):
+    """A ``_CLAIMS`` entry for a claim violated exactly on the sets that ``violated``
+    picks; the predicates below are orbit-invariant, as every real claim is."""
+    verify = lambda A, n, cap: theorems._verdict("planted", A, {}, {}, not violated(A), False, {})
+    return (lambda n: (1, 1)), verify
+
+
+def test_planted_violations_are_the_least_masks_in_order(monkeypatch):
+    monkeypatch.setitem(theorems._CLAIMS, "planted", _planted(lambda A: A.card == 3))
+    g = GroupSpec((12,))
+    s = sweep_claim("planted", g)
+    least = list(islice((m for m in range(1, 1 << 12) if m.bit_count() == 3), 32))
+    assert s.violations == tuple(str(GSet.from_mask(g, m)) for m in least)
+    assert s.counts == {HOLDS: 4095 - comb(12, 3), EQUALITY: 0, VIOLATED: comb(12, 3)}
+    assert s == per_subset_sweep("planted", g)
+
+
+@pytest.mark.parametrize("moduli, cosets", [((12,), 6), ((2, 6), 18)], ids=["Z12", "Z2xZ6"])
+def test_planted_short_violation_list_matches_the_oracle(monkeypatch, moduli, cosets):
+    entry = _planted(lambda A: A.card == 2 and is_coset(A) is not None)
+    monkeypatch.setitem(theorems._CLAIMS, "planted", entry)
+    g = GroupSpec(moduli)
+    s = sweep_claim("planted", g)
+    assert len(s.violations) == s.counts[VIOLATED] == cosets
+    assert s == per_subset_sweep("planted", g)
+
+
+@pytest.mark.parametrize("claim", theorems.CLAIM_IDS)
+def test_a_sample_of_the_whole_universe_sweeps_it_exhaustively(claim):
+    for g in (GroupSpec((8,)), GroupSpec((2, 3))):
+        full = sweep_claim(claim, g)
+        universe = (1 << g.order) - 1
+        assert sweep_claim(claim, g, sample=universe, seed=4) == full
+        assert sweep_claim(claim, g, sample=universe + 9) == full
+
+
+def test_upper_builds_each_sumset_and_diffset_once(monkeypatch):
+    calls, depth = Counter(), [0]
+    for name in ("sumset", "diffset"):
+        kernel = getattr(sets, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls[name] += not depth[0]  # the sumset inside diffset is part of the diffset
+            depth[0] += 1
+            try:
+                return kernel(*args)
+            finally:
+                depth[0] -= 1
+
+        for module in list(sys.modules.values()):  # every module that imported the kernel
+            if module.__name__.startswith("sumdiff") and getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, counted)
+    for lit in [[0], [1, 4], [0, 1, 3], [0, 2, 3, 7, 9]]:
+        calls.clear()
+        check_upper(gs((12,), lit))
+        assert calls == {"sumset": 1, "diffset": 1}, lit
