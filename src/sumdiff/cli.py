@@ -13,12 +13,13 @@ human output shows exact fractions, with decimal renderings marked by "≈".
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 
 from ._version import VERSION
 from .errors import CapExceededError, ParseError, SumdiffError
@@ -50,7 +51,7 @@ def parse_group_literal(text: str, full_text: str | None = None, offset: int = 0
     moduli = []
     pos = offset
     for part in re.split(r"[xX]", text):
-        m = re.fullmatch(r"[Zz](\d+)", part)
+        m = re.fullmatch(r"[Zz]([0-9]+)", part)
         if m is None:
             raise ParseError(f"expected a cyclic factor like 'Z6', got {part!r}", full, pos)
         n = int(m.group(1))
@@ -97,7 +98,7 @@ def _int_tokens(head: str, text: str) -> list:
     seen = set()
     pos = 0
     for tok in head.split(","):
-        if re.fullmatch(r"-?\d+", tok.strip()) is None:
+        if re.fullmatch(r"-?[0-9]+", tok.strip()) is None:
             raise ParseError(f"expected an integer, got {tok!r}", text, pos)
         value = int(tok)
         if value in seen:
@@ -194,6 +195,35 @@ def _write_out(args, config: dict, render) -> None:
             os.unlink(tmp)
 
 
+# json.dumps's spelling of each scalar by exact type, looked up inline by _json's containers
+_SCALARS = {
+    int: int.__repr__,
+    str: _quote,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    float: lambda x: repr(x) if isfinite(x) else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity",
+}
+
+
+def _json(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, over dicts with str
+    keys, lists, tuples and the scalar types of _SCALARS; anything else is a TypeError."""
+    enc = _SCALARS.get(type(obj))
+    if enc is not None:
+        return enc(obj)
+    inner = nl + "  "
+    if type(obj) is dict:
+        parts = []
+        for key in sorted(obj):  # _quote raises the TypeError for a key that is not a str
+            enc = _SCALARS.get(type(value := obj[key]))
+            parts.append(_quote(key) + ": " + (enc(value) if enc else _json(value, inner)))
+        return "{" + inner + ("," + inner).join(parts) + nl + "}" if parts else "{}"
+    if type(obj) is list or type(obj) is tuple:
+        parts = [enc(v) if (enc := _SCALARS.get(type(v))) else _json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(parts) + nl + "]" if parts else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(
     args, config: dict, payload, lines, modulus: int | None = None, echo="modulus  Z{} (embedding)", csv=None
 ) -> None:
@@ -210,7 +240,7 @@ def _emit(
         out = payload()
         if modulus is not None:
             out["modulus"] = modulus
-        render = lambda fh: fh.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
+        render = lambda fh: fh.write(_json(out) + "\n")
     else:
         text = lines()
         if modulus is not None:
@@ -430,7 +460,7 @@ def _parse_pair(text: str, pattern: str, expected: str) -> tuple[int, int]:
 
 
 def _parse_mask_range(text: str) -> tuple[int, int]:
-    lo, hi = _parse_pair(text, r"(\d+):(\d+)", "a mask range like 1:4096")
+    lo, hi = _parse_pair(text, r"([0-9]+):([0-9]+)", "a mask range like 1:4096")
     if hi < lo:
         raise ParseError("mask range ends before it starts", text, 0)
     return lo, hi
@@ -440,7 +470,7 @@ def _campaign_from(args, config: dict) -> Campaign:
     group = parse_group_literal(args.group) if args.group else None
     ints = None
     if args.ints:
-        ints = _parse_pair(args.ints, r"(-?\d+)\.\.(-?\d+)", "an integer window like 0..14")
+        ints = _parse_pair(args.ints, r"(-?[0-9]+)\.\.(-?[0-9]+)", "an integer window like 0..14")
     if group is None and ints is None:
         raise ParseError("need --group or --ints", "", 0)
     min_size = getattr(args, "min_size", 1)

@@ -363,7 +363,7 @@ class ScanSummary:
     argmax_down: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)  # json.dumps writes the argmax tuples as arrays
+        return asdict(self)  # cli._json writes the argmax tuples as arrays
 
 
 _CATEGORIES = ("coset", "sum_dominant", "diff_dominant", "balanced", "eq_upper", "eq_lower")

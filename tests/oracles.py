@@ -251,10 +251,11 @@ def burnside_orbit_count(moduli, mode, min_size=1, max_size=None):
     return total // len(perms)
 
 
-def per_subset_sweep(claim, g, *, n=2, cap=20):
+def per_subset_sweep(claim, g, *, n=2, cap=20, equal=None):
     """The SweepSummary of ``claim`` on every non-empty subset of the group g,
     one verdict per subset in ascending mask order; the first 32 violating
-    sets are listed."""
+    sets are listed. Given a set ``equal``, the masks of the equality cases
+    are added to it."""
     from sumdiff.sets import GSet
     from sumdiff.theorems import SweepSummary, run_claim
 
@@ -264,6 +265,8 @@ def per_subset_sweep(claim, g, *, n=2, cap=20):
         A = GSet.from_mask(g, mask)
         outcome = run_claim(claim, A, n=n, cap=cap).outcome
         counts[outcome] += 1
+        if outcome == "equality-case" and equal is not None:
+            equal.add(mask)
         if outcome == "violated" and len(violations) < 32:
             violations.append(str(A))
     return SweepSummary(claim, g, (1 << g.order) - 1, counts, tuple(violations))

@@ -1,9 +1,11 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -230,6 +232,46 @@ def test_json_byte_determinism():
     assert runs[0][1] == runs[1][1]
 
 
+_AWKWARD_STRS = ['"', "\\", "\x00\x1f\n\t", "\u00e9", "\u96ea", "\U0001f600", ""]
+_AWKWARD_FLOATS = [-0.0, 1e-7, 1e16, math.nan, math.inf, -math.inf]
+
+
+def test_json_emitter_matches_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    strs = st.text(max_size=10) | st.sampled_from(_AWKWARD_STRS)
+    leaves = (
+        st.integers()
+        | st.integers(min_value=2**64)
+        | st.booleans()
+        | st.none()
+        | strs
+        | st.floats()
+        | st.sampled_from(_AWKWARD_FLOATS)
+    )
+    payloads = st.recursive(
+        leaves,
+        lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(strs, kids),
+        max_leaves=20,
+    )
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @hypothesis.given(payloads)
+    def matches(obj):
+        assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    matches()
+    fixed = {s: [s, {}, (), *_AWKWARD_FLOATS, -(2**70), 2**64, True, None] for s in _AWKWARD_STRS}
+    assert cli._json(fixed) == json.dumps(fixed, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 3), {1, 2}, {1: "a"}], ids=["Fraction", "set", "int-key"])
+def test_json_emitter_rejects_other_types(bad):
+    for obj in (bad, {"k": [bad]}):
+        with pytest.raises(TypeError):
+            cli._json(obj)
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "sumdiff.cfg"
     cfg.write_text("# caps\nminimizer_cap=2\n")
@@ -280,6 +322,14 @@ def test_config_out_dir(tmp_path):
         (["mstd", "--group", "Z8", "--threads", "1"], "group_cap=-1\n"),
         (["scan", "--ints", "0..5", "--width-cap", "0", "--threads", "1"], None),
         (["mstd", "--ints", "0..5", "--threads", "1"], "width_cap=0\n"),
+        # non-ASCII digits (Arabic-Indic three, eight, one, two) are not read as 3, 8, 1, 2
+        (["constants", "3,1@Z\u0668"], None),
+        (["constants", "\u0663,1@Z8"], None),
+        (["check", "thm1", "--sweep", "Z\u0668"], None),
+        (["witness", "petridis", "0,1@Z5", "--base", "0,\u0661"], None),
+        (["scan", "--group", "Z\u0668", "--threads", "1"], None),
+        (["scan", "--group", "Z8", "--range", "\u0661:4", "--threads", "1"], None),
+        (["mstd", "--ints", "0..\u0661\u0662", "--threads", "1"], None),
     ],
 )
 def test_bad_input_exits_1(tmp_path, argv, config):
