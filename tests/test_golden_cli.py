@@ -174,6 +174,12 @@ def _cases() -> list:
     for claim in CLAIMS:
         cases.append(["check", claim, "--sweep", "Z12", "--format", "json"])
     cases.append(["check", "thm5", "--sweep", "Z2xZ6", "--n", "3", "--format", "json"])
+    # CSV with negative elements, bare negative singletons, and a filtered product-group scan.
+    cases += [
+        ["scan", "--ints=-4..5", "--format", "csv", "--threads", "1"],
+        ["scan", "--ints=-6..6", "--mode", "none", "--max-size", "3", "--format", "csv", "--threads", "1"],
+        ["scan", "--group", "Z3xZ6", "--mstd", "--format", "csv", "--threads", "1"],
+    ]
     return cases
 
 
