@@ -109,6 +109,14 @@ def _int_tokens(head: str, text: str) -> list:
     return tokens
 
 
+def _integer(text: str) -> int:
+    """A numeric flag or config value in the literal grammar's -?[0-9]+: int() alone
+    would also read '١', '1_0', '+3' and padded digits."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ParseError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_int_list(text: str) -> tuple:
     return tuple(v for v, _ in _int_tokens(text, text))
 
@@ -154,7 +162,7 @@ def _setting(args, config: dict, key: str, default: int) -> int:
     file, else default."""
     value = getattr(args, key, None)
     if value is None:
-        value = int(config[key]) if key in config else default
+        value = _integer(config[key]) if key in config else default
     if value < 1:
         raise ParseError(f"{key} must be >= 1, got {value}")
     return value
@@ -578,11 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", choices=CLAIM_IDS)
     p.add_argument("set", nargs="?", help="set literal (omit with --sweep)")
     p.add_argument("--sweep", metavar="GROUP", help="run over every non-empty subset")
-    p.add_argument("--n", type=int, default=2, help="iterated-sum exponent for thm5")
-    p.add_argument("--sample", type=int, help="sample size for large sweeps")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
-    p.add_argument("--minimizer-cap", dest="minimizer_cap", type=int)
-    p.add_argument("--group-cap", dest="group_cap", type=int)
+    p.add_argument("--n", type=_integer, default=2, help="iterated-sum exponent for thm5")
+    p.add_argument("--sample", type=_integer, help="sample size for large sweeps")
+    p.add_argument("--seed", type=_integer, default=0, help="seed for sampled sweeps")
+    p.add_argument("--minimizer-cap", dest="minimizer_cap", type=_integer)
+    p.add_argument("--group-cap", dest="group_cap", type=_integer)
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=_cmd_check)
 
@@ -592,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", help="elements of C, e.g. 0,1 (default: A itself)")
     p.add_argument("--base", help="minimizer base elements (default: -A)")
     p.add_argument("--order", choices=("asc", "desc"), default="asc")
-    p.add_argument("--minimizer-cap", dest="minimizer_cap", type=int)
+    p.add_argument("--minimizer-cap", dest="minimizer_cap", type=_integer)
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=_cmd_witness)
 
@@ -600,15 +608,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", help="group literal, e.g. Z10")
     p.add_argument("--ints", help="integer window, e.g. 0..14")
     p.add_argument("--all", action="store_true", help="every non-empty subset (default)")
-    p.add_argument("--min-size", dest="min_size", type=int, default=1)
-    p.add_argument("--max-size", dest="max_size", type=int)
+    p.add_argument("--min-size", dest="min_size", type=_integer, default=1)
+    p.add_argument("--max-size", dest="max_size", type=_integer)
     p.add_argument("--mode", choices=MODES, default=MODE_TRANSLATION_NEGATION)
     p.add_argument("--mstd", action="store_true", help="keep only sum-dominant records")
     p.add_argument("--exponents", action="store_true", help="append the exponent report")
     p.add_argument("--range", help="representative mask range LO:HI for partitioning")
-    p.add_argument("--threads", type=int, help="worker processes (default: all cores)")
-    p.add_argument("--group-cap", dest="group_cap", type=int)
-    p.add_argument("--width-cap", dest="width_cap", type=int)
+    p.add_argument("--threads", type=_integer, help="worker processes (default: all cores)")
+    p.add_argument("--group-cap", dest="group_cap", type=_integer)
+    p.add_argument("--width-cap", dest="width_cap", type=_integer)
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--out", help="write to this file instead of stdout")
     p.set_defaults(func=_cmd_scan)
@@ -616,11 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mstd", help="list sum-dominant sets, largest surplus first")
     p.add_argument("--group", help="group literal")
     p.add_argument("--ints", help="integer window, e.g. 0..14")
-    p.add_argument("--max-size", dest="max_size", type=int)
+    p.add_argument("--max-size", dest="max_size", type=_integer)
     p.add_argument("--mode", choices=MODES, default=MODE_TRANSLATION_NEGATION)
-    p.add_argument("--threads", type=int, help="worker processes (default: all cores)")
-    p.add_argument("--group-cap", dest="group_cap", type=int)
-    p.add_argument("--width-cap", dest="width_cap", type=int)
+    p.add_argument("--threads", type=_integer, help="worker processes (default: all cores)")
+    p.add_argument("--group-cap", dest="group_cap", type=_integer)
+    p.add_argument("--width-cap", dest="width_cap", type=_integer)
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--out", help="write to this file instead of stdout")
     p.set_defaults(func=_cmd_mstd)
@@ -636,13 +644,11 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
-    config = {}
-    try:
-        if args.config:
-            config = load_config(args.config)
+        try:  # a numeric flag off the integer grammar raises ParseError from here
+            args = _parser.parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code == 0 else 1
+        config = load_config(args.config) if args.config else {}
         return args.func(args, config)
     except (SumdiffError, ValueError, OSError) as exc:  # ParseError is a SumdiffError
         print(f"error: {exc}", file=sys.stderr)

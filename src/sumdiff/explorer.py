@@ -14,7 +14,6 @@ output), or into size windows whose results merge by mask (worker processes).
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from contextlib import nullcontext
@@ -132,8 +131,10 @@ class SearchRecord:
         return ",".join(map(str, self.elements)) + "@" + self.group
 
     def csv_row(self) -> tuple:
-        tail = _csv_tail(self.card, self.sum_card, self.diff_card, self.coset)
-        return self.group, ",".join(map(str, self.elements)), *tail
+        card, s, d = self.card, self.sum_card, self.diff_card
+        flags = [str(f).lower() for f in (self.coset, self.mstd, self.eq_upper, self.eq_lower)]
+        ratios = *_reduced(s, card), *_reduced(d, card)
+        return self.group, ",".join(map(str, self.elements)), card, s, d, *ratios, *flags
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,9 +156,6 @@ class SearchRecord:
         }
 
 
-_CSV_BOOL = ("false", "true")
-
-
 def _reduced(p: int, q: int) -> tuple[int, int]:
     """p/q in lowest terms, the numerator and denominator of Fraction(p, q) for q >= 1."""
     g = math.gcd(p, q)
@@ -165,11 +163,15 @@ def _reduced(p: int, q: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=1024)  # bounded: a Z20 scan has 154 distinct keys, ints 0..15 has 251
-def _csv_tail(card: int, s: int, d: int, coset: bool) -> tuple:
-    """The csv columns after the set: they depend only on the sizes and the coset flag."""
-    r = SearchRecord("", (), card, s, d, coset, 1)
-    flags = r.coset, r.mstd, r.eq_upper, r.eq_lower
-    return card, s, d, *_reduced(s, card), *_reduced(d, card), *[_CSV_BOOL[f] for f in flags]
+def _csv_tail(card: int, s: int, d: int, coset: bool) -> str:
+    """The csv line after the set, newline included: its ints and bools need no quotes."""
+    return ",".join(map(str, SearchRecord("", (), card, s, d, coset, 1).csv_row()[2:])) + "\n"
+
+
+@lru_cache(maxsize=64)  # bounded: one scan has one label
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer(fh, lineterminator="\\n") writes it in a row of several fields."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n') else text
 
 
 @dataclass(frozen=True)
@@ -587,12 +589,16 @@ def exponent_report(records) -> ExponentReport:
 # -- output ------------------------------------------------------------------
 
 
+def _csv_lines(records) -> Iterator[str]:
+    for r in records:
+        s = ",".join(map(str, r.elements))  # ints: only a comma needs quotes
+        q = '"' if "," in s else ""
+        yield f"{_csv_field(r.group)},{q}{s}{q},{_csv_tail(r.card, r.sum_card, r.diff_card, r.coset)}"
+
+
 def write_csv(records, fh, campaign: Campaign | None = None) -> None:
-    """Write records as CSV preceded by a tool/campaign header comment."""
-    header = f"# sumdiff {VERSION}"
-    if campaign is not None:
-        header += " | " + campaign.describe()
-    fh.write(header + "\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(SearchRecord.csv_row, records))
+    """Write records as CSV preceded by a tool/campaign header comment, streaming one line per
+    record with the bytes csv.writer(fh, lineterminator="\\n") writes for its ``csv_row``."""
+    describe = "" if campaign is None else " | " + campaign.describe()
+    fh.write(f"# sumdiff {VERSION}{describe}\n{','.join(CSV_COLUMNS)}\n")
+    fh.writelines(_csv_lines(records))

@@ -9,12 +9,16 @@ residue oracles check on its own, and reach sizes far past what
 ``naive_minimizer`` can enumerate. The other is ``per_subset_sweep``, the
 plain form of the orbit-weighted claim sweep: it takes its verdicts from the
 production verifiers, one subset at a time, so it checks the orbit weighting
-and the violation list rather than the verdicts.
+and the violation list rather than the verdicts. ``csv_writer_text`` writes
+scan records through the standard library's csv module, the writer the
+preformatted scan csv lines must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -270,3 +274,17 @@ def per_subset_sweep(claim, g, *, n=2, cap=20, equal=None):
         if outcome == "violated" and len(violations) < 32:
             violations.append(str(A))
     return SweepSummary(claim, g, (1 << g.order) - 1, counts, tuple(violations))
+
+
+def csv_writer_text(records, campaign=None):
+    """The scan csv of ``records`` as csv.writer writes each ``csv_row``, after
+    the tool/campaign header comment."""
+    from sumdiff._version import VERSION
+    from sumdiff.explorer import CSV_COLUMNS, SearchRecord
+
+    buf = io.StringIO()
+    buf.write(f"# sumdiff {VERSION}" + ("" if campaign is None else " | " + campaign.describe()) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(map(SearchRecord.csv_row, records))
+    return buf.getvalue()

@@ -330,6 +330,14 @@ def test_config_out_dir(tmp_path):
         (["scan", "--group", "Z\u0668", "--threads", "1"], None),
         (["scan", "--group", "Z8", "--range", "\u0661:4", "--threads", "1"], None),
         (["mstd", "--ints", "0..\u0661\u0662", "--threads", "1"], None),
+        # numeric flags and config values read only -?[0-9]+, not what int() also takes
+        (["scan", "--group", "Z6", "--threads", "\u0661"], None),
+        (["scan", "--group", "Z6", "--max-size", "\u0662", "--threads", "1"], None),
+        (["check", "thm5", "0,1@Z8", "--n", "\u0663"], None),
+        (["check", "thm1", "--sweep", "Z9", "--sample", "1_0"], None),
+        (["check", "thm1", "--sweep", "Z9", "--sample", "10", "--seed", "+3"], None),
+        (["scan", "--group", "Z6", "--threads", " 1"], None),
+        (["scan", "--group", "Z6"], "threads=\u0661\n"),
     ],
 )
 def test_bad_input_exits_1(tmp_path, argv, config):

@@ -29,6 +29,7 @@ from sumdiff.explorer import CSV_COLUMNS
 
 from oracles import (
     burnside_orbit_count,
+    csv_writer_text,
     divisor_coset_count,
     int_iterated,
     int_sumset,
@@ -184,6 +185,37 @@ def test_csv_output_schema_and_determinism():
     assert lines[0].startswith("# sumdiff ")
     assert lines[1] == ",".join(CSV_COLUMNS)
     assert len(lines) == 2 + len(records)
+
+
+CSV_CAMPAIGNS = [
+    Campaign(group=GroupSpec((2, 8))),
+    Campaign(ints=(-5, 6), mode=MODE_TRANSLATION),
+    Campaign(ints=(-6, 6), mode=MODE_NONE, max_size=3),
+    Campaign(group=GroupSpec((3, 6)), mstd_only=True),
+]
+
+
+@pytest.mark.parametrize("campaign", [*CSV_CAMPAIGNS, None], ids=lambda c: c.describe() if c else "no-campaign")
+def test_write_csv_matches_csv_writer(campaign):
+    records = scan(campaign)[0] if campaign else []
+    if campaign and campaign.mstd_only:
+        assert records and all(r.mstd for r in records)
+    buf = io.StringIO()
+    write_csv(iter(records), buf, campaign)  # any iterable, read once
+    # lines with their ends join back to the text: equal lists are equal bytes, and diff faster
+    assert buf.getvalue().splitlines(True) == csv_writer_text(records, campaign).splitlines(True)
+
+
+def test_write_csv_quotes_labels_as_csv_writer_does():
+    labels = ["", "a,b", 'say "hi"', "cr\rlf\r\n", "lf\nonly", ",", '"', "Z7", " padded "]
+    records = [
+        explorer.SearchRecord(label, elements, 3, 5, 7, False, 1)
+        for label in labels
+        for elements in [(), (4,), (-2,), (-1, 0, 9)]
+    ]
+    buf = io.StringIO()
+    write_csv(records, buf)
+    assert buf.getvalue() == csv_writer_text(records)
 
 
 def test_scan_partitioning_and_threads():
@@ -443,7 +475,8 @@ def test_csv_columns_are_the_record_properties():
                     flags = r.coset, r.mstd, r.eq_upper, r.eq_lower
                     want = ("Z", f"0,{card}", card, s, d, *r.sigma.as_integer_ratio(), *r.delta.as_integer_ratio())
                     assert r.csv_row() == (*want, *(str(f).lower() for f in flags))
-    assert explorer._csv_tail.cache_info().currsize <= explorer._csv_tail.cache_info().maxsize <= 4096
+    for cache in (explorer._csv_tail, explorer._csv_field):  # the caches write_csv reads
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize <= 4096
 
 
 @pytest.mark.parametrize(
