@@ -4,7 +4,14 @@ Each line of ``golden/cli_matrix.txt`` is ``sha256 exit argv``, where the
 digest covers the exit code, stdout, stderr and the bytes of any ``--out``
 file the case wrote. Raw outputs run to megabytes, so only digests are kept.
 
-Regenerate the fixture only for an intended output change:
+New cases go at the end of ``_cases`` and their digests are appended with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --append
+
+which renders every case, writes only the lines past the fixture's end, and
+exits non-zero without writing anything if an existing line's digest changed
+or the case list before it did. Regenerate the whole fixture only for an
+intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 """
@@ -180,6 +187,12 @@ def _cases() -> list:
         ["scan", "--ints=-6..6", "--mode", "none", "--max-size", "3", "--format", "csv", "--threads", "1"],
         ["scan", "--group", "Z3xZ6", "--mstd", "--format", "csv", "--threads", "1"],
     ]
+    # mstd with records from a product group, and a thm2 sweep of a product group.
+    cases += [
+        ["mstd", "--group", "Z3xZ6", "--format", "human", "--threads", "1"],
+        ["mstd", "--group", "Z3xZ6", "--format", "json", "--threads", "1"],
+        ["check", "thm2", "--sweep", "Z2xZ6", "--format", "json"],
+    ]
     return cases
 
 
@@ -217,10 +230,19 @@ def test_golden_cli_matrix(tmp_path):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden_cli.py --write")
+    if sys.argv[1:] not in (["--write"], ["--append"]):
+        sys.exit("usage: python tests/test_golden_cli.py --write | --append")
     with tempfile.TemporaryDirectory() as tmp:
         lines = render_matrix(Path(tmp))
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(lines)} cases to {FIXTURE.relative_to(ROOT)}")
+    if sys.argv[1] == "--write":
+        FIXTURE.parent.mkdir(exist_ok=True)
+        FIXTURE.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"wrote {len(lines)} cases to {FIXTURE.relative_to(ROOT)}")
+    else:
+        kept = FIXTURE.read_text(encoding="utf-8").splitlines()
+        changed = [e.split(" ", 2)[2] for a, e in zip(lines, kept) if a != e]
+        if changed or len(lines) < len(kept):
+            sys.exit("existing lines changed, nothing written: " + "; ".join(changed or ["cases removed"]))
+        with FIXTURE.open("a", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines[len(kept) :])
+        print(f"appended {len(lines) - len(kept)} cases to {FIXTURE.relative_to(ROOT)}")
