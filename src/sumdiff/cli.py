@@ -28,7 +28,6 @@ from .explorer import (
     MODE_TRANSLATION_NEGATION,
     Campaign,
     exponent_report,
-    find_mstd,
     scan,
     write_csv,
 )
@@ -481,17 +480,15 @@ def _campaign_from(args, config: dict) -> Campaign:
         ints = _parse_pair(args.ints, r"(-?[0-9]+)\.\.(-?[0-9]+)", "an integer window like 0..14")
     if group is None and ints is None:
         raise ParseError("need --group or --ints", "", 0)
-    min_size = getattr(args, "min_size", 1)
-    max_size = getattr(args, "max_size", None)
-    if max_size is not None and max_size < min_size:
-        raise ParseError(f"--max-size {max_size} is below the minimum size {min_size}")
+    if args.max_size is not None and args.max_size < args.min_size:
+        raise ParseError(f"--max-size {args.max_size} is below the minimum size {args.min_size}")
     return Campaign(
         group=group,
         ints=ints,
-        min_size=min_size,
-        max_size=max_size,
+        min_size=args.min_size,
+        max_size=args.max_size,
         mode=args.mode,
-        mstd_only=getattr(args, "mstd", False),
+        mstd_only=args.mstd,
         group_cap=_setting(args, config, "group_cap", 24),
         width_cap=_setting(args, config, "width_cap", 16),
     )
@@ -541,16 +538,8 @@ def _cmd_scan(args, config: dict) -> int:
 
 
 def _cmd_mstd(args, config: dict) -> int:
-    c = _campaign_from(args, config)
-    records = find_mstd(
-        group=c.group,
-        ints=c.ints,
-        max_size=c.max_size,
-        mode=c.mode,
-        group_cap=c.group_cap,
-        width_cap=c.width_cap,
-        threads=_threads(args, config),
-    )
+    records, _ = scan(_campaign_from(args, config), threads=_threads(args, config))
+    records.sort(key=lambda r: r.diff_card - r.sum_card)  # largest surplus first; stable
     _emit(
         args,
         config,
@@ -631,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width-cap", dest="width_cap", type=_integer)
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--out", help="write to this file instead of stdout")
-    p.set_defaults(func=_cmd_mstd)
+    p.set_defaults(func=_cmd_mstd, min_size=1, mstd=True)
 
     return parser
 

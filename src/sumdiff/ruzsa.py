@@ -49,14 +49,9 @@ def build_witness_table(A: GSet) -> WitnessTable:
     """
     if not A.card:
         raise EmptySetError("witness table needs a non-empty set")
-    return _witness_table(A, diffset(A, A))
-
-
-def _witness_table(A: GSet, diff: GSet) -> WitnessTable:
-    """The table of a non-empty A, given ``diff`` = A-A."""
     g = A.group
     pairs = {}
-    for w in diff:
+    for w in diffset(A, A):
         both = A.mask & g.shift_mask(A.mask, w)
         u = (both & -both).bit_length() - 1
         pairs[w] = (u, g.add(u, g.neg(w)))
@@ -90,9 +85,4 @@ def verify_injective(inj: InjectionTable) -> bool:
 
 def check_surjective(inj: InjectionTable) -> bool:
     """True iff every pair in (A+A) x (A+A) is attained."""
-    return _surjective(inj, sumset(inj.base, inj.base))
-
-
-def _surjective(inj: InjectionTable, two_a: GSet) -> bool:
-    """check_surjective, given ``two_a`` = A+A."""
-    return len(set(inj.pairs.values())) == two_a.card ** 2
+    return len(set(inj.pairs.values())) == sumset(inj.base, inj.base).card ** 2

@@ -30,7 +30,7 @@ from .errors import CapExceededError, EmptySetError
 from .explorer import MODE_FULL_AFFINE, Campaign, _canonical_masks, _group_orbit
 from .groups import GroupSpec, is_coset
 from .petridis import find_minimizer
-from .ruzsa import _surjective, _witness_table, build_injection, verify_injective
+from .ruzsa import build_injection, build_witness_table
 from .sets import GSet, diffset, sumset
 
 __all__ = [
@@ -95,14 +95,14 @@ def _two_a(A: GSet) -> GSet:
     return sumset(A, A)
 
 
-def _base(A: GSet, two_a: GSet | None = None, diff: GSet | None = None) -> tuple:
+def _base(A: GSet, two_a: GSet | None = None, d: int | None = None) -> tuple:
     """|A|, |A+A|, |A-A| and the sizes and ratios dicts every verdict starts from.
 
-    ``two_a`` is A+A and ``diff`` is A-A when the caller has already computed them.
+    ``two_a`` is A+A and ``d`` is |A-A| when the caller has already computed them.
     """
     if two_a is None:
         two_a = _two_a(A)
-    a, s, d = A.card, two_a.card, (diffset(A, A) if diff is None else diff).card
+    a, s, d = A.card, two_a.card, diffset(A, A).card if d is None else d
     return a, s, d, {"A": a, "AA": s, "AmA": d}, {"sigma": Fraction(s, a), "delta": Fraction(d, a)}
 
 
@@ -143,13 +143,16 @@ def check_upper(A: GSet) -> Verdict:
     """delta <= sigma^2 with equality exactly on cosets.
 
     Cross-checked constructively: the witness injection must be injective
-    always and surjective exactly when A is a coset.
+    always and surjective exactly when A is a coset. The witness table holds
+    one pair per difference, so it also gives |A-A|.
     """
-    two_a, diff = _two_a(A), diffset(A, A)
-    a, s, d, sizes, ratios = _base(A, two_a, diff)
-    inj = build_injection(A, _witness_table(A, diff))
-    injective = verify_injective(inj)
-    surjective = _surjective(inj, two_a)
+    two_a = _two_a(A)
+    table = build_witness_table(A)
+    a, s, d, sizes, ratios = _base(A, two_a, len(table.pairs))
+    inj = build_injection(A, table)
+    image = len(set(inj.pairs.values()))
+    injective = image == len(inj.pairs)
+    surjective = image == s * s
     coset = is_coset(A) is not None
     upper_ok = d * a <= s * s
     upper_tight = d * a == s * s
