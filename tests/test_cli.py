@@ -296,51 +296,51 @@ def test_config_out_dir(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, message",
     [
-        (["scan", "--group", "Z6", "--threads", "0"], None),
-        (["scan", "--group", "Z6", "--threads", "-3"], None),
-        (["mstd", "--group", "Z6", "--threads", "0"], None),
-        (["scan", "--group", "Z6"], "threads=0\n"),
-        (["scan", "--group", "Z8", "--range", "5:2", "--threads", "1"], None),
-        (["scan", "--group", "Z6", "--min-size", "0", "--threads", "1"], None),
-        (["scan", "--group", "Z6", "--max-size", "-1", "--threads", "1"], None),
-        (["scan", "--group", "Z6", "--min-size", "4", "--max-size", "3", "--threads", "1"], None),
-        (["mstd", "--group", "Z6", "--max-size", "-1", "--threads", "1"], None),
-        (["constants", "0,0,1@Z8"], None),
-        (["check", "ineq1", "3,3,1@Z"], None),
-        (["witness", "petridis", "0,1@Z5", "--C", "1,1"], None),
-        (["witness", "petridis", "0,1@Z5", "--base", "0,4,0"], None),
-        (["check", "thm1", "--sweep", "Z9", "--sample", "0"], None),
-        (["check", "thm1", "--sweep", "Z9", "--sample", "-4"], None),
-        (["check", "thm3", "0,1,3@Z8", "--minimizer-cap", "0"], None),
-        (["check", "thm5", "0,1,3@Z8", "--minimizer-cap", "-2"], None),
-        (["witness", "petridis", "0,1@Z5", "--minimizer-cap", "0"], None),
-        (["check", "thm3", "0,1,3@Z8"], "minimizer_cap=0\n"),
-        (["check", "thm1", "--sweep", "Z8", "--group-cap", "0"], None),
-        (["scan", "--group", "Z8", "--group-cap", "0", "--threads", "1"], None),
-        (["mstd", "--group", "Z8", "--threads", "1"], "group_cap=-1\n"),
-        (["scan", "--ints", "0..5", "--width-cap", "0", "--threads", "1"], None),
-        (["mstd", "--ints", "0..5", "--threads", "1"], "width_cap=0\n"),
+        (["scan", "--group", "Z6", "--threads", "0"], None, "threads must be >= 1, got 0"),
+        (["scan", "--group", "Z6", "--threads", "-3"], None, "threads must be >= 1, got -3"),
+        (["mstd", "--group", "Z6", "--threads", "0"], None, "threads must be >= 1, got 0"),
+        (["scan", "--group", "Z6"], "threads=0\n", "threads must be >= 1, got 0"),
+        (["scan", "--group", "Z8", "--range", "5:2", "--threads", "1"], None, "mask range ends before it starts"),
+        (["scan", "--group", "Z6", "--min-size", "0", "--threads", "1"], None, "min_size must be >= 1"),
+        (["scan", "--group", "Z6", "--max-size", "-1", "--threads", "1"], None, "--max-size -1 is below"),
+        (["scan", "--group", "Z6", "--min-size", "4", "--max-size", "3", "--threads", "1"], None, "--max-size 3 is below"),
+        (["mstd", "--group", "Z6", "--max-size", "-1", "--threads", "1"], None, "--max-size -1 is below"),
+        (["constants", "0,0,1@Z8"], None, "duplicate element 0"),
+        (["check", "ineq1", "3,3,1@Z"], None, "duplicate element 3"),
+        (["witness", "petridis", "0,1@Z5", "--C", "1,1"], None, "duplicate element 1"),
+        (["witness", "petridis", "0,1@Z5", "--base", "0,4,0"], None, "duplicate element 0"),
+        (["check", "thm1", "--sweep", "Z9", "--sample", "0"], None, "sample size must be >= 1"),
+        (["check", "thm1", "--sweep", "Z9", "--sample", "-4"], None, "sample size must be >= 1"),
+        (["check", "thm3", "0,1,3@Z8", "--minimizer-cap", "0"], None, "minimizer_cap must be >= 1"),
+        (["check", "thm5", "0,1,3@Z8", "--minimizer-cap", "-2"], None, "minimizer_cap must be >= 1"),
+        (["witness", "petridis", "0,1@Z5", "--minimizer-cap", "0"], None, "minimizer_cap must be >= 1"),
+        (["check", "thm3", "0,1,3@Z8"], "minimizer_cap=0\n", "minimizer_cap must be >= 1"),
+        (["check", "thm1", "--sweep", "Z8", "--group-cap", "0"], None, "group_cap must be >= 1"),
+        (["scan", "--group", "Z8", "--group-cap", "0", "--threads", "1"], None, "group_cap must be >= 1"),
+        (["mstd", "--group", "Z8", "--threads", "1"], "group_cap=-1\n", "group_cap must be >= 1"),
+        (["scan", "--ints", "0..5", "--width-cap", "0", "--threads", "1"], None, "width_cap must be >= 1"),
+        (["mstd", "--ints", "0..5", "--threads", "1"], "width_cap=0\n", "width_cap must be >= 1"),
         # non-ASCII digits (Arabic-Indic three, eight, one, two) are not read as 3, 8, 1, 2
-        (["constants", "3,1@Z\u0668"], None),
-        (["constants", "\u0663,1@Z8"], None),
-        (["check", "thm1", "--sweep", "Z\u0668"], None),
-        (["witness", "petridis", "0,1@Z5", "--base", "0,\u0661"], None),
-        (["scan", "--group", "Z\u0668", "--threads", "1"], None),
-        (["scan", "--group", "Z8", "--range", "\u0661:4", "--threads", "1"], None),
-        (["mstd", "--ints", "0..\u0661\u0662", "--threads", "1"], None),
+        (["constants", "3,1@Z\u0668"], None, "expected a cyclic factor"),
+        (["constants", "\u0663,1@Z8"], None, "expected an integer, got '\u0663'"),
+        (["check", "thm1", "--sweep", "Z\u0668"], None, "expected a cyclic factor"),
+        (["witness", "petridis", "0,1@Z5", "--base", "0,\u0661"], None, "expected an integer, got '\u0661'"),
+        (["scan", "--group", "Z\u0668", "--threads", "1"], None, "expected a cyclic factor"),
+        (["scan", "--group", "Z8", "--range", "\u0661:4", "--threads", "1"], None, "expected a mask range"),
+        (["mstd", "--ints", "0..\u0661\u0662", "--threads", "1"], None, "expected an integer window"),
         # numeric flags and config values read only -?[0-9]+, not what int() also takes
-        (["scan", "--group", "Z6", "--threads", "\u0661"], None),
-        (["scan", "--group", "Z6", "--max-size", "\u0662", "--threads", "1"], None),
-        (["check", "thm5", "0,1@Z8", "--n", "\u0663"], None),
-        (["check", "thm1", "--sweep", "Z9", "--sample", "1_0"], None),
-        (["check", "thm1", "--sweep", "Z9", "--sample", "10", "--seed", "+3"], None),
-        (["scan", "--group", "Z6", "--threads", " 1"], None),
-        (["scan", "--group", "Z6"], "threads=\u0661\n"),
+        (["scan", "--group", "Z6", "--threads", "\u0661"], None, "--threads: expected an integer, got '\u0661'"),
+        (["scan", "--group", "Z6", "--max-size", "\u0662", "--threads", "1"], None, "--max-size: expected an integer"),
+        (["check", "thm5", "0,1@Z8", "--n", "\u0663"], None, "--n: expected an integer"),
+        (["check", "thm1", "--sweep", "Z9", "--sample", "1_0"], None, "--sample: expected an integer"),
+        (["check", "thm1", "--sweep", "Z9", "--sample", "10", "--seed", "+3"], None, "--seed: expected an integer"),
+        (["scan", "--group", "Z6", "--threads", " 1"], None, "--threads: expected an integer"),
+        (["scan", "--group", "Z6"], "threads=\u0661\n", "config key 'threads': expected an integer"),
     ],
 )
-def test_bad_input_exits_1(tmp_path, argv, config):
+def test_bad_input_exits_1(tmp_path, argv, config, message):
     if config is not None:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
@@ -348,6 +348,7 @@ def test_bad_input_exits_1(tmp_path, argv, config):
     code, out, err = run(argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert message in err
 
 
 def test_threads_clamped_to_cores(monkeypatch):
