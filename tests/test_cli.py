@@ -212,6 +212,22 @@ def test_mstd_command():
     assert code == 0 and "no sum-dominant sets" in out
 
 
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [
+        (["--ints", "0..14", "--max-size", "8"], {"ints": (0, 14), "max_size": 8}),
+        (["--group", "Z3xZ6"], {"group": GroupSpec((3, 6))}),
+        (["--ints", "0..9", "--mode", "none"], {"ints": (0, 9), "mode": "none"}),
+        (["--group", "Z20"], {"group": GroupSpec((20,))}),  # surpluses 1 and 2: the order shows
+    ],
+    ids=["ints-0..14", "Z3xZ6", "ints-0..9-none", "Z20"],
+)
+def test_mstd_json_records_match_find_mstd(flags, kwargs):
+    code, out, _ = run(["mstd", *flags, "--format", "json", "--threads", "1"])
+    expected = [r.to_json_dict() for r in explorer.find_mstd(**kwargs)]
+    assert code == 0 and json.loads(out)["records"] == json.loads(json.dumps(expected))
+
+
 def test_exit_codes():
     code, _, err = run(["constants", "0,1,3@"])
     assert code == 1 and "error" in err

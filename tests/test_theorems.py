@@ -16,18 +16,22 @@ from sumdiff import (
     VIOLATED,
     GroupSpec,
     GSet,
+    build_injection,
     check_fact1,
     check_inequality,
     check_lower_chain,
     check_main_theorem,
     check_plunnecke,
+    check_surjective,
     check_upper,
+    diffset,
     is_coset,
     run_claim,
     sets,
     subsets,
     sweep_claim,
     theorems,
+    verify_injective,
 )
 
 from oracles import divisor_coset_count, naive_coset_masks, per_subset_sweep
@@ -70,6 +74,17 @@ def test_upper_examples():
     assert v.outcome == EQUALITY and v.details["surjective"]
     v = check_upper(gs((5,), [0, 1]))
     assert v.outcome == HOLDS and v.details["injective"] and not v.details["surjective"]
+
+
+@pytest.mark.parametrize(
+    "moduli", [(n,) for n in range(1, 9)] + [(2, 2), (2, 4), (3, 3)], ids=lambda m: GroupSpec(m).label()
+)
+def test_upper_agrees_with_the_public_ruzsa_functions(moduli):
+    for A in subsets(GroupSpec(moduli)):
+        v, inj = check_upper(A), build_injection(A)
+        assert v.details["injective"] == verify_injective(inj), A
+        assert v.details["surjective"] == check_surjective(inj), A
+        assert v.sizes["AmA"] == diffset(A, A).card, A
 
 
 def test_main_theorem_examples():
