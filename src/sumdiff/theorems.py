@@ -143,11 +143,9 @@ def check_upper(A: GSet) -> Verdict:
     """delta <= sigma^2 with equality exactly on cosets.
 
     Cross-checked constructively: the witness injection must be injective
-    always and surjective exactly when A is a coset. The witness table holds
-    one pair per difference, so it also gives |A-A|.
+    always and surjective exactly when A is a coset.
     """
-    two_a = _two_a(A)
-    table = build_witness_table(A)
+    two_a, table = _two_a(A), build_witness_table(A)
     a, s, d, sizes, ratios = _base(A, two_a, len(table.pairs))
     inj = build_injection(A, table)
     image = len(set(inj.pairs.values()))
