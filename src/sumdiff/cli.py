@@ -592,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("ruzsa", "petridis"))
     p.add_argument("set", help="set literal")
     p.add_argument("--C", help="elements of C, e.g. 0,1 (default: A itself)")
-    p.add_argument("--base", help="minimizer base elements (default: -A)")
+    p.add_argument("--base", help="minimizer base elements (default: -A); with @Z, embedding-group indices")
     p.add_argument("--order", choices=("asc", "desc"), default="asc")
     p.add_argument("--minimizer-cap", dest="minimizer_cap", action=_Integer)
     p.add_argument("--format", choices=("human", "json"), default="human")
