@@ -193,6 +193,15 @@ def _cases() -> list:
         ["mstd", "--group", "Z3xZ6", "--format", "json", "--threads", "1"],
         ["check", "thm2", "--sweep", "Z2xZ6", "--format", "json"],
     ]
+    # Negative literals and windows passed after "--" or with "=": the bytes the
+    # plain spellings above must print.
+    for fmt in ("human", "json"):
+        cases.append(["constants", "--format", fmt, "--", "-3,0,4@Z"])
+    for fmt in ("human", "json"):
+        cases.append(["witness", "ruzsa", "--format", fmt, "--", "-3,0,4@Z"])
+    cases.append(["scan", "--ints=-3..4", "--mode", "translation", "--exponents", "--threads", "1"])
+    # Exhaustive minimizer sweeps of a group above the minimizer cap: exit 2.
+    cases += [["check", "thm3", "--sweep", "Z21"], ["check", "thm5", "--sweep", "Z21"]]
     return cases
 
 
