@@ -108,17 +108,13 @@ def _int_tokens(head: str, text: str) -> list:
     return tokens
 
 
-def _integer(text: str, name: str) -> int:
-    """The value of flag or config key ``name`` in the literal grammar's -?[0-9]+:
+def _integer(text: str, key: str | None = None) -> int:
+    """A numeric flag's value, or config ``key``'s, in the literal grammar's -?[0-9]+:
     int() alone would also read '١', '1_0', '+3' and padded digits."""
     if re.fullmatch(r"-?[0-9]+", text) is None:
-        raise ParseError(f"{name}: expected an integer, got {text!r}")
+        message = f"expected an integer, got {text!r}"  # argparse prefixes "argument --flag: "
+        raise ParseError(f"config key {key!r}: {message}") if key else argparse.ArgumentTypeError(message)
     return int(text)
-
-
-class _Integer(argparse.Action):  # a type function would not be told which flag it reads
-    def __call__(self, parser, namespace, text, option_string=None):
-        setattr(namespace, self.dest, _integer(text, option_string))
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -135,13 +131,7 @@ def _approx(f: Fraction) -> str:
 
 # -- config ---------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "minimizer_cap",
-    "group_cap",
-    "width_cap",
-    "threads",
-    "out_dir",
-}
+_CONFIG_KEYS = {"minimizer_cap", "group_cap", "width_cap", "threads", "out_dir"}
 
 
 def load_config(path: str) -> dict:
@@ -163,12 +153,14 @@ def load_config(path: str) -> dict:
 
 def _setting(args, config: dict, key: str, default: int) -> int:
     """A numeric setting of at least 1: the flag if given, else the config
-    file, else default."""
-    value = getattr(args, key, None)
+    file, else default. A value below 1 is named as it was given."""
+    value, name = getattr(args, key), "--" + key.replace("_", "-")
     if value is None:
-        value = _integer(config[key], f"config key {key!r}") if key in config else default
+        if key not in config:
+            return default
+        value, name = _integer(config[key], key), f"config key {key!r}"
     if value < 1:
-        raise ParseError(f"{key} must be >= 1, got {value}")
+        raise ParseError(f"{name} must be >= 1, got {value}")
     return value
 
 
@@ -485,6 +477,8 @@ def _campaign_from(args, config: dict) -> Campaign:
         ints = _parse_pair(args.ints, r"(-?[0-9]+)\.\.(-?[0-9]+)", "an integer window like 0..14")
     if group is None and ints is None:
         raise ParseError("need --group or --ints", "", 0)
+    if args.min_size < 1:
+        raise ParseError(f"--min-size must be >= 1, got {args.min_size}")
     if args.max_size is not None and args.max_size < args.min_size:
         raise ParseError(f"--max-size {args.max_size} is below the minimum size {args.min_size}")
     return Campaign(
@@ -562,11 +556,19 @@ def _cmd_mstd(args, config: dict) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):  # subparsers are built with this class too
+    """Usage errors raise ParseError, and a value like -3,0,4@Z or -3..4 is not taken for a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[0-9]")  # private in argparse; a test pins it
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sumdiff",
-        description="exact workbench for sumset/difference-set combinatorics",
-    )
+    parser = _Parser(prog="sumdiff", description="exact workbench for sumset/difference-set combinatorics")
     parser.add_argument("--version", action="version", version=f"sumdiff {VERSION}")
     parser.add_argument("--config", help="key=value config file (caps, out_dir)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -580,11 +582,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", choices=CLAIM_IDS)
     p.add_argument("set", nargs="?", help="set literal (omit with --sweep)")
     p.add_argument("--sweep", metavar="GROUP", help="run over every non-empty subset")
-    p.add_argument("--n", action=_Integer, default=2, help="iterated-sum exponent for thm5")
-    p.add_argument("--sample", action=_Integer, help="sample size for large sweeps")
-    p.add_argument("--seed", action=_Integer, default=0, help="seed for sampled sweeps")
-    p.add_argument("--minimizer-cap", dest="minimizer_cap", action=_Integer)
-    p.add_argument("--group-cap", dest="group_cap", action=_Integer)
+    p.add_argument("--n", type=_integer, default=2, help="iterated-sum exponent for thm5")
+    p.add_argument("--sample", type=_integer, help="sample size for large sweeps")
+    p.add_argument("--seed", type=_integer, default=0, help="seed for sampled sweeps")
+    p.add_argument("--minimizer-cap", type=_integer)
+    p.add_argument("--group-cap", type=_integer)
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=_cmd_check)
 
@@ -594,37 +596,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", help="elements of C, e.g. 0,1 (default: A itself)")
     p.add_argument("--base", help="minimizer base elements (default: -A); with @Z, embedding-group indices")
     p.add_argument("--order", choices=("asc", "desc"), default="asc")
-    p.add_argument("--minimizer-cap", dest="minimizer_cap", action=_Integer)
+    p.add_argument("--minimizer-cap", type=_integer)
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("scan", help="enumerate canonical subsets and their statistics")
-    p.add_argument("--group", help="group literal, e.g. Z10")
-    p.add_argument("--ints", help="integer window, e.g. 0..14")
+    universe = _Parser(add_help=False)  # the flags scan and mstd share
+    universe.add_argument("--group", help="group literal, e.g. Z10")
+    universe.add_argument("--ints", help="integer window, e.g. 0..14")
+    universe.add_argument("--max-size", type=_integer)
+    universe.add_argument("--mode", choices=MODES, default=MODE_TRANSLATION_NEGATION)
+    universe.add_argument("--threads", type=_integer, help="worker processes (default: all cores)")
+    universe.add_argument("--group-cap", type=_integer)
+    universe.add_argument("--width-cap", type=_integer)
+    universe.add_argument("--format", choices=("human", "json", "csv"), default="human")
+    universe.add_argument("--out", help="write to this file instead of stdout")
+
+    p = sub.add_parser("scan", parents=[universe], help="enumerate canonical subsets and their statistics")
     p.add_argument("--all", action="store_true", help="every non-empty subset (default)")
-    p.add_argument("--min-size", dest="min_size", action=_Integer, default=1)
-    p.add_argument("--max-size", dest="max_size", action=_Integer)
-    p.add_argument("--mode", choices=MODES, default=MODE_TRANSLATION_NEGATION)
+    p.add_argument("--min-size", type=_integer, default=1)
     p.add_argument("--mstd", action="store_true", help="keep only sum-dominant records")
     p.add_argument("--exponents", action="store_true", help="append the exponent report")
     p.add_argument("--range", help="representative mask range LO:HI for partitioning")
-    p.add_argument("--threads", action=_Integer, help="worker processes (default: all cores)")
-    p.add_argument("--group-cap", dest="group_cap", action=_Integer)
-    p.add_argument("--width-cap", dest="width_cap", action=_Integer)
-    p.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    p.add_argument("--out", help="write to this file instead of stdout")
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("mstd", help="list sum-dominant sets, largest surplus first")
-    p.add_argument("--group", help="group literal")
-    p.add_argument("--ints", help="integer window, e.g. 0..14")
-    p.add_argument("--max-size", dest="max_size", action=_Integer)
-    p.add_argument("--mode", choices=MODES, default=MODE_TRANSLATION_NEGATION)
-    p.add_argument("--threads", action=_Integer, help="worker processes (default: all cores)")
-    p.add_argument("--group-cap", dest="group_cap", action=_Integer)
-    p.add_argument("--width-cap", dest="width_cap", action=_Integer)
-    p.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    p.add_argument("--out", help="write to this file instead of stdout")
+    p = sub.add_parser("mstd", parents=[universe], help="list sum-dominant sets, largest surplus first")
     p.set_defaults(func=_cmd_mstd, min_size=1, mstd=True)
 
     return parser
@@ -638,12 +633,11 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        try:  # a numeric flag off the integer grammar raises ParseError from here
-            args = _parser.parse_args(argv)
-        except SystemExit as exc:
-            return 0 if exc.code == 0 else 1
+        args = _parser.parse_args(argv)
         config = load_config(args.config) if args.config else {}
         return args.func(args, config)
+    except SystemExit as exc:  # only --help and --version exit; a usage error raises ParseError
+        return exc.code
     except (SumdiffError, ValueError, OSError) as exc:  # ParseError is a SumdiffError
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, CapExceededError) else 1

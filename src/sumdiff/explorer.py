@@ -258,12 +258,11 @@ def _reflect(mask: int) -> int:
 
 
 def _int_orbit_size(mask: int, width: int, mode: str) -> int:
-    """The orbit size if ``mask`` is canonical, else 0: the canonical translate
-    hugs the window's left edge and, under negation, is at most its mirror."""
+    """The orbit size if ``mask`` is canonical, else 0. Outside mode none the mask
+    holds bit 0 (``_canonical_masks`` passes odd masks only), so it hugs the
+    window's left edge; under negation it must also be at most its mirror."""
     if mode == MODE_NONE:
         return 1
-    if mask & 1 == 0:
-        return 0
     translates = width - mask.bit_length() + 1
     if mode == MODE_TRANSLATION:
         return translates

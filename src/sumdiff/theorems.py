@@ -344,10 +344,12 @@ def sweep_claim(
         )
     total_universe = (1 << g.order) - 1
     sampled = sample is not None and total_universe > sample
+    top = cap if claim in ("thm3", "thm5") else g.order  # the most elements a verdict can take
     if sampled:
         rng = Random(seed)
-        top = cap if claim in ("thm3", "thm5") else g.order
         weighted = ((_draw(rng, g.order, top), 1) for _ in range(sample))
+    elif top < g.order:  # the walk would reach 2^(cap+1) - 1, a representative, and stop there
+        raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
     else:
         reps = _canonical_masks(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, total_universe + 1)
         weighted = ((mask, size) for mask, size, _ in reps)

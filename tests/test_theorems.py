@@ -229,6 +229,24 @@ def test_sampled_minimizer_sweeps_stay_within_cap(monkeypatch, claim):
     assert drawn[24:] != first
 
 
+@pytest.mark.parametrize("claim", ["thm3", "thm5"])
+def test_exhaustive_minimizer_sweep_above_the_cap_fails_before_the_walk(monkeypatch, claim):
+    # the walk would reach 2^(cap+1) - 1, the least mask with cap + 1 members and so
+    # a representative, and stop there with the same message
+    small = GroupSpec((8,))
+    with pytest.raises(CapExceededError) as walked:
+        run_claim(claim, GSet.from_mask(small, 0b1111), cap=3)
+    walks = []
+    monkeypatch.setattr(theorems, "_canonical_masks", lambda *a: walks.append(a) or iter(()))
+    with pytest.raises(CapExceededError) as early:
+        sweep_claim(claim, small, cap=3)
+    assert str(early.value) == str(walked.value) == "minimizer base size 4 exceeds cap 3"
+    with pytest.raises(CapExceededError, match="^minimizer base size 21 exceeds cap 20$"):
+        sweep_claim(claim, GroupSpec((21,)))
+    assert walks == []
+    assert sweep_claim(claim, GroupSpec((21,)), sample=3).total == 3  # sampled sweeps still run
+
+
 def test_capped_draw_is_uniform_over_small_sets():
     rng = Random(3)
     counts = Counter(theorems._draw(rng, 6, 2) for _ in range(4200))
