@@ -145,6 +145,14 @@ def test_find_mstd_none_below_width_eight():
     assert find_mstd(group=GroupSpec((2, 3))) == []
 
 
+def test_find_mstd_sorts_by_surplus_then_mask():
+    # Z20 is the smallest cyclic group with two surpluses (two sets of 2, 134 of 1)
+    records = find_mstd(group=GroupSpec((20,)))
+    keys = [(r.diff_card - r.sum_card, sum(1 << e for e in r.elements)) for r in records]
+    assert {-s for s, _ in keys} == {1, 2}
+    assert keys == sorted(keys)
+
+
 def test_int_scan_modes_cover_window():
     # dedup x orbit-size == raw count over the window
     _, none = scan(Campaign(ints=(0, 9), mode=MODE_NONE))

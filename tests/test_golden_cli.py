@@ -202,6 +202,8 @@ def _cases() -> list:
     cases.append(["scan", "--ints=-3..4", "--mode", "translation", "--exponents", "--threads", "1"])
     # Exhaustive minimizer sweeps of a group above the minimizer cap: exit 2.
     cases += [["check", "thm3", "--sweep", "Z21"], ["check", "thm5", "--sweep", "Z21"]]
+    # mstd order: two surplus-2 sets print before the 134 surplus-1 sets.
+    cases.append(["mstd", "--group", "Z20", "--format", "human", "--threads", "1"])
     return cases
 
 
