@@ -28,11 +28,12 @@ from .explorer import (
     MODE_TRANSLATION_NEGATION,
     Campaign,
     exponent_report,
+    find_mstd,
     scan,
     write_csv,
 )
 from .groups import GroupSpec, is_coset
-from .petridis import extract_certificate, find_minimizer, replay_trace
+from .petridis import MINIMIZER_CAP, extract_certificate, find_minimizer, replay_trace
 from .ruzsa import build_injection, build_witness_table, check_surjective, verify_injective
 from .sets import GSet, diffset, embed_integer_set, sumset
 from .theorems import CLAIM_IDS, VIOLATED, claim_arity, run_claim, sweep_claim
@@ -321,7 +322,7 @@ def _verdict_lines(v) -> list:
 
 
 def _cmd_check(args, config: dict) -> int:
-    cap = _setting(args, config, "minimizer_cap", 20)
+    cap = _setting(args, config, "minimizer_cap", MINIMIZER_CAP)
     if args.sweep is not None:
         g = parse_group_literal(args.sweep)
         summary = sweep_claim(
@@ -329,7 +330,7 @@ def _cmd_check(args, config: dict) -> int:
             g,
             n=args.n,
             cap=cap,
-            group_cap=_setting(args, config, "group_cap", 24),
+            group_cap=_setting(args, config, "group_cap", Campaign.group_cap),
             sample=args.sample,
             seed=args.seed,
         )
@@ -390,7 +391,7 @@ def _cmd_witness(args, config: dict) -> int:
         )
         return 0
     # petridis
-    cap = _setting(args, config, "minimizer_cap", 20)
+    cap = _setting(args, config, "minimizer_cap", MINIMIZER_CAP)
     A, modulus = _embed_for(parsed, (2, 1))
     C = A
     if args.C is not None:
@@ -470,7 +471,8 @@ def _parse_mask_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _campaign_from(args, config: dict) -> Campaign:
+def _campaign_fields(args, config: dict) -> dict:
+    """The Campaign fields that scan and mstd read from their shared flags."""
     group = parse_group_literal(args.group) if args.group else None
     ints = None
     if args.ints:
@@ -481,15 +483,14 @@ def _campaign_from(args, config: dict) -> Campaign:
         raise ParseError(f"--min-size must be >= 1, got {args.min_size}")
     if args.max_size is not None and args.max_size < args.min_size:
         raise ParseError(f"--max-size {args.max_size} is below the minimum size {args.min_size}")
-    return Campaign(
+    return dict(
         group=group,
         ints=ints,
         min_size=args.min_size,
         max_size=args.max_size,
         mode=args.mode,
-        mstd_only=args.mstd,
-        group_cap=_setting(args, config, "group_cap", 24),
-        width_cap=_setting(args, config, "width_cap", 16),
+        group_cap=_setting(args, config, "group_cap", Campaign.group_cap),
+        width_cap=_setting(args, config, "width_cap", Campaign.width_cap),
     )
 
 
@@ -507,7 +508,7 @@ def _summary_lines(summary) -> list:
 
 
 def _cmd_scan(args, config: dict) -> int:
-    campaign = _campaign_from(args, config)
+    campaign = Campaign(mstd_only=args.mstd, **_campaign_fields(args, config))
     mask_range = _parse_mask_range(args.range) if args.range else None
     records, summary = scan(campaign, threads=_threads(args, config), mask_range=mask_range)
 
@@ -537,8 +538,7 @@ def _cmd_scan(args, config: dict) -> int:
 
 
 def _cmd_mstd(args, config: dict) -> int:
-    records, _ = scan(_campaign_from(args, config), threads=_threads(args, config))
-    records.sort(key=lambda r: r.diff_card - r.sum_card)  # largest surplus first; stable
+    records = find_mstd(**_campaign_fields(args, config), threads=_threads(args, config))
     _emit(
         args,
         config,
@@ -620,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("mstd", parents=[universe], help="list sum-dominant sets, largest surplus first")
-    p.set_defaults(func=_cmd_mstd, min_size=1, mstd=True)
+    p.set_defaults(func=_cmd_mstd, min_size=1)
 
     return parser
 

@@ -507,27 +507,10 @@ def scan(
     return records, stats.summary()
 
 
-def find_mstd(
-    *,
-    group: GroupSpec | None = None,
-    ints: tuple[int, int] | None = None,
-    max_size: int | None = None,
-    mode: str = MODE_TRANSLATION_NEGATION,
-    group_cap: int = 24,
-    width_cap: int = 16,
-    threads: int = 1,
-) -> list:
-    """All sum-dominant representatives, largest surplus |A+A| - |A-A| first."""
-    campaign = Campaign(
-        group=group,
-        ints=ints,
-        max_size=max_size,
-        mode=mode,
-        mstd_only=True,
-        group_cap=group_cap,
-        width_cap=width_cap,
-    )
-    records, _ = scan(campaign, threads=threads)
+def find_mstd(*, threads: int = 1, **fields) -> list:
+    """The sum-dominant representatives of ``Campaign(mstd_only=True, **fields)``,
+    largest surplus |A+A| - |A-A| first."""
+    records, _ = scan(Campaign(mstd_only=True, **fields), threads=threads)
     return sorted(records, key=lambda r: r.diff_card - r.sum_card)  # stable: canonical order kept
 
 

@@ -40,6 +40,7 @@ from .groups import GroupSpec
 from .sets import GSet, _require_same_group, independent, sumset
 
 __all__ = [
+    "MINIMIZER_CAP",
     "MinimizerResult",
     "ComparisonRecord",
     "TraceStep",
@@ -52,6 +53,8 @@ __all__ = [
     "extract_certificate",
     "brute_force_certificate",
 ]
+
+MINIMIZER_CAP = 20  # default cap on |base| or |X| for the exhaustive subset searches below
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ def _subset_of(g: GroupSpec, elems: tuple[int, ...], cmask: int) -> GSet:
     return GSet.from_mask(g, mask)
 
 
-def find_minimizer(A: GSet, base: GSet, cap: int = 20) -> MinimizerResult:
+def find_minimizer(A: GSet, base: GSet, cap: int = MINIMIZER_CAP) -> MinimizerResult:
     """Global minimum of |A+X| / |X| over non-empty X inside ``base``.
 
     Exact over all 2^|base| - 1 candidates. Ties go to the smaller
@@ -259,13 +262,13 @@ def _checked_violation(A: GSet, X: GSet, K: Fraction, cap: int) -> GSet | None:
     return None if bad is None else _subset_of(A.group, elems, bad)
 
 
-def verify_hypothesis(A: GSet, X: GSet, K, cap: int = 20) -> bool:
+def verify_hypothesis(A: GSet, X: GSet, K, cap: int = MINIMIZER_CAP) -> bool:
     """Exhaustive exact check of |A+X| = K|X| plus strictness on proper subsets."""
     return _checked_violation(A, X, Fraction(K), cap) is None
 
 
 def petridis_inequality(
-    A: GSet, X: GSet, K, C: GSet, *, check_hypothesis: bool = True, cap: int = 20
+    A: GSet, X: GSet, K, C: GSet, *, check_hypothesis: bool = True, cap: int = MINIMIZER_CAP
 ) -> ComparisonRecord:
     """Exact comparison of |A+X+C| against K |X+C|.
 

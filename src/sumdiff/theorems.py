@@ -29,7 +29,7 @@ from random import Random
 from .errors import CapExceededError, EmptySetError
 from .explorer import MODE_FULL_AFFINE, Campaign, _canonical_masks, _group_orbit
 from .groups import GroupSpec, is_coset
-from .petridis import find_minimizer
+from .petridis import MINIMIZER_CAP, find_minimizer
 from .ruzsa import build_injection, build_witness_table
 from .sets import GSet, diffset, sumset
 
@@ -175,7 +175,7 @@ def check_main_theorem(A: GSet) -> Verdict:
     return _verdict("thm1", A, sizes, ratios, eq_any == coset, eq_any, details)
 
 
-def check_lower_chain(A: GSet, cap: int = 20) -> Verdict:
+def check_lower_chain(A: GSet, cap: int = MINIMIZER_CAP) -> Verdict:
     """The five-link chain from |A+A| up to delta^2 |A| via the minimizer.
 
     Links: |2A| <= |2A+X| <= K|X+A| = K^2|X| <= K^2|A| <= delta^2|A|, where X
@@ -218,7 +218,7 @@ def check_lower_chain(A: GSet, cap: int = 20) -> Verdict:
     )
 
 
-def check_plunnecke(A: GSet, n: int, cap: int = 20) -> Verdict:
+def check_plunnecke(A: GSet, n: int, cap: int = MINIMIZER_CAP) -> Verdict:
     """|nA| < sigma^n |A| strictly when sigma > 1; equality when sigma = 1.
 
     The headline comparison clears denominators: |nA| |A|^(n-1) vs |A+A|^n.
@@ -278,7 +278,7 @@ def claim_arity(claim: str, n: int) -> tuple[int, int]:
     return _CLAIMS[claim][0](n)
 
 
-def run_claim(claim: str, A: GSet, *, n: int = 2, cap: int = 20) -> Verdict:
+def run_claim(claim: str, A: GSet, *, n: int = 2, cap: int = MINIMIZER_CAP) -> Verdict:
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
     return _CLAIMS[claim][1](A, n, cap)
@@ -316,8 +316,8 @@ def sweep_claim(
     g: GroupSpec,
     *,
     n: int = 2,
-    cap: int = 20,
-    group_cap: int = 24,
+    cap: int = MINIMIZER_CAP,
+    group_cap: int = Campaign.group_cap,
     sample: int | None = None,
     seed: int = 0,
 ) -> SweepSummary:
