@@ -152,7 +152,7 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _setting(args, config: dict, key: str, default: int) -> int:
+def _setting(args, config: dict, key: str, default: int | None) -> int | None:
     """A numeric setting of at least 1: the flag if given, else the config
     file, else default. A value below 1 is named as it was given."""
     value, name = getattr(args, key), "--" + key.replace("_", "-")
@@ -163,6 +163,13 @@ def _setting(args, config: dict, key: str, default: int) -> int:
     if value < 1:
         raise ParseError(f"{name} must be >= 1, got {value}")
     return value
+
+
+def _unread(args, keys: tuple, reason: str) -> None:
+    """Reject the first flag of ``keys`` that was given: the command does not read it."""
+    for key in keys:
+        if getattr(args, key) is not None:
+            raise ParseError(f"--{key.replace('_', '-')} {reason}")
 
 
 def _threads(args, config: dict) -> int:
@@ -323,16 +330,19 @@ def _verdict_lines(v) -> list:
 
 def _cmd_check(args, config: dict) -> int:
     cap = _setting(args, config, "minimizer_cap", MINIMIZER_CAP)
+    n = _setting(args, config, "n", 2)
     if args.sweep is not None:
+        if args.set is not None:
+            raise ParseError(f"--sweep takes no set literal, got {args.set!r}")
         g = parse_group_literal(args.sweep)
         summary = sweep_claim(
             args.claim,
             g,
-            n=args.n,
+            n=n,
             cap=cap,
             group_cap=_setting(args, config, "group_cap", Campaign.group_cap),
-            sample=args.sample,
-            seed=args.seed,
+            sample=_setting(args, config, "sample", None),
+            seed=args.seed or 0,
         )
         _emit(
             args,
@@ -347,11 +357,12 @@ def _cmd_check(args, config: dict) -> int:
             + [f"violating set: {lit}" for lit in summary.violations],
         )
         return 3 if summary.counts.get(VIOLATED) else 0
+    _unread(args, ("sample", "seed", "group_cap"), "needs --sweep")
     if args.set is None:
         raise ParseError("check needs a set literal or --sweep GROUP", "", 0)
     parsed = parse_set_literal(args.set)
-    A, modulus = _embed_for(parsed, claim_arity(args.claim, args.n))
-    v = run_claim(args.claim, A, n=args.n, cap=cap)
+    A, modulus = _embed_for(parsed, claim_arity(args.claim, n))
+    v = run_claim(args.claim, A, n=n, cap=cap)
     _emit(args, config, v.to_json_dict, lambda: _verdict_lines(v), modulus)
     return 3 if v.outcome == VIOLATED else 0
 
@@ -359,6 +370,7 @@ def _cmd_check(args, config: dict) -> int:
 def _cmd_witness(args, config: dict) -> int:
     parsed = parse_set_literal(args.set)
     if args.kind == "ruzsa":
+        _unread(args, ("C", "base", "order", "minimizer_cap"), "is not read by witness ruzsa")
         A, modulus = _embed_for(parsed, (1, 1))
         table = build_witness_table(A)
         inj = build_injection(A, table)
@@ -404,7 +416,7 @@ def _cmd_witness(args, config: dict) -> int:
         C = GSet(A.group, (c - lo for c in cpts))
     base = GSet(A.group, _parse_int_list(args.base)) if args.base is not None else A.negate()
     mn = find_minimizer(A, base, cap=cap)
-    order = C.elements() if args.order == "asc" else tuple(reversed(C.elements()))
+    order = tuple(reversed(C.elements())) if args.order == "desc" else C.elements()
     tr = replay_trace(A, mn.x, C, order)
     cert = extract_certificate(tr)
 
@@ -437,7 +449,7 @@ def _cmd_witness(args, config: dict) -> int:
             f"set      {args.set}",
             f"X        {{{','.join(map(str, mn.x))}}}",
             f"K        {_ratio(mn.k)} {_approx(mn.k)}",
-            f"C        {{{','.join(map(str, C))}}} processed {args.order}ending",
+            f"C        {{{','.join(map(str, C))}}} processed {args.order or 'asc'}ending",
         ]
         for st in tr.steps:
             rhs = tr.k * st.xc_size
@@ -582,9 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", choices=CLAIM_IDS)
     p.add_argument("set", nargs="?", help="set literal (omit with --sweep)")
     p.add_argument("--sweep", metavar="GROUP", help="run over every non-empty subset")
-    p.add_argument("--n", type=_integer, default=2, help="iterated-sum exponent for thm5")
+    p.add_argument("--n", type=_integer, help="iterated-sum exponent for thm5")
     p.add_argument("--sample", type=_integer, help="sample size for large sweeps")
-    p.add_argument("--seed", type=_integer, default=0, help="seed for sampled sweeps")
+    p.add_argument("--seed", type=_integer, help="seed for sampled sweeps")
     p.add_argument("--minimizer-cap", type=_integer)
     p.add_argument("--group-cap", type=_integer)
     p.add_argument("--format", choices=("human", "json"), default="human")
@@ -595,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("set", help="set literal")
     p.add_argument("--C", help="elements of C, e.g. 0,1 (default: A itself)")
     p.add_argument("--base", help="minimizer base elements (default: -A); with @Z, embedding-group indices")
-    p.add_argument("--order", choices=("asc", "desc"), default="asc")
+    p.add_argument("--order", choices=("asc", "desc"))
     p.add_argument("--minimizer-cap", type=_integer)
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=_cmd_witness)

@@ -228,6 +228,19 @@ def test_mstd_json_records_match_find_mstd(flags, kwargs):
     assert code == 0 and json.loads(out)["records"] == json.loads(json.dumps(expected))
 
 
+def test_mstd_command_calls_find_mstd_once(monkeypatch):
+    calls = []
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return explorer.find_mstd(**kwargs)
+
+    monkeypatch.setattr(cli, "find_mstd", counting)
+    code, out, _ = run(["mstd", "--group", "Z3xZ6", "--threads", "1"])
+    assert code == 0 and len(calls) == 1 and "surplus=" in out
+    assert calls[0]["group"] == GroupSpec((3, 6)) and calls[0]["threads"] == 1
+
+
 def test_exit_codes():
     code, _, err = run(["constants", "0,1,3@"])
     assert code == 1 and "error" in err
@@ -329,8 +342,26 @@ def test_config_out_dir(tmp_path):
         (["check", "ineq1", "3,3,1@Z"], None, "duplicate element 3"),
         (["witness", "petridis", "0,1@Z5", "--C", "1,1"], None, "duplicate element 1"),
         (["witness", "petridis", "0,1@Z5", "--base", "0,4,0"], None, "duplicate element 0"),
-        (["check", "thm1", "--sweep", "Z9", "--sample", "0"], None, "sample size must be >= 1"),
-        (["check", "thm1", "--sweep", "Z9", "--sample", "-4"], None, "sample size must be >= 1"),
+        (["check", "thm1", "--sweep", "Z9", "--sample", "0"], None, "error: --sample must be >= 1, got 0"),
+        (["check", "thm1", "--sweep", "Z9", "--sample", "-4"], None, "error: --sample must be >= 1, got -4"),
+        (["check", "thm5", "0,1@Z8", "--n", "0"], None, "error: --n must be >= 1, got 0"),
+        (["check", "fact1", "0,1@Z5", "--n", "0"], None, "error: --n must be >= 1, got 0"),
+        (["check", "thm3", "--sweep", "Z7", "--n", "-1"], None, "error: --n must be >= 1, got -1"),
+        # input the command does not read
+        (["check", "thm1", "0,1@Z5", "--sweep", "Z6"], None, "error: --sweep takes no set literal, got '0,1@Z5'"),
+        (["check", "fact1", "0,1@Z5", "--sample", "3"], None, "error: --sample needs --sweep"),
+        (["check", "fact1", "0,1@Z5", "--seed", "3"], None, "error: --seed needs --sweep"),
+        (["check", "fact1", "0,1@Z5", "--seed", "-4", "--sample", "0"], None, "error: --sample needs --sweep"),
+        (["check", "thm1", "0,1@Z5", "--group-cap", "8"], None, "error: --group-cap needs --sweep"),
+        (["witness", "ruzsa", "0,1,3@Z8", "--C", "0,1"], None, "error: --C is not read by witness ruzsa"),
+        (["witness", "ruzsa", "0,1,3@Z8", "--base", "0,4"], None, "error: --base is not read by witness ruzsa"),
+        (["witness", "ruzsa", "0,1,3@Z8", "--order", "asc"], None, "error: --order is not read by witness ruzsa"),
+        (["witness", "ruzsa", "0,1,3@Z8", "--order", "desc"], None, "error: --order is not read by witness ruzsa"),
+        (
+            ["witness", "ruzsa", "0,1,3@Z8", "--minimizer-cap", "20"],
+            None,
+            "error: --minimizer-cap is not read by witness ruzsa",
+        ),
         (["check", "thm3", "0,1,3@Z8", "--minimizer-cap", "0"], None, "--minimizer-cap must be >= 1, got 0"),
         (["check", "thm5", "0,1,3@Z8", "--minimizer-cap", "-2"], None, "--minimizer-cap must be >= 1, got -2"),
         (["witness", "petridis", "0,1@Z5", "--minimizer-cap", "0"], None, "--minimizer-cap must be >= 1, got 0"),

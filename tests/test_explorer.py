@@ -153,6 +153,20 @@ def test_find_mstd_sorts_by_surplus_then_mask():
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize(
+    "fields", [{"group": GroupSpec((20,))}, {"ints": (0, 15)}], ids=["Z20", "ints0..15"]
+)
+def test_find_mstd_min_size_filters_in_order(fields):
+    records = find_mstd(**fields)  # cards 8-10 on Z20, 8-9 on the window
+    for k in (8, 9, 10):
+        assert find_mstd(min_size=k, **fields) == [r for r in records if r.card >= k]
+
+
+def test_find_mstd_takes_no_mstd_only():
+    with pytest.raises(TypeError):
+        find_mstd(group=GroupSpec((8,)), mstd_only=False)
+
+
 def test_int_scan_modes_cover_window():
     # dedup x orbit-size == raw count over the window
     _, none = scan(Campaign(ints=(0, 9), mode=MODE_NONE))

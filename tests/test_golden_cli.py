@@ -204,6 +204,13 @@ def _cases() -> list:
     cases += [["check", "thm3", "--sweep", "Z21"], ["check", "thm5", "--sweep", "Z21"]]
     # mstd order: two surplus-2 sets print before the 134 surplus-1 sets.
     cases.append(["mstd", "--group", "Z20", "--format", "human", "--threads", "1"])
+    # Input the command does not read, and --n out of range on a claim that ignores it: exit 1.
+    cases += [
+        ["check", "thm1", "0,1@Z5", "--sweep", "Z6"],
+        ["check", "fact1", "0,1@Z5", "--seed", "3"],
+        ["witness", "ruzsa", "0,1,3@Z8", "--order", "asc"],
+        ["check", "fact1", "0,1@Z5", "--n", "0"],
+    ]
     return cases
 
 
