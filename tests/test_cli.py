@@ -218,7 +218,7 @@ def test_mstd_command():
         (["--ints", "0..14", "--max-size", "8"], {"ints": (0, 14), "max_size": 8}),
         (["--group", "Z3xZ6"], {"group": GroupSpec((3, 6))}),
         (["--ints", "0..9", "--mode", "none"], {"ints": (0, 9), "mode": "none"}),
-        (["--group", "Z20"], {"group": GroupSpec((20,))}),  # surpluses 1 and 2: the order shows
+        (["--group", "Z20"], {"group": GroupSpec((20,))}),  # surpluses 1 and 2
     ],
     ids=["ints-0..14", "Z3xZ6", "ints-0..9-none", "Z20"],
 )
