@@ -146,7 +146,7 @@ def test_find_mstd_none_below_width_eight():
 
 
 def test_find_mstd_sorts_by_surplus_then_mask():
-    # Z20 is the smallest cyclic group with two surpluses (two sets of 2, 134 of 1)
+    # Z20 has two surpluses: two sets of 2 and 134 of 1
     records = find_mstd(group=GroupSpec((20,)))
     keys = [(r.diff_card - r.sum_card, sum(1 << e for e in r.elements)) for r in records]
     assert {-s for s, _ in keys} == {1, 2}
