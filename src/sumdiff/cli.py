@@ -23,20 +23,12 @@ from math import isfinite
 
 from ._version import VERSION
 from .errors import CapExceededError, ParseError, SumdiffError
-from .explorer import (
-    MODES,
-    MODE_TRANSLATION_NEGATION,
-    Campaign,
-    exponent_report,
-    find_mstd,
-    scan,
-    write_csv,
-)
-from .groups import GroupSpec, is_coset
+from .explorer import MODES, Campaign, exponent_report, find_mstd, scan, write_csv
+from .groups import GroupSpec
 from .petridis import MINIMIZER_CAP, extract_certificate, find_minimizer, replay_trace
-from .ruzsa import build_injection, build_witness_table, check_surjective, verify_injective
-from .sets import GSet, diffset, embed_integer_set, sumset
-from .theorems import CLAIM_IDS, VIOLATED, claim_arity, run_claim, sweep_claim
+from .ruzsa import build_injection, check_surjective, verify_injective
+from .sets import GSet, embed_integer_set, sumset
+from .theorems import CLAIM_IDS, DEFAULT_N, VIOLATED, check_fact1, claim_arity, run_claim, sweep_claim
 
 __all__ = ["main", "console", "parse_group_literal", "parse_set_literal", "ParsedSet"]
 
@@ -278,18 +270,15 @@ def _embed_for(parsed: ParsedSet, arity: tuple[int, int]) -> tuple[GSet, int | N
 def _cmd_constants(args, config: dict) -> int:
     parsed = parse_set_literal(args.set)
     A, modulus = _embed_for(parsed, (1, 1))
-    s = sumset(A, A).card
-    d = diffset(A, A).card
-    sig = Fraction(s, A.card)
-    dlt = Fraction(d, A.card)
-    coset = is_coset(A) is not None if parsed.kind == "group" else A.card == 1
+    v = check_fact1(A)
+    sig, dlt, coset = v.ratios["sigma"], v.ratios["delta"], v.details["coset"]
     _emit(
         args,
         config,
         lambda: {
             "set": args.set,
             "group": parsed.group.label() if parsed.group else "Z",
-            "sizes": {"A": A.card, "AA": s, "AmA": d},
+            "sizes": v.sizes,
             "sigma": [sig.numerator, sig.denominator],
             "delta": [dlt.numerator, dlt.denominator],
             "coset": coset,
@@ -297,8 +286,8 @@ def _cmd_constants(args, config: dict) -> int:
         lambda: [
             f"set      {args.set}",
             f"|A|      {A.card}",
-            f"|A+A|    {s}",
-            f"|A-A|    {d}",
+            f"|A+A|    {v.sizes['AA']}",
+            f"|A-A|    {v.sizes['AmA']}",
             f"sigma    {_ratio(sig)} {_approx(sig)}",
             f"delta    {_ratio(dlt)} {_approx(dlt)}",
             f"coset    {str(coset).lower()}",
@@ -330,7 +319,7 @@ def _verdict_lines(v) -> list:
 
 def _cmd_check(args, config: dict) -> int:
     cap = _setting(args, config, "minimizer_cap", MINIMIZER_CAP)
-    n = _setting(args, config, "n", 2)
+    n = _setting(args, config, "n", DEFAULT_N)
     if args.sweep is not None:
         if args.set is not None:
             raise ParseError(f"--sweep takes no set literal, got {args.set!r}")
@@ -372,8 +361,7 @@ def _cmd_witness(args, config: dict) -> int:
     if args.kind == "ruzsa":
         _unread(args, ("C", "base", "order", "minimizer_cap"), "is not read by witness ruzsa")
         A, modulus = _embed_for(parsed, (1, 1))
-        table = build_witness_table(A)
-        inj = build_injection(A, table)
+        inj = build_injection(A)
         injective = verify_injective(inj)
         surjective = check_surjective(inj)
         _emit(
@@ -384,7 +372,7 @@ def _cmd_witness(args, config: dict) -> int:
                 "injective": injective,
                 "surjective": surjective,
                 "witness_map": [
-                    {"w": w, "u": u, "v": v} for w, (u, v) in sorted(table.pairs.items())
+                    {"w": w, "u": u, "v": v} for w, (u, v) in sorted(inj.witness.pairs.items())
                 ],
                 "injection_map": [
                     {"a": a, "u": u, "out1": o1, "out2": o2}
@@ -397,7 +385,7 @@ def _cmd_witness(args, config: dict) -> int:
                 f"surjective {str(surjective).lower()}",
                 f"domain     {len(inj.pairs)} pairs; codomain {sumset(A, A).card}^2",
             ]
-            + [f"  w={w}: u={u} v={v}" for w, (u, v) in sorted(table.pairs.items())],
+            + [f"  w={w}: u={u} v={v}" for w, (u, v) in sorted(inj.witness.pairs.items())],
             modulus,
             "modulus    Z{} (embedding)",
         )
@@ -616,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     universe.add_argument("--group", help="group literal, e.g. Z10")
     universe.add_argument("--ints", help="integer window, e.g. 0..14")
     universe.add_argument("--max-size", type=_integer)
-    universe.add_argument("--mode", choices=MODES, default=MODE_TRANSLATION_NEGATION)
+    universe.add_argument("--mode", choices=MODES, default=Campaign.mode)
     universe.add_argument("--threads", type=_integer, help="worker processes (default: all cores)")
     universe.add_argument("--group-cap", type=_integer)
     universe.add_argument("--width-cap", type=_integer)
@@ -625,14 +613,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", parents=[universe], help="enumerate canonical subsets and their statistics")
     p.add_argument("--all", action="store_true", help="every non-empty subset (default)")
-    p.add_argument("--min-size", type=_integer, default=1)
+    p.add_argument("--min-size", type=_integer, default=Campaign.min_size)
     p.add_argument("--mstd", action="store_true", help="keep only sum-dominant records")
     p.add_argument("--exponents", action="store_true", help="append the exponent report")
     p.add_argument("--range", help="representative mask range LO:HI for partitioning")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("mstd", parents=[universe], help="list sum-dominant sets, largest surplus first")
-    p.set_defaults(func=_cmd_mstd, min_size=1)
+    p.set_defaults(func=_cmd_mstd, min_size=Campaign.min_size)
 
     return parser
 

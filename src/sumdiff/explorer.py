@@ -194,6 +194,8 @@ class Campaign:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.min_size < 1:
             raise ValueError("min_size must be >= 1")
+        if self.max_size is not None and self.max_size < self.min_size:
+            raise ValueError(f"empty size window {self.min_size}..{self.max_size}")
         if self.group is not None and self.group.order > self.group_cap:
             raise CapExceededError(
                 f"group order {self.group.order} exceeds scan cap {self.group_cap}"

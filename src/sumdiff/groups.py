@@ -127,14 +127,9 @@ class GroupSpec:
         return (self._neg_index or self._fill_neg_index())[a]
 
     def scale(self, a: int, u: int) -> int:
-        """Scalar multiple u*a, computed residue-wise."""
+        """Scalar multiple u*a, read from the table scale_mask builds for u."""
         self.check_element(a)
-        idx, stride = 0, 1
-        for n in self.moduli:
-            a, ra = divmod(a, n)
-            idx += (ra * u % n) * stride
-            stride *= n
-        return idx
+        return self._scale_bit(u)[a].bit_length() - 1
 
     def units(self) -> tuple[int, ...]:
         """Scalars acting bijectively on the group (coprime to the exponent)."""

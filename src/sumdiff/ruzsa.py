@@ -8,7 +8,7 @@ Injectivity of this map is the constructive content of the size bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import EmptySetError
 from .sets import GSet, diffset, sumset
@@ -38,6 +38,10 @@ class InjectionTable:
     base: GSet
     witness: WitnessTable
     pairs: dict  # (a, w) -> (out1, out2)
+    image: int = field(init=False)  # how many distinct values the map takes
+
+    def __post_init__(self):
+        self.image = len(set(self.pairs.values()))
 
 
 def build_witness_table(A: GSet) -> WitnessTable:
@@ -80,9 +84,9 @@ def verify_injective(inj: InjectionTable) -> bool:
     Expected to hold for every non-empty set; a False return means the
     construction itself is broken.
     """
-    return len(set(inj.pairs.values())) == len(inj.pairs)
+    return inj.image == len(inj.pairs)
 
 
 def check_surjective(inj: InjectionTable) -> bool:
     """True iff every pair in (A+A) x (A+A) is attained."""
-    return len(set(inj.pairs.values())) == sumset(inj.base, inj.base).card ** 2
+    return inj.image == sumset(inj.base, inj.base).card ** 2

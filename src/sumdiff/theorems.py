@@ -30,7 +30,7 @@ from .errors import CapExceededError, EmptySetError
 from .explorer import MODE_FULL_AFFINE, Campaign, _canonical_masks, _group_orbit
 from .groups import GroupSpec, is_coset
 from .petridis import MINIMIZER_CAP, find_minimizer
-from .ruzsa import build_injection, build_witness_table
+from .ruzsa import build_injection, build_witness_table, verify_injective
 from .sets import GSet, diffset, sumset
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
 HOLDS = "holds"
 EQUALITY = "equality-case"
 VIOLATED = "violated"
+DEFAULT_N = 2  # thm5's iterated-sum exponent n when none is given
 
 @dataclass(frozen=True)
 class Verdict:
@@ -148,9 +149,8 @@ def check_upper(A: GSet) -> Verdict:
     two_a, table = _two_a(A), build_witness_table(A)
     a, s, d, sizes, ratios = _base(A, two_a, len(table.pairs))
     inj = build_injection(A, table)
-    image = len(set(inj.pairs.values()))
-    injective = image == len(inj.pairs)
-    surjective = image == s * s
+    injective = verify_injective(inj)
+    surjective = inj.image == s * s  # check_surjective, with |A+A| already known
     coset = is_coset(A) is not None
     upper_ok = d * a <= s * s
     upper_tight = d * a == s * s
@@ -278,7 +278,7 @@ def claim_arity(claim: str, n: int) -> tuple[int, int]:
     return _CLAIMS[claim][0](n)
 
 
-def run_claim(claim: str, A: GSet, *, n: int = 2, cap: int = MINIMIZER_CAP) -> Verdict:
+def run_claim(claim: str, A: GSet, *, n: int = DEFAULT_N, cap: int = MINIMIZER_CAP) -> Verdict:
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
     return _CLAIMS[claim][1](A, n, cap)
@@ -315,7 +315,7 @@ def sweep_claim(
     claim: str,
     g: GroupSpec,
     *,
-    n: int = 2,
+    n: int = DEFAULT_N,
     cap: int = MINIMIZER_CAP,
     group_cap: int = Campaign.group_cap,
     sample: int | None = None,

@@ -10,8 +10,10 @@ from fractions import Fraction
 import pytest
 
 import sumdiff
-from sumdiff import GroupSpec, ParseError, cli, explorer
+from sumdiff import Campaign, GroupSpec, ParseError, check_fact1, cli, embed_integer_set, explorer, is_coset, scan
 from sumdiff.cli import main, parse_group_literal, parse_set_literal
+
+from test_golden_cli import GROUP_SETS, INT_SETS
 
 
 def run(argv):
@@ -72,6 +74,25 @@ def test_constants_roundtrip_json():
     assert payload["sigma"] == [2, 1] and payload["delta"] == [7, 3]
     reparsed = parse_set_literal(payload["set"])
     assert reparsed.gset().elements() == (0, 1, 3)
+
+
+def test_integer_sets_embed_as_cosets_only_when_singletons():
+    # why constants needs no integer-mode coset rule of its own: fact1's is_coset decides
+    for mask in range(512):  # least element 0, largest at most 9
+        values = (0, *(i + 1 for i in range(9) if mask >> i & 1))
+        _, A = embed_integer_set(values, 1, 1)
+        assert (is_coset(A) is not None) == (len(values) == 1), values
+
+
+@pytest.mark.parametrize("literal", GROUP_SETS + INT_SETS)
+def test_constants_json_agrees_with_fact1(literal):
+    code, out, _ = run(["constants", literal, "--format", "json"])
+    parsed = parse_set_literal(literal)
+    A = parsed.gset() if parsed.kind == "group" else embed_integer_set(parsed.values, 1, 1)[1]
+    v = check_fact1(A)
+    got = json.loads(out)
+    assert code == 0 and got["sizes"] == v.sizes and got["coset"] == v.details["coset"]
+    assert Fraction(*got["sigma"]) == v.ratios["sigma"] and Fraction(*got["delta"]) == v.ratios["delta"]
 
 
 def test_check_single_and_exit_codes():
@@ -222,9 +243,14 @@ def test_mstd_command():
     ],
     ids=["ints-0..14", "Z3xZ6", "ints-0..9-none", "Z20"],
 )
-def test_mstd_json_records_match_find_mstd(flags, kwargs):
+def test_mstd_json_records_match_sorted_scan(flags, kwargs):
     code, out, _ = run(["mstd", *flags, "--format", "json", "--threads", "1"])
-    expected = [r.to_json_dict() for r in explorer.find_mstd(**kwargs)]
+    lo = kwargs["ints"][0] if "ints" in kwargs else 0
+    mask = lambda r: sum(1 << (e - lo) for e in r.elements)
+    records, _ = scan(Campaign(**kwargs))
+    mstd = [r for r in records if r.sum_card > r.diff_card]
+    mstd.sort(key=lambda r: (r.diff_card - r.sum_card, mask(r)))  # largest surplus first, then by mask
+    expected = [r.to_json_dict() for r in mstd]
     assert code == 0 and json.loads(out)["records"] == json.loads(json.dumps(expected))
 
 
@@ -239,6 +265,18 @@ def test_mstd_command_calls_find_mstd_once(monkeypatch):
     code, out, _ = run(["mstd", "--group", "Z3xZ6", "--threads", "1"])
     assert code == 0 and len(calls) == 1 and "surplus=" in out
     assert calls[0]["group"] == GroupSpec((3, 6)) and calls[0]["threads"] == 1
+
+
+def test_python_m_sumdiff_runs_the_console_entry_point():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sumdiff.__file__)))
+    call = lambda *argv: subprocess.run(
+        [sys.executable, "-m", "sumdiff", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert call("constants", "0,1@Z5").returncode == 0
+    assert call("constants", "0,x@Z5").returncode == 1
+    assert call("check", "thm3", "--sweep", "Z26").returncode == 2
+    version = call("--version")
+    assert (version.returncode, version.stdout) == (0, f"sumdiff {sumdiff.__version__}\n")
 
 
 def test_exit_codes():

@@ -126,6 +126,17 @@ def test_campaign_validation():
         Campaign(ints=(0, 5), mode="bogus").validate()
 
 
+@pytest.mark.parametrize("window", [{"group": GroupSpec((6,))}, {"ints": (0, 5)}], ids=["Z6", "ints"])
+def test_empty_size_window_is_rejected(window):
+    with pytest.raises(ValueError, match="empty size window 3..2"):
+        scan(Campaign(min_size=3, max_size=2, **window))
+    with pytest.raises(ValueError, match="empty size window 3..2"):
+        find_mstd(min_size=3, max_size=2, **window)
+    with pytest.raises(ValueError, match="empty size window 1..0"):
+        next(enumerate_canonical(Campaign(max_size=0, **window)))
+    assert len(list(enumerate_canonical(Campaign(min_size=3, max_size=3, **window)))) > 0
+
+
 def test_find_mstd_classical_window():
     records = find_mstd(ints=(0, 14), max_size=8)
     assert any(r.elements == (0, 2, 3, 4, 7, 11, 12, 14) for r in records)

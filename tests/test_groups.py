@@ -17,7 +17,7 @@ from sumdiff import (
 from sumdiff import groups
 from sumdiff.groups import iter_bits
 
-from oracles import add_idx, naive_subgroup_masks, neg_idx
+from oracles import add_idx, naive_subgroup_masks, neg_idx, scale_idx
 
 SMALL_GROUPS = [
     GroupSpec((1,)),
@@ -58,6 +58,14 @@ def test_group_axioms(g):
     for _ in range(50):
         a, b, c = (rng.randrange(g.order) for _ in range(3))
         assert g.add(g.add(a, b), c) == g.add(a, g.add(b, c))
+
+
+@pytest.mark.parametrize("g", SMALL_GROUPS, ids=lambda g: g.label())
+def test_scale_agrees_with_scale_mask_for_every_integer(g):
+    for u in range(-2 * g.exponent - 1, 2 * g.exponent + 2):  # units and non-units, negative too
+        for a in g.elements():
+            assert g.scale(a, u) == scale_idx(g.moduli, a, u)
+            assert 1 << g.scale(a, u) == g.scale_mask(1 << a, u)
 
 
 @pytest.mark.parametrize("g", SMALL_GROUPS, ids=lambda g: g.label())

@@ -6,6 +6,7 @@ from sumdiff import (
     EmptySetError,
     GroupSpec,
     GSet,
+    InjectionTable,
     build_injection,
     build_witness_table,
     check_surjective,
@@ -63,6 +64,16 @@ def test_injection_table_mismatch():
     t = build_witness_table(gs((5,), [0, 1]))
     with pytest.raises(ValueError):
         build_injection(gs((5,), [0, 2]), t)
+
+
+def test_injection_counts_its_image_once():
+    A = gs((5,), [0, 1])
+    inj = build_injection(A)
+    assert inj.image == len(set(inj.pairs.values())) == 6
+    again = InjectionTable(A, inj.witness, inj.pairs)  # image is computed, not passed
+    assert again == inj and again.image == 6
+    collided = InjectionTable(A, inj.witness, dict.fromkeys(inj.pairs, (0, 0)))
+    assert collided.image == 1 and not verify_injective(collided) and not check_surjective(collided)
 
 
 def test_injective_examples():
