@@ -363,7 +363,8 @@ def _cmd_witness(args, config: dict) -> int:
         A, modulus = _embed_for(parsed, (1, 1))
         inj = build_injection(A)
         injective = verify_injective(inj)
-        surjective = check_surjective(inj)
+        sum_card = sumset(A, A).card
+        surjective = check_surjective(inj, sum_card)
         _emit(
             args,
             config,
@@ -383,7 +384,7 @@ def _cmd_witness(args, config: dict) -> int:
                 f"set        {args.set}",
                 f"injective  {str(injective).lower()}",
                 f"surjective {str(surjective).lower()}",
-                f"domain     {len(inj.pairs)} pairs; codomain {sumset(A, A).card}^2",
+                f"domain     {len(inj.pairs)} pairs; codomain {sum_card}^2",
             ]
             + [f"  w={w}: u={u} v={v}" for w, (u, v) in sorted(inj.witness.pairs.items())],
             modulus,

@@ -337,7 +337,7 @@ def _record(campaign: Campaign, mask: int, orbit_size: int, translates: list) ->
     g = campaign.group
     bits = iter_bits(mask)
     card = len(bits)
-    neg = (g._neg_index or g._fill_neg_index()) if g else range(bits[-1], -1, -1)
+    neg = g.scale_table(-1) if g else range(bits[-1], -1, -1)
     s = d = 0
     for b in bits:
         s |= translates[b]

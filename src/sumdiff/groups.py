@@ -10,6 +10,7 @@ deterministic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
 
@@ -18,7 +19,7 @@ from .errors import CapExceededError, EmptySetError, InvalidElementError
 __all__ = ["GroupSpec", "iter_bits", "enumerate_subgroups", "is_coset"]
 
 
-# _BYTE_BITS[k][b]: the set bit positions of b << 8k, ascending; grown on first use.
+# _BYTE_BITS[k][b]: the set bit positions of b << 8k, ascending; grown on first use, to bit 255.
 _BYTE_BITS: list = []
 
 
@@ -26,6 +27,8 @@ def iter_bits(mask: int) -> tuple[int, ...]:
     """The set bit positions of ``mask`` in ascending order, one table read per byte."""
     tables = _BYTE_BITS
     while len(tables) << 3 <= mask.bit_length():  # `<=`: tables[0] too, which mask 0 reads
+        if len(tables) == 32:  # 256 bits or wider: scan the binary string, linear in the width
+            return tuple(m.start() for m in re.finditer("1", bin(mask)[:1:-1]))
         pos = [*range(len(tables) << 3, len(tables) + 1 << 3)]  # one int per bit, shared
         tables.append(tuple(tuple(p for i, p in enumerate(pos) if b >> i & 1) for b in range(256)))
     bits = tables[0][mask & 255]
@@ -45,10 +48,9 @@ class GroupSpec:
     moduli: tuple[int, ...]
     order: int = field(init=False, repr=False, compare=False)
     _label: str = field(init=False, repr=False, compare=False)
-    # Filled on first use, freed with the group: u -> bit of u*i per i (_scale_bit), the index
-    # of -i per i, and the moves of shift_mask and translates. Set in __post_init__: a later key slows reads.
+    # Filled on first use, freed with the group: u % order -> the index of u*i per i, and the
+    # moves of shift_mask and translates. Set in __post_init__: a later key slows reads.
     _scale_tables: dict = field(init=False, repr=False, compare=False)
-    _neg_index: list = field(init=False, repr=False, compare=False)
     _shift_layout: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -61,7 +63,6 @@ class GroupSpec:
         object.__setattr__(self, "order", prod(mods))
         object.__setattr__(self, "_label", "x".join(f"Z{n}" for n in mods))
         object.__setattr__(self, "_scale_tables", {})
-        object.__setattr__(self, "_neg_index", [])
         object.__setattr__(self, "_shift_layout", [])
 
     def label(self) -> str:
@@ -123,13 +124,11 @@ class GroupSpec:
         return idx
 
     def neg(self, a: int) -> int:
-        self.check_element(a)
-        return (self._neg_index or self._fill_neg_index())[a]
+        return self.scale_table(-1)[self.check_element(a)]
 
     def scale(self, a: int, u: int) -> int:
-        """Scalar multiple u*a, read from the table scale_mask builds for u."""
-        self.check_element(a)
-        return self._scale_bit(u)[a].bit_length() - 1
+        """Scalar multiple u*a, read from ``scale_table(u)``."""
+        return self.scale_table(u)[self.check_element(a)]
 
     def units(self) -> tuple[int, ...]:
         """Scalars acting bijectively on the group (coprime to the exponent)."""
@@ -175,11 +174,10 @@ class GroupSpec:
         layout = self._shift_layout
         stride = 1
         for nj in self.moduli:
-            sel = [0] * nj  # sel[r]: the elements whose digit j is r; disjoint, so sum = union
-            for i in range(self.order):
-                sel[(i // stride) % nj] |= 1 << i
+            rep = ((1 << self.order) - 1) // ((1 << stride * nj) - 1)  # bit 0 of each period of digit j
+            low = [((1 << (r + 1) * stride) - 1) * rep for r in range(nj)]  # low[r]: digit j <= r
             moves = [None] + [
-                (sum(sel[: nj - aj]), aj * stride, sum(sel[nj - aj :]), (nj - aj) * stride)
+                (low[nj - aj - 1], aj * stride, low[-1] ^ low[nj - aj - 1], (nj - aj) * stride)
                 for aj in range(1, nj)
             ]
             layout.append((nj, tuple(moves)))
@@ -189,31 +187,29 @@ class GroupSpec:
     # neg_mask maps through the table itself: calling scale_mask would count
     # one negation twice wherever both methods are instrumented.
     def neg_mask(self, mask: int) -> int:
-        return _map_bits(self._scale_bit(-1), mask)
+        return _map_bits(self.scale_table(-1), mask)
 
     def scale_mask(self, mask: int, u: int) -> int:
-        return _map_bits(self._scale_bit(u), mask)
+        return _map_bits(self.scale_table(u), mask)
 
-    def _fill_neg_index(self) -> list:
-        self._neg_index.extend(b.bit_length() - 1 for b in self._scale_bit(-1))
-        return self._neg_index
+    def scale_table(self, u: int) -> tuple[int, ...]:
+        """The index of u*i for each element i: one table per residue of u mod the order."""
+        u %= self.order
+        return self._scale_tables.get(u) or self._fill_scale_table(u)
 
-    def _scale_bit(self, u: int) -> tuple[int, ...]:
-        tables = self._scale_tables
-        if u not in tables:
-            images, stride = [0], 1  # u*i residue-wise, built one cyclic factor at a time
-            for n in self.moduli:
-                images = [x + (r * u % n) * stride for r in range(n) for x in images]
-                stride *= n
-            tables[u] = tuple(1 << x for x in images)
-        return tables[u]
+    def _fill_scale_table(self, u: int) -> tuple[int, ...]:
+        images, stride = [0], 1  # u*i residue-wise, built one cyclic factor at a time
+        for n in self.moduli:
+            images = [x + (r * u % n) * stride for r in range(n) for x in images]
+            stride *= n
+        return self._scale_tables.setdefault(u, tuple(images))
 
 
 def _map_bits(table: tuple[int, ...], mask: int) -> int:
-    """Union of ``table[i]`` over the set bits i of ``mask``."""
+    """The mask of the indices ``table[i]`` over the set bits i of ``mask``."""
     acc = 0
     for i in iter_bits(mask):
-        acc |= table[i]
+        acc |= 1 << table[i]
     return acc
 
 
@@ -262,8 +258,8 @@ def is_coset(A) -> tuple | None:
     """Decompose A as (subgroup H, representative a0), or None.
 
     Uses a0 = least element of A; A is a coset exactly when H = A - a0 is
-    closed under subtraction. The answer does not depend on which member is
-    used as the representative.
+    closed under addition, since H holds 0 and is finite. The answer does not
+    depend on which member is used as the representative.
     """
     if A.card == 0:
         raise EmptySetError("the empty set is not a coset of anything")
@@ -273,6 +269,6 @@ def is_coset(A) -> tuple | None:
     a0 = (A.mask & -A.mask).bit_length() - 1
     h = g.shift_mask(A.mask, g.neg(a0))
     for b in iter_bits(h):
-        if g.shift_mask(h, g.neg(b)) & ~h:
+        if g.shift_mask(h, b) & ~h:
             return None
     return GSet.from_mask(g, h), a0

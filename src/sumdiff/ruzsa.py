@@ -87,6 +87,8 @@ def verify_injective(inj: InjectionTable) -> bool:
     return inj.image == len(inj.pairs)
 
 
-def check_surjective(inj: InjectionTable) -> bool:
-    """True iff every pair in (A+A) x (A+A) is attained."""
-    return inj.image == sumset(inj.base, inj.base).card ** 2
+def check_surjective(inj: InjectionTable, sum_card: int | None = None) -> bool:
+    """True iff every pair in (A+A) x (A+A) is attained; ``sum_card`` is |A+A| if known."""
+    if sum_card is None:
+        sum_card = sumset(inj.base, inj.base).card
+    return inj.image == sum_card**2

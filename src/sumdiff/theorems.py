@@ -30,7 +30,7 @@ from .errors import CapExceededError, EmptySetError
 from .explorer import MODE_FULL_AFFINE, Campaign, _canonical_masks, _group_orbit
 from .groups import GroupSpec, is_coset
 from .petridis import MINIMIZER_CAP, find_minimizer
-from .ruzsa import build_injection, build_witness_table, verify_injective
+from .ruzsa import build_injection, build_witness_table, check_surjective, verify_injective
 from .sets import GSet, diffset, sumset
 
 __all__ = [
@@ -150,7 +150,7 @@ def check_upper(A: GSet) -> Verdict:
     a, s, d, sizes, ratios = _base(A, two_a, len(table.pairs))
     inj = build_injection(A, table)
     injective = verify_injective(inj)
-    surjective = inj.image == s * s  # check_surjective, with |A+A| already known
+    surjective = check_surjective(inj, s)
     coset = is_coset(A) is not None
     upper_ok = d * a <= s * s
     upper_tight = d * a == s * s

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import sumdiff
-from sumdiff import Campaign, GroupSpec, ParseError, check_fact1, cli, embed_integer_set, explorer, is_coset, scan
+from sumdiff import Campaign, GroupSpec, ParseError, check_fact1, cli, embed_integer_set, explorer, is_coset, ruzsa, scan
 from sumdiff.cli import main, parse_group_literal, parse_set_literal
 
 from test_golden_cli import GROUP_SETS, INT_SETS
@@ -139,6 +140,21 @@ def test_witness_ruzsa():
     assert {"w": 1, "u": 1, "v": 0} in payload["witness_map"]
     assert {"a": 0, "u": 1, "out1": 1, "out2": 0} in payload["injection_map"]
     assert len(payload["injection_map"]) == 6
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_witness_ruzsa_counts_the_sumset_once(monkeypatch, fmt):
+    calls = []
+
+    def counting(A, B):
+        calls.append(A)
+        return sumset(A, B)
+
+    sumset = cli.sumset
+    monkeypatch.setattr(cli, "sumset", counting)
+    monkeypatch.setattr(ruzsa, "sumset", counting)
+    code, out, _ = run(["witness", "ruzsa", "0,1,3@Z8", "--format", fmt])
+    assert code == 0 and "surjective" in out and len(calls) == 1
 
 
 def test_witness_petridis():
@@ -531,6 +547,36 @@ def _fresh_process(argv):
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60)
     return out.returncode, out.stdout, out.stderr
+
+
+def _limited_process(argv, limit_mb):
+    """(exit code, stdout, stderr, peak RSS in MB) of ``python -m sumdiff argv`` in a
+    child whose address space is capped at ``limit_mb``: a memory regression then
+    fails the child instead of exhausting the machine."""
+    src = os.path.dirname(os.path.dirname(sumdiff.__file__))
+
+    def cap():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
+        resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sumdiff", *argv], env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, preexec_fn=cap,
+    )
+    with proc.stdout, proc.stderr:  # both small; wait4 then gives this child's own usage
+        out, err = proc.stdout.read(), proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out, err, usage.ru_maxrss / 1024
+
+
+@pytest.mark.parametrize("argv", [["constants"], ["check", "thm3"], ["witness", "ruzsa"]], ids=" ".join)
+def test_wide_integer_literal_runs_in_bounded_memory(argv):
+    # the embedding modulus is in the millions: each map of the group is one index table
+    code, out, err, peak_mb = _limited_process([*argv, "0,1,1000000@Z", "--format", "json"], 1024)
+    assert (code, err) == (0, "") and peak_mb < 300
+    payload = json.loads(out)
+    assert payload["set"].startswith("0,1,1000000") and payload.get("sizes", {"A": 3})["A"] == 3
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import resource
 import shlex
 import sys
 import tempfile
@@ -33,6 +34,10 @@ if __name__ == "__main__":
 from sumdiff.cli import main  # noqa: E402
 
 FIXTURE = ROOT / "tests" / "golden" / "cli_matrix.txt"
+# The matrix runs under this address-space cap, so a case whose tables outgrow
+# it (the integer literals below reach moduli in the millions) raises
+# MemoryError instead of exhausting the machine.
+ADDRESS_SPACE_CAP = 2 << 30
 
 # {tmp} is the case directory; --out files go to {tmp}/out and are digested.
 CONFIGS = {
@@ -211,6 +216,11 @@ def _cases() -> list:
         ["witness", "ruzsa", "0,1,3@Z8", "--order", "asc"],
         ["check", "fact1", "0,1@Z5", "--n", "0"],
     ]
+    # Integer literals whose embedding modulus runs to the millions, and a long product factor.
+    for lit, fmts in (("0,1,20000@Z", ("human", "json")), ("0,1,1000000@Z", ("json",))):
+        for argv in (["constants"], ["check", "thm3"], ["witness", "ruzsa"]):
+            cases += [[*argv, lit, "--format", fmt] for fmt in fmts]
+    cases.append(["constants", "0,1,3@Z2xZ2000", "--format", "json"])
     return cases
 
 
@@ -233,9 +243,15 @@ def render_matrix(tmp: Path) -> list:
     for name, text in CONFIGS.items():
         (tmp / name).write_text(text.replace("{tmp}", str(tmp)), encoding="utf-8")
     lines = []
-    for argv in _cases():
-        code, digest = _run_case(argv, tmp)
-        lines.append(f"{digest} {code} {shlex.join(argv)}")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = ADDRESS_SPACE_CAP if soft == resource.RLIM_INFINITY else min(soft, ADDRESS_SPACE_CAP)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        for argv in _cases():
+            code, digest = _run_case(argv, tmp)
+            lines.append(f"{digest} {code} {shlex.join(argv)}")
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
     return lines
 
 

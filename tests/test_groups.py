@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -195,16 +196,47 @@ ITER_BITS_MASKS = (
     [0]
     + [1 << b for b in (0, 7, 8, 15, 16, 63, 64, 255)]
     + [0b11 << 7, 0b11 << 15, 0x1FF << 4, 0x8001 << 7, ((1 << 40) - 1) << 3, (1 << 64) - 1, 0xFF << 56]
+    + [1 << 256, (1 << 256) - 1, (1 << 2047) | 1 << 255]  # read past the last byte table
 )
 
 
 def test_iter_bits_matches_shift_and_test(monkeypatch):
     monkeypatch.setattr(groups, "_BYTE_BITS", [])  # grown from nothing, first by mask 0
     rng = random.Random(8)
-    masks = ITER_BITS_MASKS + [rng.getrandbits(rng.randint(1, 300)) for _ in range(400)]
+    masks = ITER_BITS_MASKS + [rng.getrandbits(rng.randint(1, 2048)) for _ in range(400)]
     for mask in masks:
         bits = iter_bits(mask)
         assert type(bits) is tuple and bits == _shift_and_test(mask), hex(mask)
+
+
+def test_iter_bits_builds_no_table_past_bit_255(monkeypatch):
+    monkeypatch.setattr(groups, "_BYTE_BITS", [])
+    tracemalloc.start()
+    try:
+        assert iter_bits((1 << 20000) | 1) == (0, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(groups._BYTE_BITS) <= 32 and peak < 2 << 20
+
+
+def test_one_scale_table_per_residue():
+    g = GroupSpec((6,))
+    assert g.scale(1, 1) == g.scale(1, 7) == g.scale(1, -5) == 1
+    assert len(g._scale_tables) == 1
+    assert g.neg(2) == g.scale(2, 5) == 4 and len(g._scale_tables) == 2
+
+
+def test_negation_table_is_linear_in_the_order():
+    g = GroupSpec((20001,))
+    iter_bits(1 << 300)  # the byte tables are shared and built once; keep them out of the peak
+    tracemalloc.start()
+    try:
+        assert g.neg_mask(1 | 1 << 10000) == 1 | 1 << 10001
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_gset_iteration_is_unchanged():
