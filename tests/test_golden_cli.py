@@ -221,6 +221,10 @@ def _cases() -> list:
         for argv in (["constants"], ["check", "thm3"], ["witness", "ruzsa"]):
             cases += [[*argv, lit, "--format", fmt] for fmt in fmts]
     cases.append(["constants", "0,1,3@Z2xZ2000", "--format", "json"])
+    # Exhaustive sweeps of product groups with more automorphisms than unit scalars.
+    for group in ("Z2xZ8", "Z4xZ4", "Z2xZ2xZ2xZ2"):
+        cases += [["check", claim, "--sweep", group, "--format", "json"] for claim in ("fact1", "thm2", "thm3")]
+    cases.append(["check", "ineq1", "--sweep", "Z3xZ3", "--format", "json"])
     return cases
 
 
