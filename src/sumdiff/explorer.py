@@ -241,16 +241,26 @@ class Campaign:
 # -- orbit machinery ---------------------------------------------------------
 
 
-def _group_orbit(g: GroupSpec, mask: int, mode: str) -> tuple[set, list]:
-    """Every image of ``mask`` under the symmetries of ``mode`` (not ``none``),
-    and the mask's own translates: ``translates[t]`` is A + t."""
+def _group_orbit(g: GroupSpec, mask: int, mode: str, maps: tuple = ()) -> tuple[set, list]:
+    """Every image of ``mask`` under the symmetries of ``mode`` (not ``none``) and the
+    automorphism index tables ``maps``, and the mask's translates: ``translates[t]`` is A + t."""
     translates = g.translates(mask)
-    orbit = set(translates)
+    orbit, classes = set(translates), [mask]
     if mode != MODE_TRANSLATION:
         units = (-1,) if mode == MODE_TRANSLATION_NEGATION else g.units()
         for s in {g.scale_mask(mask, u) for u in units}:
             if s not in orbit:  # else its translates are already in
                 orbit.update(g.translates(s))
+                classes.append(s)
+    for b in classes if maps else ():  # a BFS over translation classes, as f(A + t) = f(A) + f(t)
+        bits = iter_bits(b)
+        for table in maps:
+            s = 0
+            for i in bits:
+                s |= 1 << table[i]
+            if s not in orbit:
+                orbit.update(g.translates(s))
+                classes.append(s)
     return orbit, translates
 
 
@@ -272,10 +282,10 @@ def _int_orbit_size(mask: int, width: int, mode: str) -> int:
     return 0 if mirror < mask else translates if mirror == mask else 2 * translates
 
 
-def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int) -> Iterator[tuple]:
+def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
     """Yield (representative mask, orbit size, translates) with masks ascending
     in [lo, hi); ``translates[t]`` is the set shifted by t, for every t that
-    ``_record`` reads.
+    ``_record`` reads. Group orbits also take the automorphism tables ``maps``.
 
     A group orbit is built once, at its least member inside the window, and
     its other members there are marked visited. Members below ``lo`` only
@@ -304,7 +314,7 @@ def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int) -> Iterator
         for mask in range(lo, hi_mask):
             if visited[mask - lo] or not min_size <= mask.bit_count() <= max_size:
                 continue
-            orbit, translates = _group_orbit(g, mask, mode)
+            orbit, translates = _group_orbit(g, mask, mode, maps)
             for m in orbit:
                 if mask < m < hi_mask:
                     visited[m - lo] = 1

@@ -52,6 +52,7 @@ class GroupSpec:
     # moves of shift_mask and translates. Set in __post_init__: a later key slows reads.
     _scale_tables: dict = field(init=False, repr=False, compare=False)
     _shift_layout: list = field(init=False, repr=False, compare=False)
+    _automorphisms: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mods = tuple(int(n) for n in self.moduli)
@@ -64,6 +65,7 @@ class GroupSpec:
         object.__setattr__(self, "_label", "x".join(f"Z{n}" for n in mods))
         object.__setattr__(self, "_scale_tables", {})
         object.__setattr__(self, "_shift_layout", [])
+        object.__setattr__(self, "_automorphisms", None)
 
     def label(self) -> str:
         return self._label
@@ -203,6 +205,22 @@ class GroupSpec:
             images = [x + (r * u % n) * stride for r in range(n) for x in images]
             stride *= n
         return self._scale_tables.setdefault(u, tuple(images))
+
+    def automorphisms(self) -> tuple:
+        """Index tables of the elementary automorphisms that are not unit scalars: each
+        factor's unit scalings and the transvections x_i += (n_i / gcd(n_i, n_j)) x_j.
+        With the unit scalars they generate Aut(G); a cyclic group has none. Built on first use."""
+        if self._automorphisms is None:
+            mods, digits = self.moduli, [self.decode(a) for a in range(self.order)]
+            maps = [(i, u, i, 0) for i, n in enumerate(mods) for u in range(2, n) if gcd(u, n) == 1]
+            maps += [(i, 1, j, n // gcd(n, m)) for i, n in enumerate(mods) for j, m in enumerate(mods) if j != i]
+            tables = (  # digit i -> u d_i + c d_j
+                tuple(self.encode((*d[:i], (u * d[i] + c * d[j]) % mods[i], *d[i + 1 :])) for d in digits)
+                for i, u, j, c in maps
+            )
+            scalars = {self.scale_table(u) for u in self.units()}  # the identity among them
+            object.__setattr__(self, "_automorphisms", tuple(t for t in tables if t not in scalars))
+        return self._automorphisms
 
 
 def _map_bits(table: tuple[int, ...], mask: int) -> int:

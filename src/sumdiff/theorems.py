@@ -323,9 +323,9 @@ def sweep_claim(
 ) -> SweepSummary:
     """Run one claim over every non-empty subset of ``g`` (or a uniform sample).
 
-    Exhaustive means one verdict per full-affine orbit, counted with the orbit's
-    size: a claim reads only sizes of sums of A and -A and whether A is a coset,
-    which x -> ux + t keeps for every unit u. It lists the 32 least violating
+    Exhaustive means one verdict per orbit of x -> f(x) + t, f in Aut(g), counted
+    with the orbit's size: a claim reads only sizes of sums of A and -A and whether
+    A is a coset, which every automorphism keeps. It lists the 32 least violating
     masks, ascending; a sample lists the first 32 it draws.
 
     Exhaustive sweeps are capped by group order; sampling lifts that cap. A
@@ -351,7 +351,8 @@ def sweep_claim(
     elif top < g.order:  # the walk would reach 2^(cap+1) - 1, a representative, and stop there
         raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
     else:
-        reps = _canonical_masks(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, total_universe + 1)
+        maps = g.automorphisms()  # with the unit scalars of full-affine mode, all of Aut(g)
+        reps = _canonical_masks(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, total_universe + 1, maps)
         weighted = ((mask, size) for mask, size, _ in reps)
     counts = {HOLDS: 0, EQUALITY: 0, VIOLATED: 0}
     violations = []  # masks
@@ -359,7 +360,7 @@ def sweep_claim(
         outcome = run_claim(claim, GSet.from_mask(g, mask), n=n, cap=cap).outcome
         counts[outcome] += weight
         if outcome == VIOLATED and not sampled:  # an orbit's least member is its representative
-            violations = sorted([*violations, *_group_orbit(g, mask, MODE_FULL_AFFINE)[0]])[:32]
+            violations = sorted([*violations, *_group_orbit(g, mask, MODE_FULL_AFFINE, maps)[0]])[:32]
         elif outcome == VIOLATED and len(violations) < 32:
             violations.append(mask)
     literals = tuple(str(GSet.from_mask(g, m)) for m in violations)

@@ -255,6 +255,54 @@ def burnside_orbit_count(moduli, mode, min_size=1, max_size=None):
     return total // len(perms)
 
 
+@functools.lru_cache(maxsize=None)
+def automorphism_perms(moduli):
+    """Every automorphism of the group as a tuple over the element indices, by brute
+    force over the images x_i of the factor generators: n_i x_i = 0, and the map
+    from residues (d_i) to d_1 x_1 + ... + d_k x_k must be one-to-one."""
+    order = math.prod(moduli)
+    add = [[add_idx(moduli, a, b) for b in range(order)] for a in range(order)]
+    perms = []
+
+    def extend(k, values):  # values[a]: the image of a, for a in the first k factors
+        if k == len(moduli):
+            perms.append(tuple(values))
+            return
+        n = moduli[k]
+        for x in range(order):
+            if scale_idx(moduli, x, n) == 0:
+                multiples = [scale_idx(moduli, x, d) for d in range(n)]
+                grown = [add[v][m] for m in multiples for v in values]
+                if len(set(grown)) == len(grown):
+                    extend(k + 1, grown)
+
+    extend(0, [0])
+    return tuple(perms)
+
+
+@functools.lru_cache(maxsize=None)
+def aut_orbit_count(moduli):
+    """Orbits of the non-empty subsets under G x| Aut(G), the maps x -> f(x) + t
+    (Cauchy-Frobenius: the mean over the maps of 2^cycles - 1 fixed subsets)."""
+    order = math.prod(moduli)
+    rows = [[add_idx(moduli, x, t) for x in range(order)] for t in range(order)]
+    total = maps = 0
+    for f in automorphism_perms(moduli):
+        for row in rows:
+            perm = [row[y] for y in f]
+            cycles = 0
+            for start in range(order):
+                if perm[start] >= 0:
+                    cycles += 1
+                    i = start
+                    while perm[i] >= 0:
+                        perm[i], i = -1, perm[i]
+            total += (1 << cycles) - 1
+            maps += 1
+    assert total % maps == 0, "the maps do not form a group"
+    return total // maps
+
+
 def per_subset_sweep(claim, g, *, n=2, cap=20, equal=None):
     """The SweepSummary of ``claim`` on every non-empty subset of the group g,
     one verdict per subset in ascending mask order; the first 32 violating

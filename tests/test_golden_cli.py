@@ -182,7 +182,7 @@ def _cases() -> list:
         cases.append(["check", "thm3", lit, "--format", "json"])
     # The exponent report stays out of csv.
     cases.append(["scan", "--group", "Z10", "--exponents", "--format", "csv", "--threads", "1"])
-    # Exhaustive sweeps of order-12 groups, one verdict per full-affine orbit.
+    # Exhaustive sweeps of order-12 groups, one verdict per orbit of x -> f(x) + t, f in Aut(G).
     for claim in CLAIMS:
         cases.append(["check", claim, "--sweep", "Z12", "--format", "json"])
     cases.append(["check", "thm5", "--sweep", "Z2xZ6", "--n", "3", "--format", "json"])

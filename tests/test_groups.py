@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from math import gcd, prod
 
 import pytest
 
@@ -18,7 +19,7 @@ from sumdiff import (
 from sumdiff import groups
 from sumdiff.groups import iter_bits
 
-from oracles import add_idx, naive_subgroup_masks, neg_idx, scale_idx
+from oracles import add_idx, automorphism_perms, naive_subgroup_masks, neg_idx, scale_idx
 
 SMALL_GROUPS = [
     GroupSpec((1,)),
@@ -180,6 +181,48 @@ def test_shift_mask_adds_no_instance_attribute():
     assert g.shift_mask(0b1011, 7) == g.shift_mask(0b1011, 7)
     assert set(vars(g)) == before
 
+
+
+# every product of two or more cyclic factors of order <= 24, up to Z2xZ2xZ6, and two
+# with their factors out of order
+AUT_PRODUCTS = [
+    GroupSpec(m)
+    for k in (2, 3, 4)
+    for m in itertools.combinations_with_replacement(range(2, 13), k)
+    if prod(m) <= 24
+] + [GroupSpec((4, 2)), GroupSpec((6, 2, 2))]
+
+
+@pytest.mark.parametrize("g", AUT_PRODUCTS, ids=GroupSpec.label)
+def test_automorphism_tables_are_automorphisms(g):
+    fresh = GroupSpec(g.moduli)
+    assert fresh._automorphisms is None  # built on first use, not with the group
+    before = set(vars(fresh))
+    tables = fresh.automorphisms()
+    assert fresh.automorphisms() is tables and set(vars(fresh)) == before
+    # with coprime factors the group is cyclic and every automorphism is a unit scalar
+    assert bool(tables) == any(gcd(a, b) > 1 for a, b in itertools.combinations(g.moduli, 2))
+    scalars = {fresh.scale_table(u) for u in fresh.units()}
+    add = [[add_idx(g.moduli, a, b) for b in range(g.order)] for a in range(g.order)]
+    for t in tables:
+        assert sorted(t) == list(range(g.order)) and t not in scalars
+        assert all(t[add[a][b]] == add[t[a]][t[b]] for a in range(g.order) for b in range(g.order))
+    aut = automorphism_perms(g.moduli)
+    if len(aut) <= 400:  # with the unit scalars the tables generate Aut(G): close them up
+        group, frontier = set(scalars), list(scalars)
+        while frontier:
+            f = frontier.pop()
+            for t in tables:
+                h = tuple(t[i] for i in f)
+                if h not in group:
+                    group.add(h)
+                    frontier.append(h)
+        assert group == set(aut)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 24])
+def test_a_cyclic_group_has_no_automorphism_beyond_its_unit_scalars(n):
+    assert GroupSpec((n,)).automorphisms() == ()
 
 
 def _shift_and_test(mask):

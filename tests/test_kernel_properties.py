@@ -28,6 +28,7 @@ from sumdiff.groups import _close_under_addition
 
 from oracles import (
     add_idx,
+    automorphism_perms,
     naive_diffset,
     naive_is_coset,
     naive_coset_masks,
@@ -178,3 +179,23 @@ def test_injection_matches_oracle_sums(moduli, data):
     for args in ((bad, ok), (ok, bad)):
         with pytest.raises(InvalidElementError):
             g.add(*args)
+
+
+PRODUCTS_24 = st.lists(st.integers(2, 12), min_size=2, max_size=4).filter(lambda m: prod(m) <= 24)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(moduli=PRODUCTS_24, data=st.data())
+def test_automorphism_orbit_is_closed_under_every_map(moduli, data):
+    g = GroupSpec(tuple(moduli))
+    mask = data.draw(st.integers(1, g.full_mask), label="mask")
+    maps = g.automorphisms()
+    orbit, translates = explorer._group_orbit(g, mask, explorer.MODE_FULL_AFFINE, maps)
+    assert translates == g.translates(mask) and mask in orbit
+    for m in orbit:
+        assert m.bit_count() == mask.bit_count() and orbit.issuperset(g.translates(m))
+        assert all(mask_of(t[x] for x in members(m)) in orbit for t in maps)
+        assert all(g.scale_mask(m, u) in orbit for u in g.units())
+    if g.order <= 12:  # small enough to apply every x -> f(x) + t
+        xs, perms = members(mask), automorphism_perms(tuple(moduli))
+        assert orbit == {mask_of(add_idx(moduli, f[x], t) for x in xs) for f in perms for t in range(g.order)}

@@ -34,7 +34,13 @@ from sumdiff import (
     verify_injective,
 )
 
-from oracles import divisor_coset_count, naive_coset_masks, per_subset_sweep
+from oracles import (
+    aut_orbit_count,
+    burnside_orbit_count,
+    divisor_coset_count,
+    naive_coset_masks,
+    per_subset_sweep,
+)
 
 
 def gs(moduli, members):
@@ -245,6 +251,9 @@ def test_exhaustive_minimizer_sweep_above_the_cap_fails_before_the_walk(monkeypa
         sweep_claim(claim, GroupSpec((21,)))
     assert walks == []
     assert sweep_claim(claim, GroupSpec((21,)), sample=3).total == 3  # sampled sweeps still run
+    assert walks == []
+    sweep_claim(claim, GroupSpec((2, 2)), cap=4)  # order at the cap: the sweep walks through the patched name
+    assert len(walks) == 1
 
 
 def test_capped_draw_is_uniform_over_small_sets():
@@ -291,6 +300,21 @@ def test_orbit_weighted_sweep_matches_the_per_subset_sweep(g):
     assert sweep_claim("thm5", g, n=3) == per_subset_sweep("thm5", g, n=3)
 
 
+# the groups above, and four products whose automorphisms outnumber their unit scalars
+AUT_SWEEP_GROUPS = [*SWEEP_GROUPS, GroupSpec((2, 8)), GroupSpec((4, 4)), GroupSpec((2, 2, 4)), GroupSpec((2, 2, 2, 2))]
+
+
+@pytest.mark.parametrize("g", AUT_SWEEP_GROUPS, ids=GroupSpec.label)
+def test_exhaustive_sweep_takes_one_verdict_per_automorphism_orbit(monkeypatch, g):
+    verdicts = []
+    monkeypatch.setitem(theorems._CLAIMS, "planted", _planted(verdicts.append))  # None: holds
+    s = sweep_claim("planted", g)
+    assert s.total == s.counts[HOLDS] == (1 << g.order) - 1
+    assert len(verdicts) == aut_orbit_count(g.moduli)
+    if len(g.moduli) == 1:  # a cyclic group's automorphisms are its unit scalars
+        assert len(verdicts) == burnside_orbit_count(g.moduli, "full-affine")
+
+
 def _planted(violated):
     """A ``_CLAIMS`` entry for a claim violated exactly on the sets that ``violated``
     picks; the predicates below are orbit-invariant, as every real claim is."""
@@ -298,23 +322,31 @@ def _planted(violated):
     return (lambda n: (1, 1)), verify
 
 
-def test_planted_violations_are_the_least_masks_in_order(monkeypatch):
+# Z2xZ2xZ4 has 192 automorphisms against 2 unit scalars: its three-element sets lie in
+# orbits merged by the automorphism tables, and each violating one is expanded
+@pytest.mark.parametrize("g", [GroupSpec((12,)), GroupSpec((2, 2, 4))], ids=GroupSpec.label)
+def test_planted_violations_are_the_least_masks_in_order(monkeypatch, g):
     monkeypatch.setitem(theorems._CLAIMS, "planted", _planted(lambda A: A.card == 3))
-    g = GroupSpec((12,))
     s = sweep_claim("planted", g)
-    least = list(islice((m for m in range(1, 1 << 12) if m.bit_count() == 3), 32))
+    least = list(islice((m for m in range(1, 1 << g.order) if m.bit_count() == 3), 32))
     assert s.violations == tuple(str(GSet.from_mask(g, m)) for m in least)
-    assert s.counts == {HOLDS: 4095 - comb(12, 3), EQUALITY: 0, VIOLATED: comb(12, 3)}
+    triples = comb(g.order, 3)
+    assert s.counts == {HOLDS: (1 << g.order) - 1 - triples, EQUALITY: 0, VIOLATED: triples}
     assert s == per_subset_sweep("planted", g)
 
 
-@pytest.mark.parametrize("moduli, cosets", [((12,), 6), ((2, 6), 18)], ids=["Z12", "Z2xZ6"])
+@pytest.mark.parametrize(
+    "moduli, cosets",
+    [((12,), 6), ((2, 6), 18), ((2, 8), 24), ((2, 2, 2, 2), 120)],
+    ids=["Z12", "Z2xZ6", "Z2xZ8", "Z2xZ2xZ2xZ2"],
+)
 def test_planted_short_violation_list_matches_the_oracle(monkeypatch, moduli, cosets):
+    # the two-element cosets: one per subgroup of order 2 and translate
     entry = _planted(lambda A: A.card == 2 and is_coset(A) is not None)
     monkeypatch.setitem(theorems._CLAIMS, "planted", entry)
     g = GroupSpec(moduli)
     s = sweep_claim("planted", g)
-    assert len(s.violations) == s.counts[VIOLATED] == cosets
+    assert s.counts[VIOLATED] == cosets and len(s.violations) == min(cosets, 32)
     assert s == per_subset_sweep("planted", g)
 
 
