@@ -511,6 +511,10 @@ def _summary_lines(summary) -> list:
 def _cmd_scan(args, config: dict) -> int:
     campaign = Campaign(mstd_only=args.mstd, **_campaign_fields(args, config))
     mask_range = _parse_mask_range(args.range) if args.range else None
+    if mask_range:  # an HI past the last mask is clamped, an LO there is an error
+        campaign.validate()
+        if mask_range[0] >> (n := campaign.width()):
+            raise ParseError(f"--range LO must be below 2^{n} = {1 << n}, got {mask_range[0]}")
     records, summary = scan(campaign, threads=_threads(args, config), mask_range=mask_range)
 
     def payload() -> dict:

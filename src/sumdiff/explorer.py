@@ -241,11 +241,10 @@ class Campaign:
 # -- orbit machinery ---------------------------------------------------------
 
 
-def _group_orbit(g: GroupSpec, mask: int, mode: str, maps: tuple = ()) -> tuple[set, list]:
+def _group_orbit(g: GroupSpec, mask: int, mode: str, maps: tuple = ()) -> set:
     """Every image of ``mask`` under the symmetries of ``mode`` (not ``none``) and the
-    automorphism index tables ``maps``, and the mask's translates: ``translates[t]`` is A + t."""
-    translates = g.translates(mask)
-    orbit, classes = set(translates), [mask]
+    automorphism index tables ``maps``."""
+    orbit, classes = set(g.translates(mask)), [mask]
     if mode != MODE_TRANSLATION:
         units = (-1,) if mode == MODE_TRANSLATION_NEGATION else g.units()
         for s in {g.scale_mask(mask, u) for u in units}:
@@ -261,7 +260,7 @@ def _group_orbit(g: GroupSpec, mask: int, mode: str, maps: tuple = ()) -> tuple[
             if s not in orbit:
                 orbit.update(g.translates(s))
                 classes.append(s)
-    return orbit, translates
+    return orbit
 
 
 def _reflect(mask: int) -> int:
@@ -283,9 +282,8 @@ def _int_orbit_size(mask: int, width: int, mode: str) -> int:
 
 
 def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
-    """Yield (representative mask, orbit size, translates) with masks ascending
-    in [lo, hi); ``translates[t]`` is the set shifted by t, for every t that
-    ``_record`` reads. Group orbits also take the automorphism tables ``maps``.
+    """Yield (representative mask, orbit size) with masks ascending in [lo, hi).
+    Group orbits also take the automorphism tables ``maps``.
 
     A group orbit is built once, at its least member inside the window, and
     its other members there are marked visited. Members below ``lo`` only
@@ -301,25 +299,23 @@ def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple
         width = campaign.width()
         step = 1 if mode == MODE_NONE else 2  # a canonical translate holds bit 0: odd masks only
         for mask in range(lo if step == 1 else lo | 1, hi_mask, step):
-            if min_size <= mask.bit_count() <= max_size:
-                size = _int_orbit_size(mask, width, mode)
-                if size:  # the record reads A + t only for t in A or in its mirror
-                    yield mask, size, [mask << t for t in range(mask.bit_length())]
+            if min_size <= mask.bit_count() <= max_size and (size := _int_orbit_size(mask, width, mode)):
+                yield mask, size
     elif mode == MODE_NONE:
         for mask in range(lo, hi_mask):
             if min_size <= mask.bit_count() <= max_size:
-                yield mask, 1, g.translates(mask)
+                yield mask, 1
     else:
         visited = bytearray(max(hi_mask - lo, 0))
         for mask in range(lo, hi_mask):
             if visited[mask - lo] or not min_size <= mask.bit_count() <= max_size:
                 continue
-            orbit, translates = _group_orbit(g, mask, mode, maps)
+            orbit = _group_orbit(g, mask, mode, maps)
             for m in orbit:
                 if mask < m < hi_mask:
                     visited[m - lo] = 1
             if mask == min(orbit):
-                yield mask, len(orbit), translates
+                yield mask, len(orbit)
 
 
 def enumerate_canonical(campaign: Campaign):
@@ -330,35 +326,71 @@ def enumerate_canonical(campaign: Campaign):
     campaign.validate()
     g = campaign.group
     lo = campaign.ints[0] if g is None else 0
-    for mask, _, _ in _canonical_masks(campaign, 1, 1 << campaign.width()):
+    for mask, _ in _canonical_masks(campaign, 1, 1 << campaign.width()):
         yield GSet.from_mask(g, mask) if g else tuple(b + lo for b in iter_bits(mask))
 
 
 # -- records -----------------------------------------------------------------
 
 
-def _record(campaign: Campaign, mask: int, orbit_size: int, translates: list) -> SearchRecord:
-    """The record of the set A with this mask, given ``translates[t]`` = A + t.
+@lru_cache(maxsize=8)  # bounded: a scan part binds one kernel
+def _size_kernel(moduli: tuple, width: int):
+    """``sizes(mask) -> (|A+A|, |A-A|)`` for the set A with this mask in Z_{n_1} x ... x Z_{n_k};
+    only the table rows of masks below bit ``width`` are built. Element i, with digits d_j, goes
+    to the w-bit field at place sum d_j S_j, S_j = prod_{l<j} (2 n_l - 1), so no digit sum carries.
+    rev(A) = (N-1) - A is a translate of -A, at mirrored places, so one product of A's spread with
+    A's plus rev(A)'s (placed G = 2 n_k S_k fields up) counts the pairs of A+A below G and of A-A
+    above. Folding each digit mod n_j merges an element's places (the top digit needs no mask: the
+    field past each half is empty); a field holds at most N < 2^(w-1) pairs, so adding 2^(w-1) - 1
+    sets its top bit iff it is not empty."""
+    w = math.prod(moduli).bit_length() + 1
+    *strides, span = (math.prod(2 * m - 1 for m in moduli[:j]) for j in range(len(moduli) + 1))
+    gap, place = span + strides[-1], [0]
+    for m, stride in zip(moduli, strides):
+        place = [p + d * stride for d in range(m) for p in place]
+    tables = []  # per mask byte: byte -> A's spread plus rev(A)'s placed G fields up
+    for k in range(0, width, 8):
+        rows = [0]
+        for i in range(k, min(k + 8, width)):
+            rows += [r + (1 << place[i] * w) + (1 << (gap + place[-1] - place[i]) * w) for r in rows]
+        tables.append(rows)
+    folds = [  # digit j's places at n_j and above, and how far down they move
+        (sum(((1 << w) - 1) << p * w for p in range(2 * gap) if p // s % (2 * m - 1) >= m), m * s * w)
+        for m, s in zip(moduli[:-1], strides) if m > 1]
+    low, top = (1 << gap * w) - 1, moduli[-1] * strides[-1] * w  # A's spread and A+A; the top digit's move
+    tops = sum(1 << p * w + w - 1 for p in place) * ((1 << gap * w) + 1)  # each element's place, in both halves
+    ones = (tops >> w - 1) * ((1 << w - 1) - 1)
 
-    A+A is the union of A + a over a in A, and A-A that of A + neg[a] over a
-    in A: neg[a] is -a in a group; in the integers it is max(A) - a, and A-A
-    is that union shifted down by max(A).
-    """
-    g = campaign.group
-    bits = iter_bits(mask)
-    card = len(bits)
-    neg = g.scale_table(-1) if g else range(bits[-1], -1, -1)
-    s = d = 0
-    for b in bits:
-        s |= translates[b]
-        d |= translates[neg[b]]
-    s, d = s.bit_count(), d.bit_count()
-    if g is None:  # |A+A| = |A| only for a singleton, the one kind of finite coset in Z
-        lo = campaign.ints[0]
-        return SearchRecord("Z", tuple([b + lo for b in bits]), card, s, d, s == card, orbit_size)
-    # a coset a+H has |A+A| = |H| = |A|, so no other set needs the test
-    coset = s == card and is_coset(GSet.from_mask(g, mask)) is not None
-    return SearchRecord(g.label(), bits, card, s, d, coset, orbit_size)
+    def sizes(mask: int) -> tuple[int, int]:
+        y = 0
+        for table in tables:
+            y += table[mask & 255]
+            mask >>= 8
+        z = (y & low) * y
+        for wrap, down in folds:
+            z += (z & wrap) >> down
+        z = (z + (z >> top) + ones) & tops
+        return (z & low).bit_count(), (z >> gap * w).bit_count()
+
+    return sizes
+
+
+def _recorder(campaign: Campaign):
+    """``record(mask, orbit_size)``, the set's SearchRecord, with the size kernel, label and window
+    offset bound once. A window of width W lives in Z_{2W-1}, where no sum or difference wraps."""
+    g, n = campaign.group, campaign.width()
+    sizes = _size_kernel(g.moduli if g else (2 * n - 1,), n)
+    label, lo = (g.label(), 0) if g else ("Z", campaign.ints[0])
+
+    def record(mask: int, orbit_size: int) -> SearchRecord:
+        bits = iter_bits(mask)
+        card = len(bits)
+        s, d = sizes(mask)
+        # a coset a+H has |A+A| = |H| = |A|, so no other set needs the test; in Z only a singleton
+        coset = s == card and (g is None or is_coset(GSet.from_mask(g, mask)) is not None)
+        return SearchRecord(label, tuple([b + lo for b in bits]) if lo else bits, card, s, d, coset, orbit_size)
+
+    return record
 
 
 # -- scanning ----------------------------------------------------------------
@@ -460,9 +492,9 @@ class _Stats:
 
 
 def _scan_chunk(campaign: Campaign, lo_mask: int, hi_mask: int) -> tuple[list, _Stats]:
-    records, stats = [], _Stats()
-    for mask, orbit_size, translates in _canonical_masks(campaign, lo_mask, hi_mask):
-        rec = _record(campaign, mask, orbit_size, translates)
+    records, stats, record = [], _Stats(), _recorder(campaign)
+    for mask, orbit_size in _canonical_masks(campaign, lo_mask, hi_mask):
+        rec = record(mask, orbit_size)
         stats.absorb(rec)
         if not campaign.mstd_only or rec.mstd:
             records.append(rec)
@@ -476,7 +508,7 @@ _PARALLEL_THRESHOLD = 1 << 19
 
 def _size_parts(campaign: Campaign, parts: int) -> list:
     """Cut the size window into at most ``parts`` windows of about equal cost: a set of
-    size k costs about n + k (its share of the orbit walk, a record reading k translates)."""
+    size k weighs n + k, a rough model of its share of the orbit walk and its record."""
     n = campaign.width()
     sizes = range(campaign.min_size, min(n if campaign.max_size is None else campaign.max_size, n) + 1)
     if parts < 2 or len(sizes) < 2:

@@ -352,15 +352,14 @@ def sweep_claim(
         raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
     else:
         maps = g.automorphisms()  # with the unit scalars of full-affine mode, all of Aut(g)
-        reps = _canonical_masks(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, total_universe + 1, maps)
-        weighted = ((mask, size) for mask, size, _ in reps)
+        weighted = _canonical_masks(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, total_universe + 1, maps)
     counts = {HOLDS: 0, EQUALITY: 0, VIOLATED: 0}
     violations = []  # masks
     for mask, weight in weighted:
         outcome = run_claim(claim, GSet.from_mask(g, mask), n=n, cap=cap).outcome
         counts[outcome] += weight
         if outcome == VIOLATED and not sampled:  # an orbit's least member is its representative
-            violations = sorted([*violations, *_group_orbit(g, mask, MODE_FULL_AFFINE, maps)[0]])[:32]
+            violations = sorted([*violations, *_group_orbit(g, mask, MODE_FULL_AFFINE, maps)])[:32]
         elif outcome == VIOLATED and len(violations) < 32:
             violations.append(mask)
     literals = tuple(str(GSet.from_mask(g, m)) for m in violations)

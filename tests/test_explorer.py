@@ -309,7 +309,7 @@ def test_windows_and_chunks_concatenate(monkeypatch, moduli, mode):
     assert [r for part in parts for r in part] == full
     if mode != MODE_NONE:
         # every cut splits some orbit: its least member lies in an earlier window
-        orbits = [explorer._group_orbit(g, sum(1 << e for e in r.elements), mode)[0] for r in full]
+        orbits = [explorer._group_orbit(g, sum(1 << e for e in r.elements), mode) for r in full]
         for cut in WINDOW_CUTS[1:-1]:
             assert any(min(orbit) < cut <= max(orbit) for orbit in orbits)
     monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
@@ -320,9 +320,9 @@ def test_int_records_match_oracles():
     lo = -4
     campaign = Campaign(ints=(lo, lo + 9), mode=MODE_NONE)
     masks = explorer._canonical_masks(campaign, 1, 1 << 10)
-    for want, (mask, orbit_size, translates) in enumerate(masks, 1):
+    for want, (mask, orbit_size) in enumerate(masks, 1):
         assert (mask, orbit_size) == (want, 1)
-        r = explorer._record(campaign, mask, orbit_size, translates)
+        r = explorer._recorder(campaign)(mask, orbit_size)
         pts = [b + lo for b in range(10) if mask >> b & 1]
         assert r.elements == tuple(pts)
         assert r.sum_card == len(int_sumset(pts, pts))
@@ -332,8 +332,8 @@ def test_int_records_match_oracles():
 
 @pytest.mark.parametrize("moduli", [(9,), (2, 4), (3, 3)], ids=["Z9", "Z2xZ4", "Z3xZ3"])
 def test_records_match_naive_oracles_on_every_mask(moduli):
-    # mode none records every mask from its plain translates; each orbit
-    # mode's table is checked on every mask too, not only on representatives
+    # mode none records every mask; the records of the orbit modes, whose scans
+    # reach only representatives, are checked on every mask too
     g = GroupSpec(moduli)
     cosets = naive_coset_masks(moduli)
     want = {}
@@ -351,9 +351,53 @@ def test_records_match_naive_oracles_on_every_mask(moduli):
             assert len(records) == len(want)
             continue
         for mask, expected in want.items():
-            translates = explorer._group_orbit(g, mask, mode)[1]
-            r = explorer._record(campaign, mask, 1, translates)
+            r = explorer._recorder(campaign)(mask, 1)
             assert (r.group, r.elements, r.card, r.sum_card, r.diff_card, r.coset) == expected
+
+
+KERNEL_GROUPS = [(n,) for n in range(1, 13)] + [(2, 4), (3, 3), (2, 2, 2), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("moduli", KERNEL_GROUPS, ids=lambda m: "x".join(f"Z{n}" for n in m))
+def test_size_kernel_matches_oracles_on_every_mask(moduli):
+    g = GroupSpec(moduli)
+    sizes = explorer._size_kernel(moduli, g.order)
+    for mask in range(1, 1 << g.order):
+        A = [x for x in g.elements() if mask >> x & 1]
+        assert sizes(mask) == (len(naive_sumset(moduli, A, A)), len(naive_diffset(moduli, A, A))), mask
+
+
+@pytest.mark.parametrize("lo", [0, -5])
+def test_size_kernel_matches_oracles_on_integer_windows(lo):
+    # a window of width W lives in Z_{2W-1}: its sums and differences do not wrap there
+    for width in range(1, 13):
+        record = explorer._recorder(Campaign(ints=(lo, lo + width - 1), mode=MODE_NONE))
+        for mask in range(1, 1 << width):
+            pts = [b + lo for b in range(width) if mask >> b & 1]
+            r = record(mask, 1)
+            want = tuple(pts), len(int_sumset(pts, pts)), len(int_iterated(pts, 1, 1))
+            assert (r.elements, r.sum_card, r.diff_card) == want, (width, mask)
+
+
+@pytest.mark.parametrize("universe", [(2, 4), (2, 2, 3), (24,), (2, 12), (2, 2, 6), (2, 2, 2, 3), 1, 13, 16])
+def test_size_kernel_counts_the_full_set(universe):
+    # every field of A+A and A+rev(A) then counts the most pairs it can
+    if isinstance(universe, int):
+        r = explorer._recorder(Campaign(ints=(0, universe - 1), mode=MODE_NONE))((1 << universe) - 1, 1)
+        assert (r.sum_card, r.diff_card) == (2 * universe - 1, 2 * universe - 1)
+    else:
+        g = GroupSpec(universe)
+        assert explorer._size_kernel(universe, g.order)(g.full_mask) == (g.order, g.order)
+
+
+def test_integer_windows_build_no_translates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a scan built a translate table")
+
+    monkeypatch.setattr(GroupSpec, "translates", refuse)
+    for mode in explorer.MODES:
+        _, summary = scan(Campaign(ints=(-3, 8), mode=mode))
+        assert summary.universe == 4095
 
 
 def test_scans_never_call_the_sumset_kernels(monkeypatch):
@@ -434,9 +478,9 @@ def test_split_builds_each_orbit_once(monkeypatch, inline_split, moduli, mode):
         work.append(dict(calls))
         if mode != MODE_NONE:  # one orbit built per representative, in whichever part
             assert calls["orbit"] == summary.representatives
-        # every representative's table is built, and no mask's table twice in mode none
-        assert summary.representatives <= calls["translates"]
-        assert mode != MODE_NONE or calls["translates"] == summary.representatives
+            assert summary.representatives <= calls["translates"]
+        else:  # records read their sizes from the kernel, not from translate tables
+            assert calls == {"orbit": 0, "translates": 0}
     assert inline_split == [2, 3, 4]  # every split ran, one part per worker
     assert all(w == work[0] for w in work)  # the work does not grow with the worker count
 

@@ -225,6 +225,8 @@ def _cases() -> list:
     for group in ("Z2xZ8", "Z4xZ4", "Z2xZ2xZ2xZ2"):
         cases += [["check", claim, "--sweep", group, "--format", "json"] for claim in ("fact1", "thm2", "thm3")]
     cases.append(["check", "ineq1", "--sweep", "Z3xZ3", "--format", "json"])
+    # A --range that starts past the last mask: exit 1.
+    cases += [["scan", "--group", "Z6", "--range", "99999:199999"], ["scan", "--ints", "0..5", "--range", "64:100"]]
     return cases
 
 

@@ -29,6 +29,8 @@ from sumdiff.groups import _close_under_addition
 from oracles import (
     add_idx,
     automorphism_perms,
+    int_iterated,
+    int_sumset,
     naive_diffset,
     naive_is_coset,
     naive_coset_masks,
@@ -102,15 +104,31 @@ def test_scan_record_matches_oracles(moduli, mode, data):
         mask = g.shift_mask(_close_under_addition(g, mask), t)
     campaign = Campaign(group=g, mode=mode)
     if mode == explorer.MODE_NONE:  # the one-mask window yields just this mask
-        [(_, _, translates)] = explorer._canonical_masks(campaign, mask, mask + 1)
-    else:
-        translates = explorer._group_orbit(g, mask, mode)[1]
-    r = explorer._record(campaign, mask, 1, translates)
+        assert list(explorer._canonical_masks(campaign, mask, mask + 1)) == [(mask, 1)]
+    r = explorer._recorder(campaign)(mask, 1)
     xs = members(mask)
     assert (r.elements, r.card) == (tuple(xs), len(xs))
     assert r.sum_card == len(naive_sumset(moduli, xs, xs))
     assert r.diff_card == len(naive_diffset(moduli, xs, xs))
     assert r.coset == naive_is_coset(moduli, xs)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(universe=st.sampled_from([(24,), (2, 12), (2, 2, 6), (2, 2, 2, 3), 13, 14, 15, 16]), data=st.data())
+def test_size_kernel_matches_oracles_on_wide_masks(universe, data):
+    # groups of order 24 and integer windows of width 13-16, in Z_25 to Z_31
+    width = universe if isinstance(universe, int) else prod(universe)
+    mask = data.draw(st.just((1 << width) - 1) | st.integers(1, (1 << width) - 1), label="mask")
+    xs = members(mask)
+    if isinstance(universe, int):
+        lo = data.draw(st.integers(-20, 20), label="lo")
+        r = explorer._recorder(Campaign(ints=(lo, lo + width - 1), mode=explorer.MODE_NONE))(mask, 1)
+        pts = [x + lo for x in xs]
+        assert r.elements == tuple(pts)
+        assert (r.sum_card, r.diff_card) == (len(int_sumset(pts, pts)), len(int_iterated(pts, 1, 1)))
+    else:
+        sizes = explorer._size_kernel(universe, width)
+        assert sizes(mask) == (len(naive_sumset(universe, xs, xs)), len(naive_diffset(universe, xs, xs)))
 
 
 coset_masks = lru_cache(maxsize=None)(naive_coset_masks)
@@ -139,7 +157,7 @@ def test_scan_window_records_match_oracles(moduli, mode, data):
     # windows around the representative of a random set: multi-byte bit lists, -a on wide masks
     g = GroupSpec(tuple(moduli))
     mask = data.draw(st.integers(1, g.full_mask), label="mask")
-    rep = mask if mode == explorer.MODE_NONE else min(explorer._group_orbit(g, mask, mode)[0])
+    rep = mask if mode == explorer.MODE_NONE else min(explorer._group_orbit(g, mask, mode))
     lo = max(1, rep - data.draw(st.integers(0, 1 << 9), label="below"))
     hi = min(rep + 1 + data.draw(st.integers(0, 1 << 9), label="above"), g.full_mask + 1)
     records, summary = explorer.scan(Campaign(group=g, mode=mode, group_cap=64), mask_range=(lo, hi))
@@ -190,8 +208,8 @@ def test_automorphism_orbit_is_closed_under_every_map(moduli, data):
     g = GroupSpec(tuple(moduli))
     mask = data.draw(st.integers(1, g.full_mask), label="mask")
     maps = g.automorphisms()
-    orbit, translates = explorer._group_orbit(g, mask, explorer.MODE_FULL_AFFINE, maps)
-    assert translates == g.translates(mask) and mask in orbit
+    orbit = explorer._group_orbit(g, mask, explorer.MODE_FULL_AFFINE, maps)
+    assert orbit.issuperset(g.translates(mask))
     for m in orbit:
         assert m.bit_count() == mask.bit_count() and orbit.issuperset(g.translates(m))
         assert all(mask_of(t[x] for x in members(m)) in orbit for t in maps)

@@ -350,6 +350,19 @@ def test_planted_short_violation_list_matches_the_oracle(monkeypatch, moduli, co
     assert s == per_subset_sweep("planted", g)
 
 
+def test_planted_sampled_violations_are_listed_in_draw_order(monkeypatch):
+    # the sets of odd size violate: a sample lists the first 32 it draws, unsorted,
+    # and counts every violating draw
+    monkeypatch.setitem(theorems._CLAIMS, "planted", _planted(lambda A: A.card % 2 == 1))
+    g = GroupSpec((16,))
+    rng = Random(3)
+    odd = [m for m in (rng.randrange(1, 1 << 16) for _ in range(200)) if m.bit_count() % 2]
+    s = sweep_claim("planted", g, sample=200, seed=3)
+    assert s.total == 200 and s.counts[VIOLATED] == len(odd) > 32
+    assert s.violations == tuple(str(GSet.from_mask(g, m)) for m in odd[:32])
+    assert sorted(odd[:32]) != odd[:32]
+
+
 @pytest.mark.parametrize("claim", theorems.CLAIM_IDS)
 def test_a_sample_of_the_whole_universe_sweeps_it_exhaustively(claim):
     for g in (GroupSpec((8,)), GroupSpec((2, 3))):

@@ -1,0 +1,145 @@
+"""Side-by-side timing of two checkouts of sumdiff. Stdlib only; run as
+
+    python3 tools/ab.py PARENT CHANGE --campaign "Z14 none" --campaign "0..15 translation+negation"
+    python3 tools/ab.py PARENT CHANGE --cli "scan --group Z18 --mode none --format csv --out {out}"
+
+PARENT and CHANGE are the roots of two checkouts (the same root twice is
+allowed). In-process, ``--campaign "UNIVERSE MODE"`` loads each side's
+``src/sumdiff`` under its own package name and times, in CPU seconds, one
+``scan`` plus ``write_csv`` on a fresh group; UNIVERSE is a group literal
+(``Z14``, ``Z2xZ10``) or an integer window (``0..15``). ``--cli ARGS`` times
+``python -m sumdiff ARGS`` in a child process per side, in wall and child CPU
+seconds; ``{out}`` stands for a fresh output file. Every round runs both
+sides, and the side that runs first alternates. Every run must write the
+bytes of the first run, or the script stops with an error. The last line of
+stdout is one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import io
+import json
+import os
+import re
+import resource
+import shlex
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def load_side(root: Path, name: str):
+    """The package ``root/src/sumdiff``, imported as the top-level package ``name``."""
+    path = Path(root).resolve() / "src" / "sumdiff"
+    spec = importlib.util.spec_from_file_location(name, path / "__init__.py", submodule_search_locations=[str(path)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def campaign_runner(pkg, text: str):
+    """A function running the campaign ``text`` once on ``pkg``: (CPU seconds, csv bytes)."""
+    universe, mode = text.split()
+    window = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", universe)
+    if window is None and not re.fullmatch(r"Z\d+(xZ\d+)*", universe):
+        raise SystemExit(f"ab.py: expected a universe like Z14, Z2xZ10 or 0..15, got {universe!r}")
+
+    def run():
+        group = None if window else pkg.GroupSpec(tuple(int(n) for n in universe[1:].split("xZ")))
+        ints = (int(window[1]), int(window[2])) if window else None
+        campaign = pkg.Campaign(group=group, ints=ints, mode=mode)
+        buf = io.StringIO()
+        start = time.process_time()
+        records, _ = pkg.scan(campaign, threads=1)
+        pkg.write_csv(records, buf, campaign)
+        return time.process_time() - start, buf.getvalue().encode()
+
+    return run
+
+
+def cli_runner(root: Path, args: str):
+    """A function running ``python -m sumdiff args`` once from ``root``:
+    ((wall seconds, child CPU seconds), stdout plus any --out file)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(root).resolve() / "src")}
+
+    def run():
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            argv = [a.replace("{out}", str(out)) for a in shlex.split(args)]
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "sumdiff", *argv], env=env, capture_output=True, check=True)
+            wall = time.perf_counter() - start
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+            return (wall, cpu), proc.stdout + (out.read_bytes() if out.exists() else b"")
+
+    return run
+
+
+def _stats(values: list) -> dict:
+    runs = [round(v, 4) for v in values]
+    return {"min_s": min(runs), "median_s": round(statistics.median(values), 4), "runs_s": runs}
+
+
+def alternate(runners: dict, rounds: int) -> dict:
+    """Run both sides ``rounds`` times, the parent first in even rounds; returns per-side
+    timings, and raises RuntimeError unless every run wrote the first run's bytes."""
+    times = {side: [] for side in SIDES}
+    reference = None
+    for r in range(rounds):
+        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+            seconds, blob = runners[side]()
+            reference = blob if reference is None else reference
+            if blob != reference:
+                raise RuntimeError(f"{side} wrote other bytes in round {r}")
+            times[side].append(seconds)
+    return times
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--campaign", action="append", default=[], help='in-process scan, e.g. "Z14 none"')
+    p.add_argument("--cli", action="append", default=[], help="whole-process command, e.g. \"mstd --ints 0..15\"")
+    p.add_argument("--rounds", type=int, default=5)
+    args = p.parse_args(argv)
+    if args.rounds < 1 or not args.campaign + args.cli:
+        p.error("need --rounds >= 1 and at least one --campaign or --cli")
+    roots = dict(zip(SIDES, (args.parent, args.change)))
+    pkgs = {side: load_side(root, f"sumdiff_ab_{side}") for side, root in roots.items()}
+    result = {
+        "method": f"tools/ab.py, {args.rounds} rounds, the side that runs first alternating; in-process: "
+        "scan + write_csv on a fresh GroupSpec, CPU time (time.process_time); whole-process: "
+        "python -m sumdiff, wall and child CPU time; both sides wrote the same bytes in every round",
+        "in_process": {},
+        "whole_process": {},
+    }
+    for text in args.campaign:
+        times = alternate({side: campaign_runner(pkgs[side], text) for side in SIDES}, args.rounds)
+        result["in_process"][text] = {side: _stats(times[side]) for side in SIDES}
+        cpus = {s: result["in_process"][text][s]["median_s"] for s in SIDES}
+        print(f"{text}: " + ", ".join(f"{s} {cpus[s]:.4f} s CPU" for s in SIDES), file=sys.stderr)
+    for text in args.cli:
+        times = alternate({side: cli_runner(roots[side], text) for side in SIDES}, args.rounds)
+        result["whole_process"][text] = {
+            side: {"wall": _stats([t[0] for t in times[side]]), "cpu": _stats([t[1] for t in times[side]])}
+            for side in SIDES
+        }
+        walls = {s: result["whole_process"][text][s]["wall"]["median_s"] for s in SIDES}
+        print(f"{text}: " + ", ".join(f"{s} {walls[s]:.4f} s wall" for s in SIDES), file=sys.stderr)
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
