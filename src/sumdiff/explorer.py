@@ -7,9 +7,10 @@ structural flags, and float exponents for reporting only. Aggregate counts
 are orbit-weighted, i.e. they describe the raw universe before dedup.
 
 Canonical representative = the lexicographically least bitmask in the orbit.
-Enumeration is in ascending representative order and can be partitioned into
-disjoint mask ranges whose results concatenate deterministically (resumable
-output), or into size windows whose results merge by mask (worker processes).
+Enumeration is in ascending representative order. Z_N's translation classes (and
+their negations) come from a necklace generator, other group orbits from a walk
+over the masks. Both cut into mask ranges whose results concatenate (resumable
+output); walk scans also into size windows merged by mask (worker processes).
 """
 
 from __future__ import annotations
@@ -281,20 +282,20 @@ def _int_orbit_size(mask: int, width: int, mode: str) -> int:
     return 0 if mirror < mask else translates if mirror == mask else 2 * translates
 
 
+def _uses_necklaces(campaign: Campaign) -> bool:
+    """Whether a scan's orbits are the rotations (and reversals) of Z_N's N-bit strings."""
+    g, mode = campaign.group, campaign.mode
+    return g is not None and len(g.moduli) == 1 and mode in (MODE_TRANSLATION, MODE_TRANSLATION_NEGATION)
+
+
 def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
     """Yield (representative mask, orbit size) with masks ascending in [lo, hi).
-    Group orbits also take the automorphism tables ``maps``.
-
-    A group orbit is built once, at its least member inside the window, and
-    its other members there are marked visited. Members below ``lo`` only
-    decide whether that least member is the representative, so windows that
-    partition a range concatenate to the scan of the whole range.
-    """
+    Group orbits also take the automorphism tables ``maps``. Z_N's translation
+    (and negation) classes come from the necklace generator, other group orbits
+    from the visited walk."""
     lo = max(lo_mask, 1)
-    min_size = campaign.min_size
-    max_size = campaign.max_size if campaign.max_size is not None else campaign.width()
-    mode = campaign.mode
-    g = campaign.group
+    min_size, max_size = campaign.min_size, campaign.max_size or campaign.width()
+    mode, g = campaign.mode, campaign.group
     if g is None:
         width = campaign.width()
         step = 1 if mode == MODE_NONE else 2  # a canonical translate holds bit 0: odd masks only
@@ -305,17 +306,58 @@ def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple
         for mask in range(lo, hi_mask):
             if min_size <= mask.bit_count() <= max_size:
                 yield mask, 1
+    elif _uses_necklaces(campaign) and not maps:
+        yield from _necklaces(campaign, lo, hi_mask)
     else:
-        visited = bytearray(max(hi_mask - lo, 0))
-        for mask in range(lo, hi_mask):
-            if visited[mask - lo] or not min_size <= mask.bit_count() <= max_size:
-                continue
-            orbit = _group_orbit(g, mask, mode, maps)
-            for m in orbit:
-                if mask < m < hi_mask:
-                    visited[m - lo] = 1
-            if mask == min(orbit):
-                yield mask, len(orbit)
+        yield from _orbit_walk(campaign, lo, hi_mask, maps)
+
+
+def _orbit_walk(campaign: Campaign, lo: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
+    """``_canonical_masks`` for any group: an orbit is built at its least member in the window,
+    and its other members there are marked visited. Members below ``lo`` only decide whether
+    that one is the representative, so windows of a range concatenate to the range's scan."""
+    min_size, max_size = campaign.min_size, campaign.max_size or campaign.width()
+    visited = bytearray(max(hi_mask - lo, 0))
+    for mask in range(lo, hi_mask):
+        if visited[mask - lo] or not min_size <= mask.bit_count() <= max_size:
+            continue
+        orbit = _group_orbit(campaign.group, mask, campaign.mode, maps)
+        for m in orbit:
+            if mask < m < hi_mask:
+                visited[m - lo] = 1
+        if mask == min(orbit):
+            yield mask, len(orbit)
+
+
+def _necklaces(campaign: Campaign, lo: int, hi_mask: int) -> Iterator[tuple]:
+    """``_canonical_masks`` for Z_N: a translate rotates the N-bit string read from the top bit, so
+    a class's least mask is a necklace. The FKM walk (Ruskey, Savage and Wang, 1992) sets the
+    lowest 0, at place i, and repeats places 1..i down to bit 0: a necklace of period i if i | N."""
+    n, min_size, max_size = campaign.width(), campaign.min_size, campaign.max_size or campaign.width()
+    rep = [0] + [sum(1 << p for p in range(0, n, i)) for i in range(1, n + 1)]  # ones every i bits
+    cut = [0] + [-n % i for i in range(1, n + 1)]  # the bits that the last copy runs past bit 0
+    mask, i = 0, 1
+    while mask < hi_mask:
+        if n % i == 0 and lo <= mask and min_size <= mask.bit_count() <= max_size:
+            if size := i if campaign.mode == MODE_TRANSLATION else _bracelet_size(mask, n, i):
+                yield mask, size
+        if (b := (~mask & (mask + 1)).bit_length() - 1) == n:  # the lowest 0 is bit b, place n - b
+            return
+        i = n - b
+        mask = (((mask >> b) | 1) * rep[i]) >> cut[i]
+
+
+def _bracelet_size(mask: int, n: int, period: int) -> int:
+    """The orbit size under negation, which reverses and rotates, of the necklace ``mask``;
+    0 if a rotation of its reverse is smaller. The least one starts at a longest run of 0s."""
+    s = bin(mask)[2:].zfill(n)
+    rr, run = s[::-1] * 2, "0" * (n - mask.bit_length()) + "1"
+    k = rr.find(run)
+    while 0 <= k < n:
+        if (rotation := rr[k : k + n]) <= s:
+            return period if rotation == s else 0
+        k = rr.find(run, k + 1)
+    return 2 * period
 
 
 def enumerate_canonical(campaign: Campaign):
@@ -501,14 +543,15 @@ def _scan_chunk(campaign: Campaign, lo_mask: int, hi_mask: int) -> tuple[list, _
     return records, stats
 
 
-# Windows this wide or wider use workers: on 2 cores two beat one in 27 of 30
-# alternating in-process scans of Z20, but in only 10 of 20 of Z19.
+# Walk windows this wide or wider use workers: on 2 cores two beat one in 27 of 30
+# alternating in-process scans of Z20, but in only 10 of 20 of Z19. Necklace scans never
+# split: each part would regenerate every necklace, and two took ~2x one's wall on Z20-Z24.
 _PARALLEL_THRESHOLD = 1 << 19
 
 
 def _size_parts(campaign: Campaign, parts: int) -> list:
-    """Cut the size window into at most ``parts`` windows of about equal cost: a set of
-    size k weighs n + k, a rough model of its share of the orbit walk and its record."""
+    """Cut a walk scan's size window into at most ``parts`` windows of about equal cost: a set
+    of size k weighs n + k, a rough model of its share of the orbit walk and its record."""
     n = campaign.width()
     sizes = range(campaign.min_size, min(n if campaign.max_size is None else campaign.max_size, n) + 1)
     if parts < 2 or len(sizes) < 2:
@@ -536,7 +579,7 @@ def scan(
     campaign.validate()
     lo, hi = mask_range or (1, 1 << campaign.width())
     lo, hi = max(lo, 1), min(hi, 1 << campaign.width())
-    parts = _size_parts(campaign, threads if hi - lo >= _PARALLEL_THRESHOLD else 1)
+    parts = _size_parts(campaign, 1 if hi - lo < _PARALLEL_THRESHOLD or _uses_necklaces(campaign) else threads)
     pool = None
     if len(parts) > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazily: keeps imports light

@@ -620,7 +620,8 @@ def test_second_main_call_builds_no_parser(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["scan", "--group", "Z12", "--exponents", "--format", "json"],
+        # full-affine: Z12's translation classes come from the necklace generator, in one part
+        ["scan", "--group", "Z12", "--mode", "full-affine", "--exponents", "--format", "json"],
         ["scan", "--group", "Z2xZ6", "--format", "csv"],
         ["scan", "--ints", "0..11", "--exponents"],
         ["mstd", "--ints", "0..14", "--max-size", "8", "--format", "json"],

@@ -264,7 +264,8 @@ def test_scan_partitioning_and_threads():
 @pytest.mark.parametrize("threads", [2, 3])
 @pytest.mark.parametrize(
     "campaign",
-    [Campaign(group=GroupSpec((12,))), Campaign(ints=(0, 11))],
+    # full-affine: a cyclic group's translation classes come from the necklace generator, in one part
+    [Campaign(group=GroupSpec((12,)), mode=MODE_FULL_AFFINE), Campaign(ints=(0, 11))],
     ids=["Z12", "ints0..11"],
 )
 def test_parallel_merge_matches_serial(monkeypatch, campaign, threads):
@@ -293,6 +294,38 @@ def test_scan_matches_burnside(moduli, mode):
         assert summary.representatives == burnside_orbit_count(moduli, mode, lo, hi)
         subsets = sum(math.comb(n, k) for k in range(lo, (n if hi is None else hi) + 1))
         assert sum(r.orbit_size for r in records) == summary.universe == subsets
+
+
+NECKLACE_MODES = [MODE_TRANSLATION, MODE_TRANSLATION_NEGATION]
+
+
+@pytest.mark.parametrize("mode", NECKLACE_MODES)
+@pytest.mark.parametrize("n", range(1, 19))
+def test_necklaces_match_the_visited_walk(n, mode):
+    g = GroupSpec((n,))
+    cuts = [(1, 1 << n), (1 << n // 2, (1 << n) - (1 << n // 3)), (3, 1 << n - 1)]
+    for min_size, max_size in [(1, None), (2, max(2, n // 2)), (n // 2 + 1, n)]:
+        campaign = Campaign(group=g, mode=mode, min_size=min_size, max_size=max_size)
+        for lo, hi in cuts:
+            want = list(explorer._orbit_walk(campaign, lo, hi))
+            assert list(explorer._necklaces(campaign, lo, hi)) == want
+
+
+@pytest.mark.parametrize("mode", NECKLACE_MODES)
+@pytest.mark.parametrize("n", range(13, 23))
+def test_necklaces_count_every_orbit_once(n, mode):
+    campaign = Campaign(group=GroupSpec((n,)), mode=mode)
+    sizes = [size for _, size in explorer._canonical_masks(campaign, 1, 1 << n)]
+    assert len(sizes) == burnside_orbit_count((n,), mode)
+    assert sum(sizes) == (1 << n) - 1
+
+
+def test_cyclic_scan_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **_: pytest.fail("a pool started"))
+    records, summary = scan(Campaign(group=GroupSpec((20,))), threads=2)  # 2^20 masks: past the threshold
+    assert len(records) == summary.representatives == burnside_orbit_count((20,), MODE_TRANSLATION_NEGATION)
 
 
 WINDOW_CUTS = (1, 7, 300, 1500, 2900, 1 << 12)  # five uneven windows
@@ -454,6 +487,13 @@ def _mask(r):
     return sum(1 << x for x in r.elements)
 
 
+def _generated(campaign):
+    """Whether the campaign takes its representatives from the necklace generator,
+    which builds no orbit and runs as one in-process part for any worker count."""
+    g = campaign.group
+    return g is not None and len(g.moduli) == 1 and campaign.mode in NECKLACE_MODES
+
+
 @pytest.mark.parametrize("mode", explorer.MODES)
 @pytest.mark.parametrize("moduli", SPLIT_GROUPS, ids=lambda m: "x".join(f"Z{n}" for n in m))
 def test_split_builds_each_orbit_once(monkeypatch, inline_split, moduli, mode):
@@ -476,12 +516,13 @@ def test_split_builds_each_orbit_once(monkeypatch, inline_split, moduli, mode):
         calls.update(orbit=0, translates=0)
         _, summary = scan(campaign, threads=threads)
         work.append(dict(calls))
-        if mode != MODE_NONE:  # one orbit built per representative, in whichever part
+        if mode != MODE_NONE and not _generated(campaign):  # one orbit per representative, in whichever part
             assert calls["orbit"] == summary.representatives
             assert summary.representatives <= calls["translates"]
         else:  # records read their sizes from the kernel, not from translate tables
             assert calls == {"orbit": 0, "translates": 0}
-    assert inline_split == [2, 3, 4]  # every split ran, one part per worker
+    # every split ran, one part per worker; necklace campaigns never split
+    assert inline_split == ([] if _generated(campaign) else [2, 3, 4])
     assert all(w == work[0] for w in work)  # the work does not grow with the worker count
 
 
@@ -506,7 +547,10 @@ def test_split_scan_matches_serial(inline_split, campaign, mask_range):
     sizes = (campaign.max_size or n) - campaign.min_size + 1
     for threads in (2, 3, 4):
         assert scan(campaign, threads=threads, mask_range=mask_range) == serial
-        assert inline_split.pop() == min(threads, sizes)
+        if _generated(campaign):
+            assert inline_split == []  # necklace campaigns run as one in-process part
+        else:
+            assert inline_split.pop() == min(threads, sizes)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -608,4 +652,5 @@ def test_key_tally_matches_a_recount_of_the_records(inline_split, campaign):
         assert list(summary.counts) == list(counts)  # the json keys keep their order
         assert summary.universe == sum(r.orbit_size for r in records) == (1 << 12) - 1
         assert summary.representatives == len(records)
-    assert inline_split == [3]  # the 3-part split ran and merged its tallies
+    # the 3-part split ran and merged its tallies; necklace campaigns never split
+    assert inline_split == ([] if _generated(campaign) else [3])
