@@ -10,14 +10,13 @@ Canonical representative = the lexicographically least bitmask in the orbit.
 Enumeration is in ascending representative order. Z_N's translation classes (and
 their negations) come from a necklace generator, other group orbits from a walk
 over the masks. Both cut into mask ranges whose results concatenate (resumable
-output); walk scans also into size windows merged by mask (worker processes).
+output); walk scans also into size windows, walked by workers and merged by mask.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -124,9 +123,6 @@ class SearchRecord:
         if self.sum_card == self.card or self.diff_card == self.card:
             return None
         return math.log(self.diff_card / self.card) / math.log(self.sum_card / self.card)
-
-    def __reduce__(self):  # by constructor: the slots default pickles through slower hooks
-        return SearchRecord, tuple(map(self.__getattribute__, self.__slots__))
 
     def set_literal(self) -> str:
         return ",".join(map(str, self.elements)) + "@" + self.group
@@ -288,34 +284,33 @@ def _uses_necklaces(campaign: Campaign) -> bool:
     return g is not None and len(g.moduli) == 1 and mode in (MODE_TRANSLATION, MODE_TRANSLATION_NEGATION)
 
 
-def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
-    """Yield (representative mask, orbit size) with masks ascending in [lo, hi).
-    Group orbits also take the automorphism tables ``maps``. Z_N's translation
-    (and negation) classes come from the necklace generator, other group orbits
-    from the visited walk."""
+def _walks(campaign: Campaign) -> bool:
+    """Whether a scan's orbits come from the visited walk, the one source that splits by size:
+    the necklaces, mode none and integer windows cost what their records cost."""
+    return campaign.group is not None and campaign.mode != MODE_NONE and not _uses_necklaces(campaign)
+
+
+def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int) -> Iterator[tuple]:
+    """Yield (representative mask, orbit size) with masks ascending in [lo, hi): Z_N's translation
+    (and negation) classes from the necklace generator, other group orbits from the visited walk."""
     lo = max(lo_mask, 1)
-    min_size, max_size = campaign.min_size, campaign.max_size or campaign.width()
-    mode, g = campaign.mode, campaign.group
-    if g is None:
-        width = campaign.width()
+    if _walks(campaign):
+        yield from _orbit_walk(campaign, lo, hi_mask)
+    elif _uses_necklaces(campaign):
+        yield from _necklaces(campaign, lo, hi_mask)
+    else:  # an integer window, or a group in mode none
+        width, mode = campaign.width(), campaign.mode
+        min_size, max_size = campaign.min_size, campaign.max_size or width
         step = 1 if mode == MODE_NONE else 2  # a canonical translate holds bit 0: odd masks only
         for mask in range(lo if step == 1 else lo | 1, hi_mask, step):
             if min_size <= mask.bit_count() <= max_size and (size := _int_orbit_size(mask, width, mode)):
                 yield mask, size
-    elif mode == MODE_NONE:
-        for mask in range(lo, hi_mask):
-            if min_size <= mask.bit_count() <= max_size:
-                yield mask, 1
-    elif _uses_necklaces(campaign) and not maps:
-        yield from _necklaces(campaign, lo, hi_mask)
-    else:
-        yield from _orbit_walk(campaign, lo, hi_mask, maps)
 
 
 def _orbit_walk(campaign: Campaign, lo: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
-    """``_canonical_masks`` for any group: an orbit is built at its least member in the window,
-    and its other members there are marked visited. Members below ``lo`` only decide whether
-    that one is the representative, so windows of a range concatenate to the range's scan."""
+    """``_canonical_masks`` for any group, whose orbits also take the automorphism tables ``maps``: an
+    orbit is built at its least member in the window, and its other members there are marked visited.
+    Members below ``lo`` only decide whether that one is the representative, so windows concatenate."""
     min_size, max_size = campaign.min_size, campaign.max_size or campaign.width()
     visited = bytearray(max(hi_mask - lo, 0))
     for mask in range(lo, hi_mask):
@@ -466,19 +461,13 @@ def _categories(r: SearchRecord) -> Iterator[str]:
         yield "eq_lower"
 
 
-def _mask_order(r: SearchRecord) -> tuple:
-    """Sort key of a record's mask: masks compare as their bits read from the top."""
-    return r.elements[::-1]
-
-
-def _fold_max(best: tuple, value: float | None, argmax: list) -> tuple:
-    """Fold (value, argmax) into best = (max, argmax), taking the argmax list over."""
-    top, arg = best
-    if value is None or (top is not None and value < top):
-        return best
+def _fold_max(best: tuple, value: float, r: SearchRecord) -> tuple:
+    """Fold record ``r`` with exponent ``value`` into best = (max, argmax list); ties append."""
+    top, argmax = best
     if top is None or value > top:
-        return value, argmax
-    arg.extend(argmax)  # ties keep both, in order; in place, so n ties cost O(n)
+        return value, [r]
+    if value == top:
+        argmax.append(r)  # in place, so n ties cost O(n)
     return best
 
 
@@ -486,7 +475,7 @@ def _fold_max(best: tuple, value: float | None, argmax: list) -> tuple:
 class _Stats:
     """Scan tallies: per (card, |A+A|, |A-A|, coset) key its orbit-weighted and
     representative counts and its exponents, and the exponent maxima with their
-    non-coset argmax records."""
+    non-coset argmax records in the order absorbed (a scan's: ascending mask)."""
 
     keys: dict = field(default_factory=dict)  # key -> [weight, reps, exponent_up, exponent_down]
     up: tuple = (None, ())
@@ -502,18 +491,10 @@ class _Stats:
         up, down = entry[2], entry[3]
         if up is None:  # sigma or delta 1: no exponent
             return
-        if self.up[0] is None or up >= self.up[0]:  # a list only at the max
-            self.up = _fold_max(self.up, up, [r])
+        if self.up[0] is None or up >= self.up[0]:  # a call only at the max
+            self.up = _fold_max(self.up, up, r)
         if self.down[0] is None or down >= self.down[0]:
-            self.down = _fold_max(self.down, down, [r])
-
-    def merge(self, other: "_Stats") -> None:
-        for key, (weight, reps, up, down) in other.keys.items():
-            entry = self.keys.setdefault(key, [0, 0, up, down])
-            entry[0] += weight
-            entry[1] += reps
-        self.up = _fold_max(self.up, *other.up)
-        self.down = _fold_max(self.down, *other.down)
+            self.down = _fold_max(self.down, down, r)
 
     def summary(self) -> ScanSummary:
         counts, rep_counts = dict.fromkeys(_CATEGORIES, 0), dict.fromkeys(_CATEGORIES, 0)
@@ -527,31 +508,27 @@ class _Stats:
             counts=counts,
             rep_counts=rep_counts,
             max_exponent_up=self.up[0],
-            argmax_up=tuple(r.set_literal() for r in sorted(self.up[1], key=_mask_order)),
+            argmax_up=tuple(r.set_literal() for r in self.up[1]),
             max_exponent_down=self.down[0],
-            argmax_down=tuple(r.set_literal() for r in sorted(self.down[1], key=_mask_order)),
+            argmax_down=tuple(r.set_literal() for r in self.down[1]),
         )
 
 
-def _scan_chunk(campaign: Campaign, lo_mask: int, hi_mask: int) -> tuple[list, _Stats]:
-    records, stats, record = [], _Stats(), _recorder(campaign)
-    for mask, orbit_size in _canonical_masks(campaign, lo_mask, hi_mask):
-        rec = record(mask, orbit_size)
-        stats.absorb(rec)
-        if not campaign.mstd_only or rec.mstd:
-            records.append(rec)
-    return records, stats
+def _walk_part(campaign: Campaign, lo_mask: int, hi_mask: int) -> list:
+    """One worker's share of a split scan: its size window's (mask, orbit size) pairs."""
+    return list(_orbit_walk(campaign, lo_mask, hi_mask))
 
 
-# Walk windows this wide or wider use workers: on 2 cores two beat one in 27 of 30
-# alternating in-process scans of Z20, but in only 10 of 20 of Z19. Necklace scans never
-# split: each part would regenerate every necklace, and two took ~2x one's wall on Z20-Z24.
+# Walk windows this wide or wider use workers, so a whole scan of order 20 (2^20 - 1 masks) splits
+# and one of order 19 does not. Whole process on 2 cores, two workers took 0.75 s against one's
+# 0.95 s on Z20 full-affine and 0.93 s against 1.16 s on Z2xZ10 (won 12 and 13 of 15 rounds), but
+# Z19 full-affine forced to split took 0.49 s against 0.43 s (won 3 of 11).
 _PARALLEL_THRESHOLD = 1 << 19
 
 
 def _size_parts(campaign: Campaign, parts: int) -> list:
     """Cut a walk scan's size window into at most ``parts`` windows of about equal cost: a set
-    of size k weighs n + k, a rough model of its share of the orbit walk and its record."""
+    of size k weighs n + k, a rough model of its share of the orbit walk (not of its records)."""
     n = campaign.width()
     sizes = range(campaign.min_size, min(n if campaign.max_size is None else campaign.max_size, n) + 1)
     if parts < 2 or len(sizes) < 2:
@@ -573,24 +550,26 @@ def scan(
     Records are canonical representatives in ascending-mask order (filtered
     when the campaign asks for it); summary counts are orbit-weighted so they
     describe the raw universe. ``mask_range`` restricts to a half-open window
-    of representative masks for resumable partitioning; ``threads`` > 1 runs
-    size windows over it in worker processes and merges their records by mask.
+    of representative masks for resumable partitioning; ``threads`` > 1 walks
+    size windows over it in worker processes and merges their masks.
     """
     campaign.validate()
     lo, hi = mask_range or (1, 1 << campaign.width())
     lo, hi = max(lo, 1), min(hi, 1 << campaign.width())
-    parts = _size_parts(campaign, 1 if hi - lo < _PARALLEL_THRESHOLD or _uses_necklaces(campaign) else threads)
-    pool = None
+    parts = _size_parts(campaign, threads if _walks(campaign) and hi - lo >= _PARALLEL_THRESHOLD else 1)
     if len(parts) > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazily: keeps imports light
 
-        pool = ProcessPoolExecutor(max_workers=len(parts))
-    with pool or nullcontext():
-        results = list((pool.map if pool else map)(_scan_chunk, parts, repeat(lo), repeat(hi)))
-    stats = _Stats()
-    for _, part_stats in results:
-        stats.merge(part_stats)
-    records = list(heapq.merge(*(recs for recs, _ in results), key=_mask_order))
+        with ProcessPoolExecutor(max_workers=len(parts)) as pool:
+            pairs = heapq.merge(*pool.map(_walk_part, parts, repeat(lo), repeat(hi)))
+    else:
+        pairs = _canonical_masks(campaign, lo, hi)
+    records, stats, record = [], _Stats(), _recorder(campaign)
+    for mask, orbit_size in pairs:
+        rec = record(mask, orbit_size)
+        stats.absorb(rec)
+        if not campaign.mstd_only or rec.mstd:
+            records.append(rec)
     return records, stats.summary()
 
 

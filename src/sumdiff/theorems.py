@@ -27,7 +27,7 @@ from math import comb
 from random import Random
 
 from .errors import CapExceededError, EmptySetError
-from .explorer import MODE_FULL_AFFINE, Campaign, _canonical_masks, _group_orbit
+from .explorer import MODE_FULL_AFFINE, Campaign, _group_orbit, _orbit_walk
 from .groups import GroupSpec, is_coset
 from .petridis import MINIMIZER_CAP, find_minimizer
 from .ruzsa import build_injection, build_witness_table, check_surjective, verify_injective
@@ -352,7 +352,7 @@ def sweep_claim(
         raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
     else:
         maps = g.automorphisms()  # with the unit scalars of full-affine mode, all of Aut(g)
-        weighted = _canonical_masks(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, total_universe + 1, maps)
+        weighted = _orbit_walk(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, total_universe + 1, maps)
     counts = {HOLDS: 0, EQUALITY: 0, VIOLATED: 0}
     violations = []  # masks
     for mask, weight in weighted:

@@ -620,23 +620,26 @@ def test_second_main_call_builds_no_parser(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        # full-affine: Z12's translation classes come from the necklace generator, in one part
+        # walk campaigns only: necklace (Z12 translation), mode none and integer scans run in one part
         ["scan", "--group", "Z12", "--mode", "full-affine", "--exponents", "--format", "json"],
         ["scan", "--group", "Z2xZ6", "--format", "csv"],
-        ["scan", "--ints", "0..11", "--exponents"],
-        ["mstd", "--ints", "0..14", "--max-size", "8", "--format", "json"],
+        ["scan", "--group", "Z2xZ6", "--mode", "translation", "--exponents"],
+        ["mstd", "--group", "Z3xZ4", "--max-size", "8", "--format", "json"],
     ],
     ids=["scan-json", "scan-csv", "scan-human", "mstd-json"],
 )
 def test_two_workers_print_the_one_worker_bytes(monkeypatch, argv):
+    import concurrent.futures
+
     serial = run([*argv, "--threads", "1"])
-    merges = []
-    merge = explorer._Stats.merge
+    parts, pool = [], concurrent.futures.ProcessPoolExecutor
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
-    monkeypatch.setattr(explorer._Stats, "merge", lambda self, o: merges.append(merge(self, o)))
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: parts.append(max_workers) or pool(max_workers)
+    )
     assert run([*argv, "--threads", "2"]) == serial
-    assert len(merges) == 2  # one merge per worker part: the worker path ran
+    assert parts == [2]  # one pool of two parts: the worker path ran
 
 
 @pytest.mark.parametrize("fmt, builds", [("csv", 0), ("json", 1), ("human", 1)])

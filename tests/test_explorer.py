@@ -261,21 +261,30 @@ def test_scan_partitioning_and_threads():
     assert par == full and s_par == s_full
 
 
+@pytest.fixture
+def pool_parts(monkeypatch):
+    """Run split scans in real worker processes; yields the part count of each pool started."""
+    import concurrent.futures
+
+    parts, pool = [], concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: parts.append(max_workers) or pool(max_workers)
+    )
+    return parts
+
+
 @pytest.mark.parametrize("threads", [2, 3])
 @pytest.mark.parametrize(
     "campaign",
-    # full-affine: a cyclic group's translation classes come from the necklace generator, in one part
-    [Campaign(group=GroupSpec((12,)), mode=MODE_FULL_AFFINE), Campaign(ints=(0, 11))],
-    ids=["Z12", "ints0..11"],
+    # walk campaigns: a cyclic group's translation classes come from the necklace generator, in one part
+    [Campaign(group=GroupSpec((12,)), mode=MODE_FULL_AFFINE), Campaign(group=GroupSpec((2, 6)))],
+    ids=["Z12", "Z2xZ6"],
 )
-def test_parallel_merge_matches_serial(monkeypatch, campaign, threads):
+def test_parallel_merge_matches_serial(monkeypatch, pool_parts, campaign, threads):
     serial_records, serial_summary = scan(campaign)
-    merges = []
-    merge = explorer._Stats.merge
     monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
-    monkeypatch.setattr(explorer._Stats, "merge", lambda self, o: merges.append(merge(self, o)))
     records, summary = scan(campaign, threads=threads)
-    assert len(merges) == threads  # one merge per worker chunk: the parallel path ran
+    assert pool_parts == [threads]  # one pool, one part per worker: the parallel path ran
     assert records == serial_records
     assert summary == serial_summary  # argmax tuples compare in order, ties included
 
@@ -320,12 +329,35 @@ def test_necklaces_count_every_orbit_once(n, mode):
     assert sum(sizes) == (1 << n) - 1
 
 
+def _no_pool(*args, **kwargs):
+    pytest.fail("a pool started")
+
+
 def test_cyclic_scan_starts_no_pool(monkeypatch):
     import concurrent.futures
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **_: pytest.fail("a pool started"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     records, summary = scan(Campaign(group=GroupSpec((20,))), threads=2)  # 2^20 masks: past the threshold
     assert len(records) == summary.representatives == burnside_orbit_count((20,), MODE_TRANSLATION_NEGATION)
+
+
+@pytest.mark.parametrize(
+    "campaign",
+    [
+        Campaign(group=GroupSpec((12,)), mode=MODE_NONE),
+        Campaign(group=GroupSpec((2, 6)), mode=MODE_NONE),
+        *(Campaign(ints=(0, 11), mode=mode) for mode in explorer.MODES),
+    ],
+    ids=lambda c: c.describe(),
+)
+def test_record_bound_scans_start_no_pool(monkeypatch, campaign):
+    # mode none and integer windows walk no orbit: their records are their whole cost
+    import concurrent.futures
+
+    serial = scan(campaign)
+    monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    assert scan(campaign, threads=2) == serial
 
 
 WINDOW_CUTS = (1, 7, 300, 1500, 2900, 1 << 12)  # five uneven windows
@@ -487,11 +519,11 @@ def _mask(r):
     return sum(1 << x for x in r.elements)
 
 
-def _generated(campaign):
-    """Whether the campaign takes its representatives from the necklace generator,
-    which builds no orbit and runs as one in-process part for any worker count."""
+def _one_part(campaign):
+    """Whether the campaign runs as one in-process part for any worker count: the necklace
+    generator, mode none and integer windows build no orbit, so a split would walk nothing."""
     g = campaign.group
-    return g is not None and len(g.moduli) == 1 and campaign.mode in NECKLACE_MODES
+    return g is None or campaign.mode == MODE_NONE or (len(g.moduli) == 1 and campaign.mode in NECKLACE_MODES)
 
 
 @pytest.mark.parametrize("mode", explorer.MODES)
@@ -516,13 +548,13 @@ def test_split_builds_each_orbit_once(monkeypatch, inline_split, moduli, mode):
         calls.update(orbit=0, translates=0)
         _, summary = scan(campaign, threads=threads)
         work.append(dict(calls))
-        if mode != MODE_NONE and not _generated(campaign):  # one orbit per representative, in whichever part
+        if not _one_part(campaign):  # one orbit per representative, in whichever part
             assert calls["orbit"] == summary.representatives
             assert summary.representatives <= calls["translates"]
         else:  # records read their sizes from the kernel, not from translate tables
             assert calls == {"orbit": 0, "translates": 0}
-    # every split ran, one part per worker; necklace campaigns never split
-    assert inline_split == ([] if _generated(campaign) else [2, 3, 4])
+    # every split ran, one part per worker; the other campaigns never split
+    assert inline_split == ([] if _one_part(campaign) else [2, 3, 4])
     assert all(w == work[0] for w in work)  # the work does not grow with the worker count
 
 
@@ -547,16 +579,18 @@ def test_split_scan_matches_serial(inline_split, campaign, mask_range):
     sizes = (campaign.max_size or n) - campaign.min_size + 1
     for threads in (2, 3, 4):
         assert scan(campaign, threads=threads, mask_range=mask_range) == serial
-        if _generated(campaign):
-            assert inline_split == []  # necklace campaigns run as one in-process part
+        if _one_part(campaign):
+            assert inline_split == []  # necklace, mode none and integer campaigns run as one in-process part
         else:
             assert inline_split.pop() == min(threads, sizes)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_exponent_ties_come_in_mask_order(inline_split, threads):
-    # above half the group A+A = A-A = Z14, so every non-coset ties at exponent 1
-    records, summary = scan(Campaign(group=GroupSpec((14,)), min_size=8), threads=threads)
+    # above half the group A+A = A-A = Z14, so every non-coset ties at exponent 1; full-affine
+    # orbits come from the walk, which splits, so the ties arrive from several parts
+    records, summary = scan(Campaign(group=GroupSpec((14,)), mode=MODE_FULL_AFFINE, min_size=8), threads=threads)
+    assert inline_split == ([] if threads == 1 else [threads])
     non_coset = [r for r in records if not r.coset]
     assert len(non_coset) == summary.representatives - 1  # Z14 itself is the one coset
     assert summary.max_exponent_up == summary.max_exponent_down == 1.0
@@ -652,5 +686,5 @@ def test_key_tally_matches_a_recount_of_the_records(inline_split, campaign):
         assert list(summary.counts) == list(counts)  # the json keys keep their order
         assert summary.universe == sum(r.orbit_size for r in records) == (1 << 12) - 1
         assert summary.representatives == len(records)
-    # the 3-part split ran and merged its tallies; necklace campaigns never split
-    assert inline_split == ([] if _generated(campaign) else [3])
+    # the 3-part split ran; necklace, mode none and integer campaigns never split
+    assert inline_split == ([] if _one_part(campaign) else [3])

@@ -243,7 +243,7 @@ def test_exhaustive_minimizer_sweep_above_the_cap_fails_before_the_walk(monkeypa
     with pytest.raises(CapExceededError) as walked:
         run_claim(claim, GSet.from_mask(small, 0b1111), cap=3)
     walks = []
-    monkeypatch.setattr(theorems, "_canonical_masks", lambda *a: walks.append(a) or iter(()))
+    monkeypatch.setattr(theorems, "_orbit_walk", lambda *a: walks.append(a) or iter(()))
     with pytest.raises(CapExceededError) as early:
         sweep_claim(claim, small, cap=3)
     assert str(early.value) == str(walked.value) == "minimizer base size 4 exceeds cap 3"
