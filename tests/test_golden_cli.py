@@ -227,6 +227,14 @@ def _cases() -> list:
     cases.append(["check", "ineq1", "--sweep", "Z3xZ3", "--format", "json"])
     # A --range that starts past the last mask: exit 1.
     cases += [["scan", "--group", "Z6", "--range", "99999:199999"], ["scan", "--ints", "0..5", "--range", "64:100"]]
+    # Cyclic full-affine orbits whose unit stabilisers differ: a prime order, an odd and a 2-power order.
+    cases += [
+        ["check", "fact1", "--sweep", "Z13", "--format", "json"],
+        ["check", "thm2", "--sweep", "Z15", "--format", "json"],
+        ["check", "thm3", "--sweep", "Z16", "--format", "json"],
+        ["scan", "--group", "Z15", "--mode", "full-affine", "--format", "csv", "--threads", "1"],
+        ["scan", "--group", "Z12", "--mode", "full-affine", "--range", "300:2900", "--format", "csv", "--threads", "1"],
+    ]
     return cases
 
 
