@@ -7,10 +7,10 @@ structural flags, and float exponents for reporting only. Aggregate counts
 are orbit-weighted, i.e. they describe the raw universe before dedup.
 
 Canonical representative = the lexicographically least bitmask in the orbit.
-Enumeration is in ascending representative order. Z_N's translation classes (and
-their negations) come from a necklace generator, other group orbits from a walk
-over the masks. Both cut into mask ranges whose results concatenate (resumable
-output); walk scans also into size windows, walked by workers and merged by mask.
+Enumeration is in ascending representative order. Z_N's orbits in every mode but
+none come from a necklace generator, a product group's from a walk over the masks.
+Both cut into mask ranges whose results concatenate (resumable output); walk scans
+also into size windows, walked by workers and merged by mask.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Iterator
 
 from ._version import VERSION
@@ -278,25 +279,21 @@ def _int_orbit_size(mask: int, width: int, mode: str) -> int:
     return 0 if mirror < mask else translates if mirror == mask else 2 * translates
 
 
-def _uses_necklaces(campaign: Campaign) -> bool:
-    """Whether a scan's orbits are the rotations (and reversals) of Z_N's N-bit strings."""
-    g, mode = campaign.group, campaign.mode
-    return g is not None and len(g.moduli) == 1 and mode in (MODE_TRANSLATION, MODE_TRANSLATION_NEGATION)
-
-
 def _walks(campaign: Campaign) -> bool:
-    """Whether a scan's orbits come from the visited walk, the one source that splits by size:
-    the necklaces, mode none and integer windows cost what their records cost."""
-    return campaign.group is not None and campaign.mode != MODE_NONE and not _uses_necklaces(campaign)
+    """Whether a scan's orbits come from the visited walk, the one source that splits by size: a product
+    group's outside mode none. Z_N's necklaces, mode none and integer windows cost what their records cost."""
+    g = campaign.group
+    return g is not None and len(g.moduli) > 1 and campaign.mode != MODE_NONE
 
 
-def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int) -> Iterator[tuple]:
-    """Yield (representative mask, orbit size) with masks ascending in [lo, hi): Z_N's translation
-    (and negation) classes from the necklace generator, other group orbits from the visited walk."""
+def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
+    """Yield (representative mask, orbit size) with masks ascending in [lo, hi): Z_N's orbits in every
+    mode but none from the necklace generator, a product group's from the visited walk, whose orbits
+    also take the automorphism tables ``maps`` (Z_N has none past its unit scalars)."""
     lo = max(lo_mask, 1)
     if _walks(campaign):
-        yield from _orbit_walk(campaign, lo, hi_mask)
-    elif _uses_necklaces(campaign):
+        yield from _orbit_walk(campaign, lo, hi_mask, maps)
+    elif campaign.group is not None and campaign.mode != MODE_NONE:  # Z_N
         yield from _necklaces(campaign, lo, hi_mask)
     else:  # an integer window, or a group in mode none
         width, mode = campaign.width(), campaign.mode
@@ -327,14 +324,17 @@ def _orbit_walk(campaign: Campaign, lo: int, hi_mask: int, maps: tuple = ()) -> 
 def _necklaces(campaign: Campaign, lo: int, hi_mask: int) -> Iterator[tuple]:
     """``_canonical_masks`` for Z_N: a translate rotates the N-bit string read from the top bit, so
     a class's least mask is a necklace. The FKM walk (Ruskey, Savage and Wang, 1992) sets the
-    lowest 0, at place i, and repeats places 1..i down to bit 0: a necklace of period i if i | N."""
+    lowest 0, at place i, and repeats places 1..i down to bit 0: a necklace of period i if i | N.
+    A full-affine orbit joins the bracelets (classes under negation too) of uA over the units u."""
     n, min_size, max_size = campaign.width(), campaign.min_size, campaign.max_size or campaign.width()
+    g, affine = campaign.group, campaign.mode == MODE_FULL_AFFINE
+    scalings = tuple(itemgetter(*g.scale_table(u)) for u in g.units() if 1 < u < n - u) if affine else ()
     rep = [0] + [sum(1 << p for p in range(0, n, i)) for i in range(1, n + 1)]  # ones every i bits
     cut = [0] + [-n % i for i in range(1, n + 1)]  # the bits that the last copy runs past bit 0
     mask, i = 0, 1
     while mask < hi_mask:
         if n % i == 0 and lo <= mask and min_size <= mask.bit_count() <= max_size:
-            if size := i if campaign.mode == MODE_TRANSLATION else _bracelet_size(mask, n, i):
+            if size := i if campaign.mode == MODE_TRANSLATION else _bracelet_size(mask, n, i, scalings):
                 yield mask, size
         if (b := (~mask & (mask + 1)).bit_length() - 1) == n:  # the lowest 0 is bit b, place n - b
             return
@@ -342,17 +342,38 @@ def _necklaces(campaign: Campaign, lo: int, hi_mask: int) -> Iterator[tuple]:
         mask = (((mask >> b) | 1) * rep[i]) >> cut[i]
 
 
-def _bracelet_size(mask: int, n: int, period: int) -> int:
-    """The orbit size under negation, which reverses and rotates, of the necklace ``mask``;
-    0 if a rotation of its reverse is smaller. The least one starts at a longest run of 0s."""
+def _bracelet_size(mask: int, n: int, period: int, scalings: tuple) -> int:
+    """The orbit size of the necklace ``mask`` under negation, which reverses and rotates, and the unit
+    ``scalings``; 0 if an image has a smaller rotation. ``scalings`` holds one index map per pair +-u
+    with 1 < u < n - u: read off the reversed string (bit j at place j) it gives u^-1 A's, and u^-1
+    runs over the pairs as u does. A least rotation opens with a longest run of 0s: an image with a
+    longer run is smaller, and one with a run as long is compared at the rotations, and those of its
+    reverse, that open with ``mask``'s run. The pairs whose image is in ``mask``'s class fix that
+    class, and each other pair adds a class of its size."""
     s = bin(mask)[2:].zfill(n)
-    rr, run = s[::-1] * 2, "0" * (n - mask.bit_length()) + "1"
-    k = rr.find(run)
-    while 0 <= k < n:
-        if (rotation := rr[k : k + n]) <= s:
-            return period if rotation == s else 0
-        k = rr.find(run, k + 1)
-    return 2 * period
+    r, run = s[::-1], "0" * (n - mask.bit_length()) + "1"
+    if (order := _rotation_order(s, run, r + r)) < 0:
+        return 0
+    size, fixed = period if order == 0 else 2 * period, 1
+    for scale in scalings:
+        tt = "".join(scale(r)) * 2
+        if run[:-1] + "0" in tt or (order := _rotation_order(s, run, tt, tt[::-1])) < 0:
+            return 0
+        fixed += order == 0
+    return size * (1 + len(scalings)) // fixed
+
+
+def _rotation_order(s: str, run: str, *doubled: str) -> int:
+    """-1 if a rotation of a string, given doubled, that opens with ``run`` is below ``s``, 0 if one
+    equals ``s`` (then the strings lie in ``s``'s class and none is below), else 1."""
+    n = len(s)
+    for tt in doubled:
+        k = tt.find(run)
+        while 0 <= k < n:
+            if (rotation := tt[k : k + n]) <= s:
+                return -(rotation < s)
+            k = tt.find(run, k + 1)
+    return 1
 
 
 def enumerate_canonical(campaign: Campaign):
@@ -519,16 +540,16 @@ def _walk_part(campaign: Campaign, lo_mask: int, hi_mask: int) -> list:
     return list(_orbit_walk(campaign, lo_mask, hi_mask))
 
 
-# Walk windows this wide or wider use workers, so a whole scan of order 20 (2^20 - 1 masks) splits
-# and one of order 19 does not. Whole process on 2 cores, two workers took 0.75 s against one's
-# 0.95 s on Z20 full-affine and 0.93 s against 1.16 s on Z2xZ10 (won 12 and 13 of 15 rounds), but
-# Z19 full-affine forced to split took 0.49 s against 0.43 s (won 3 of 11).
+# Walk windows this wide or wider use workers, so a whole product-group scan of order 20 splits and
+# one of order 18 does not. Whole process on 2 cores, two workers took 0.76 s against one's 0.80 s on
+# Z2xZ10 and 0.77 s against 0.96 s on Z2xZ2xZ5 (won 8 and 11 of 11 rounds), but Z3xZ6 forced to
+# split took 0.31 s against 0.32 s (won 6 of 11) for 27% more CPU.
 _PARALLEL_THRESHOLD = 1 << 19
 
 
 def _size_parts(campaign: Campaign, parts: int) -> list:
-    """Cut a walk scan's size window into at most ``parts`` windows of about equal cost: a set
-    of size k weighs n + k, a rough model of its share of the orbit walk (not of its records)."""
+    """Cut the size window of a walk scan (a product group's) into at most ``parts`` windows of about
+    equal cost: a set of size k weighs n + k, a rough model of its share of the walk (not of its records)."""
     n = campaign.width()
     sizes = range(campaign.min_size, min(n if campaign.max_size is None else campaign.max_size, n) + 1)
     if parts < 2 or len(sizes) < 2:

@@ -27,7 +27,7 @@ from math import comb
 from random import Random
 
 from .errors import CapExceededError, EmptySetError
-from .explorer import MODE_FULL_AFFINE, Campaign, _group_orbit, _orbit_walk
+from .explorer import MODE_FULL_AFFINE, Campaign, _canonical_masks, _group_orbit
 from .groups import GroupSpec, is_coset
 from .petridis import MINIMIZER_CAP, find_minimizer
 from .ruzsa import build_injection, build_witness_table, check_surjective, verify_injective
@@ -325,8 +325,9 @@ def sweep_claim(
 
     Exhaustive means one verdict per orbit of x -> f(x) + t, f in Aut(g), counted
     with the orbit's size: a claim reads only sizes of sums of A and -A and whether
-    A is a coset, which every automorphism keeps. It lists the 32 least violating
-    masks, ascending; a sample lists the first 32 it draws.
+    A is a coset, which every automorphism keeps; it raises RuntimeError unless the
+    orbit sizes sum to 2^|g| - 1. It lists the 32 least violating masks, ascending;
+    a sample lists the first 32 it draws.
 
     Exhaustive sweeps are capped by group order; sampling lifts that cap. A
     sample draws masks uniformly with replacement from a seeded generator, so
@@ -352,7 +353,7 @@ def sweep_claim(
         raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
     else:
         maps = g.automorphisms()  # with the unit scalars of full-affine mode, all of Aut(g)
-        weighted = _orbit_walk(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, total_universe + 1, maps)
+        weighted = _canonical_masks(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, total_universe + 1, maps)
     counts = {HOLDS: 0, EQUALITY: 0, VIOLATED: 0}
     violations = []  # masks
     for mask, weight in weighted:
@@ -362,5 +363,8 @@ def sweep_claim(
             violations = sorted([*violations, *_group_orbit(g, mask, MODE_FULL_AFFINE, maps)])[:32]
         elif outcome == VIOLATED and len(violations) < 32:
             violations.append(mask)
+    total = sum(counts.values())
+    if not sampled and total != total_universe:  # the orbits must cover every subset once
+        raise RuntimeError(f"exhaustive sweep of {g.label()} weighed {total} subsets, not {total_universe}")
     literals = tuple(str(GSet.from_mask(g, m)) for m in violations)
-    return SweepSummary(claim, g, sum(counts.values()), counts, literals)
+    return SweepSummary(claim, g, total, counts, literals)

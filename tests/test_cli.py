@@ -620,8 +620,8 @@ def test_second_main_call_builds_no_parser(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        # walk campaigns only: necklace (Z12 translation), mode none and integer scans run in one part
-        ["scan", "--group", "Z12", "--mode", "full-affine", "--exponents", "--format", "json"],
+        # walk campaigns only: cyclic (necklace), mode none and integer scans run in one part
+        ["scan", "--group", "Z2xZ8", "--mode", "full-affine", "--exponents", "--format", "json"],
         ["scan", "--group", "Z2xZ6", "--format", "csv"],
         ["scan", "--group", "Z2xZ6", "--mode", "translation", "--exponents"],
         ["mstd", "--group", "Z3xZ4", "--max-size", "8", "--format", "json"],

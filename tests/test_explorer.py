@@ -276,9 +276,9 @@ def pool_parts(monkeypatch):
 @pytest.mark.parametrize("threads", [2, 3])
 @pytest.mark.parametrize(
     "campaign",
-    # walk campaigns: a cyclic group's translation classes come from the necklace generator, in one part
-    [Campaign(group=GroupSpec((12,)), mode=MODE_FULL_AFFINE), Campaign(group=GroupSpec((2, 6)))],
-    ids=["Z12", "Z2xZ6"],
+    # walk campaigns: a cyclic group's orbits come from the necklace generator, in one part
+    [Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE), Campaign(group=GroupSpec((2, 6)))],
+    ids=["Z2xZ6-full-affine", "Z2xZ6"],
 )
 def test_parallel_merge_matches_serial(monkeypatch, pool_parts, campaign, threads):
     serial_records, serial_summary = scan(campaign)
@@ -305,7 +305,7 @@ def test_scan_matches_burnside(moduli, mode):
         assert sum(r.orbit_size for r in records) == summary.universe == subsets
 
 
-NECKLACE_MODES = [MODE_TRANSLATION, MODE_TRANSLATION_NEGATION]
+NECKLACE_MODES = [MODE_TRANSLATION, MODE_TRANSLATION_NEGATION, MODE_FULL_AFFINE]
 
 
 @pytest.mark.parametrize("mode", NECKLACE_MODES)
@@ -337,8 +337,9 @@ def test_cyclic_scan_starts_no_pool(monkeypatch):
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    records, summary = scan(Campaign(group=GroupSpec((20,))), threads=2)  # 2^20 masks: past the threshold
-    assert len(records) == summary.representatives == burnside_orbit_count((20,), MODE_TRANSLATION_NEGATION)
+    for mode in (MODE_TRANSLATION_NEGATION, MODE_FULL_AFFINE):  # 2^20 masks: past the threshold
+        records, summary = scan(Campaign(group=GroupSpec((20,)), mode=mode), threads=2)
+        assert len(records) == summary.representatives == burnside_orbit_count((20,), mode)
 
 
 @pytest.mark.parametrize(
@@ -521,9 +522,10 @@ def _mask(r):
 
 def _one_part(campaign):
     """Whether the campaign runs as one in-process part for any worker count: the necklace
-    generator, mode none and integer windows build no orbit, so a split would walk nothing."""
+    generator (every mode of a cyclic group but none), mode none and integer windows build
+    no orbit, so a split would walk nothing."""
     g = campaign.group
-    return g is None or campaign.mode == MODE_NONE or (len(g.moduli) == 1 and campaign.mode in NECKLACE_MODES)
+    return g is None or campaign.mode == MODE_NONE or len(g.moduli) == 1
 
 
 @pytest.mark.parametrize("mode", explorer.MODES)
@@ -587,12 +589,12 @@ def test_split_scan_matches_serial(inline_split, campaign, mask_range):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_exponent_ties_come_in_mask_order(inline_split, threads):
-    # above half the group A+A = A-A = Z14, so every non-coset ties at exponent 1; full-affine
-    # orbits come from the walk, which splits, so the ties arrive from several parts
-    records, summary = scan(Campaign(group=GroupSpec((14,)), mode=MODE_FULL_AFFINE, min_size=8), threads=threads)
+    # above half the group A+A = A-A = Z2xZ8, so every non-coset ties at exponent 1; a product
+    # group's full-affine orbits come from the walk, which splits, so the ties arrive from several parts
+    records, summary = scan(Campaign(group=GroupSpec((2, 8)), mode=MODE_FULL_AFFINE, min_size=9), threads=threads)
     assert inline_split == ([] if threads == 1 else [threads])
     non_coset = [r for r in records if not r.coset]
-    assert len(non_coset) == summary.representatives - 1  # Z14 itself is the one coset
+    assert len(non_coset) == summary.representatives - 1  # Z2xZ8 itself is the one coset
     assert summary.max_exponent_up == summary.max_exponent_down == 1.0
     literals = tuple(r.set_literal() for r in non_coset)
     assert summary.argmax_up == summary.argmax_down == literals

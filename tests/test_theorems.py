@@ -25,6 +25,7 @@ from sumdiff import (
     check_surjective,
     check_upper,
     diffset,
+    explorer,
     is_coset,
     run_claim,
     sets,
@@ -242,8 +243,8 @@ def test_exhaustive_minimizer_sweep_above_the_cap_fails_before_the_walk(monkeypa
     small = GroupSpec((8,))
     with pytest.raises(CapExceededError) as walked:
         run_claim(claim, GSet.from_mask(small, 0b1111), cap=3)
-    walks = []
-    monkeypatch.setattr(theorems, "_orbit_walk", lambda *a: walks.append(a) or iter(()))
+    walks, source = [], theorems._canonical_masks
+    monkeypatch.setattr(theorems, "_canonical_masks", lambda *a: walks.append(a) or source(*a))
     with pytest.raises(CapExceededError) as early:
         sweep_claim(claim, small, cap=3)
     assert str(early.value) == str(walked.value) == "minimizer base size 4 exceeds cap 3"
@@ -313,6 +314,30 @@ def test_exhaustive_sweep_takes_one_verdict_per_automorphism_orbit(monkeypatch, 
     assert len(verdicts) == aut_orbit_count(g.moduli)
     if len(g.moduli) == 1:  # a cyclic group's automorphisms are its unit scalars
         assert len(verdicts) == burnside_orbit_count(g.moduli, "full-affine")
+
+
+@pytest.mark.parametrize("g", [GroupSpec((12,)), GroupSpec((13,)), GroupSpec((2, 6))], ids=GroupSpec.label)
+def test_an_exhaustive_sweep_that_misses_an_orbit_raises(monkeypatch, g):
+    # a source that drops its first orbit, the singletons
+    source = theorems._canonical_masks
+    monkeypatch.setattr(theorems, "_canonical_masks", lambda *a: islice(source(*a), 1, None))
+    short = (1 << g.order) - 1 - g.order
+    with pytest.raises(RuntimeError, match=f"^exhaustive sweep of {g.label()} weighed {short} subsets, not "):
+        sweep_claim("fact1", g)
+    assert sweep_claim("fact1", g, sample=50).total == 50  # a sample draws its own masks
+
+
+def test_cyclic_sweeps_take_the_necklace_source(monkeypatch):
+    # Z_N's automorphisms are its unit scalars, so its full-affine orbits need no walk
+    walked = []
+    walk = explorer._orbit_walk
+    monkeypatch.setattr(explorer, "_orbit_walk", lambda *a: walked.append(a[0].group.label()) or walk(*a))
+    for g in (GroupSpec((16,)), GroupSpec((2, 4))):
+        verdicts = []
+        monkeypatch.setitem(theorems._CLAIMS, "planted", _planted(verdicts.append))
+        assert sweep_claim("planted", g).total == (1 << g.order) - 1
+        assert len(verdicts) == aut_orbit_count(g.moduli)
+    assert walked == ["Z2xZ4"]
 
 
 def _planted(violated):
