@@ -235,6 +235,12 @@ def _cases() -> list:
         ["scan", "--group", "Z15", "--mode", "full-affine", "--format", "csv", "--threads", "1"],
         ["scan", "--group", "Z12", "--mode", "full-affine", "--range", "300:2900", "--format", "csv", "--threads", "1"],
     ]
+    # Product-group walks of 2^20 masks: with two workers they split across a process pool.
+    cases += [
+        ["scan", "--group", "Z2xZ10", "--max-size", "4", "--format", "csv", "--threads", "2"],
+        ["scan", "--group", "Z4xZ5", "--mode", "translation", "--min-size", "3", "--max-size", "5", "--format", "json",
+         "--threads", "2"],
+    ]
     return cases
 
 
