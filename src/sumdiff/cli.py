@@ -165,8 +165,8 @@ def _unread(args, keys: tuple, reason: str) -> None:
 
 
 def _threads(args, config: dict) -> int:
-    """Worker processes: at least 1, at most the number of cores."""
-    cores = os.cpu_count() or 1
+    """Worker processes: at least 1, at most the number of cores this process may run on."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(_setting(args, config, "threads", cores), cores)
 
 

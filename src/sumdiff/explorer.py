@@ -9,18 +9,18 @@ are orbit-weighted, i.e. they describe the raw universe before dedup.
 Canonical representative = the lexicographically least bitmask in the orbit.
 Enumeration is in ascending representative order. Z_N's orbits in every mode but
 none come from a necklace generator, a product group's from a walk over the masks.
-Both cut into mask ranges whose results concatenate (resumable output); walk scans
-also into size windows, walked by workers and merged by mask.
+Both cut into mask ranges whose results concatenate (resumable output); a walk scan's
+workers also each take the sizes of one residue class, and their masks merge.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterator
 
@@ -280,38 +280,43 @@ def _int_orbit_size(mask: int, width: int, mode: str) -> int:
 
 
 def _walks(campaign: Campaign) -> bool:
-    """Whether a scan's orbits come from the visited walk, the one source that splits by size: a product
-    group's outside mode none. Z_N's necklaces, mode none and integer windows cost what their records cost."""
+    """Whether a scan's orbits come from the visited walk, the one source that splits by size residue: a
+    product group's outside mode none. Z_N's necklaces, mode none and integer windows cost their records."""
     g = campaign.group
     return g is not None and len(g.moduli) > 1 and campaign.mode != MODE_NONE
+
+
+def _sizes(campaign: Campaign, part: int = 0, parts: int = 1) -> bytes:
+    """``keep[k]`` for k = 0..N, whether a scan takes the sets of size k: those in the campaign's size
+    window and, for walk part ``part`` of ``parts``, only those with k = part (mod parts)."""
+    n = campaign.width()
+    return bytes(campaign.min_size <= k <= (campaign.max_size or n) and k % parts == part for k in range(n + 1))
 
 
 def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
     """Yield (representative mask, orbit size) with masks ascending in [lo, hi): Z_N's orbits in every
     mode but none from the necklace generator, a product group's from the visited walk, whose orbits
     also take the automorphism tables ``maps`` (Z_N has none past its unit scalars)."""
-    lo = max(lo_mask, 1)
+    lo, keep = max(lo_mask, 1), _sizes(campaign)
     if _walks(campaign):
-        yield from _orbit_walk(campaign, lo, hi_mask, maps)
+        yield from _orbit_walk(campaign, keep, lo, hi_mask, maps)
     elif campaign.group is not None and campaign.mode != MODE_NONE:  # Z_N
-        yield from _necklaces(campaign, lo, hi_mask)
+        yield from _necklaces(campaign, keep, lo, hi_mask)
     else:  # an integer window, or a group in mode none
         width, mode = campaign.width(), campaign.mode
-        min_size, max_size = campaign.min_size, campaign.max_size or width
         step = 1 if mode == MODE_NONE else 2  # a canonical translate holds bit 0: odd masks only
         for mask in range(lo if step == 1 else lo | 1, hi_mask, step):
-            if min_size <= mask.bit_count() <= max_size and (size := _int_orbit_size(mask, width, mode)):
+            if keep[mask.bit_count()] and (size := _int_orbit_size(mask, width, mode)):
                 yield mask, size
 
 
-def _orbit_walk(campaign: Campaign, lo: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
-    """``_canonical_masks`` for any group, whose orbits also take the automorphism tables ``maps``: an
+def _orbit_walk(campaign: Campaign, keep: bytes, lo: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
+    """``_canonical_masks`` for any group, the size table ``keep`` and the automorphism tables ``maps``: an
     orbit is built at its least member in the window, and its other members there are marked visited.
     Members below ``lo`` only decide whether that one is the representative, so windows concatenate."""
-    min_size, max_size = campaign.min_size, campaign.max_size or campaign.width()
     visited = bytearray(max(hi_mask - lo, 0))
     for mask in range(lo, hi_mask):
-        if visited[mask - lo] or not min_size <= mask.bit_count() <= max_size:
+        if visited[mask - lo] or not keep[mask.bit_count()]:
             continue
         orbit = _group_orbit(campaign.group, mask, campaign.mode, maps)
         for m in orbit:
@@ -321,19 +326,18 @@ def _orbit_walk(campaign: Campaign, lo: int, hi_mask: int, maps: tuple = ()) -> 
             yield mask, len(orbit)
 
 
-def _necklaces(campaign: Campaign, lo: int, hi_mask: int) -> Iterator[tuple]:
-    """``_canonical_masks`` for Z_N: a translate rotates the N-bit string read from the top bit, so
-    a class's least mask is a necklace. The FKM walk (Ruskey, Savage and Wang, 1992) sets the
-    lowest 0, at place i, and repeats places 1..i down to bit 0: a necklace of period i if i | N.
-    A full-affine orbit joins the bracelets (classes under negation too) of uA over the units u."""
-    n, min_size, max_size = campaign.width(), campaign.min_size, campaign.max_size or campaign.width()
-    g, affine = campaign.group, campaign.mode == MODE_FULL_AFFINE
+def _necklaces(campaign: Campaign, keep: bytes, lo: int, hi_mask: int) -> Iterator[tuple]:
+    """``_canonical_masks`` for Z_N and the size table ``keep``: a translate rotates the N-bit string
+    read from the top bit, so a class's least mask is a necklace. The FKM walk (Ruskey, Savage and Wang,
+    1992) sets the lowest 0, at place i, and repeats places 1..i down to bit 0: a necklace of period i
+    if i | N. A full-affine orbit joins the bracelets (classes under negation too) of uA over the units u."""
+    n, g, affine = campaign.width(), campaign.group, campaign.mode == MODE_FULL_AFFINE
     scalings = tuple(itemgetter(*g.scale_table(u)) for u in g.units() if 1 < u < n - u) if affine else ()
     rep = [0] + [sum(1 << p for p in range(0, n, i)) for i in range(1, n + 1)]  # ones every i bits
     cut = [0] + [-n % i for i in range(1, n + 1)]  # the bits that the last copy runs past bit 0
     mask, i = 0, 1
     while mask < hi_mask:
-        if n % i == 0 and lo <= mask and min_size <= mask.bit_count() <= max_size:
+        if n % i == 0 and lo <= mask and keep[mask.bit_count()]:
             if size := i if campaign.mode == MODE_TRANSLATION else _bracelet_size(mask, n, i, scalings):
                 yield mask, size
         if (b := (~mask & (mask + 1)).bit_length() - 1) == n:  # the lowest 0 is bit b, place n - b
@@ -535,9 +539,9 @@ class _Stats:
         )
 
 
-def _walk_part(campaign: Campaign, lo_mask: int, hi_mask: int) -> list:
-    """One worker's share of a split scan: its size window's (mask, orbit size) pairs."""
-    return list(_orbit_walk(campaign, lo_mask, hi_mask))
+def _walk_part(campaign: Campaign, keep: bytes, lo_mask: int, hi_mask: int) -> list:
+    """One worker's share of a split scan: the (mask, orbit size) pairs of the sizes in its table."""
+    return list(_orbit_walk(campaign, keep, lo_mask, hi_mask))
 
 
 # Walk windows this wide or wider use workers, so a whole product-group scan of order 20 splits and
@@ -545,19 +549,6 @@ def _walk_part(campaign: Campaign, lo_mask: int, hi_mask: int) -> list:
 # Z2xZ10 and 0.77 s against 0.96 s on Z2xZ2xZ5 (won 8 and 11 of 11 rounds), but Z3xZ6 forced to
 # split took 0.31 s against 0.32 s (won 6 of 11) for 27% more CPU.
 _PARALLEL_THRESHOLD = 1 << 19
-
-
-def _size_parts(campaign: Campaign, parts: int) -> list:
-    """Cut the size window of a walk scan (a product group's) into at most ``parts`` windows of about
-    equal cost: a set of size k weighs n + k, a rough model of its share of the walk (not of its records)."""
-    n = campaign.width()
-    sizes = range(campaign.min_size, min(n if campaign.max_size is None else campaign.max_size, n) + 1)
-    if parts < 2 or len(sizes) < 2:
-        return [campaign]
-    cost = list(accumulate(math.comb(n, k) * (n + k) for k in sizes))
-    near = lambda share: min(sizes[:-1], key=lambda k: abs(cost[k - sizes[0]] - share))
-    ends = [sizes[0] - 1, *sorted({near(cost[-1] * i / parts) for i in range(1, parts)}), sizes[-1]]
-    return [replace(campaign, min_size=a + 1, max_size=b) for a, b in zip(ends, ends[1:])]
 
 
 def scan(
@@ -572,17 +563,20 @@ def scan(
     when the campaign asks for it); summary counts are orbit-weighted so they
     describe the raw universe. ``mask_range`` restricts to a half-open window
     of representative masks for resumable partitioning; ``threads`` > 1 walks
-    size windows over it in worker processes and merges their masks.
+    it in worker processes, one per residue class of sizes mod ``threads``, and
+    merges their masks. A full-range scan checks that its orbits cover its sizes.
     """
     campaign.validate()
-    lo, hi = mask_range or (1, 1 << campaign.width())
-    lo, hi = max(lo, 1), min(hi, 1 << campaign.width())
-    parts = _size_parts(campaign, threads if _walks(campaign) and hi - lo >= _PARALLEL_THRESHOLD else 1)
-    if len(parts) > 1:
+    n = campaign.width()
+    lo, hi = mask_range or (1, 1 << n)
+    lo, hi = max(lo, 1), min(hi, 1 << n)
+    parts = threads if _walks(campaign) and hi - lo >= _PARALLEL_THRESHOLD else 1
+    tables = [keep for keep in (_sizes(campaign, i, parts) for i in range(parts)) if any(keep)]
+    if len(tables) > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazily: keeps imports light
 
-        with ProcessPoolExecutor(max_workers=len(parts)) as pool:
-            pairs = heapq.merge(*pool.map(_walk_part, parts, repeat(lo), repeat(hi)))
+        with ProcessPoolExecutor(max_workers=len(tables)) as pool:
+            pairs = heapq.merge(*pool.map(_walk_part, repeat(campaign), tables, repeat(lo), repeat(hi)))
     else:
         pairs = _canonical_masks(campaign, lo, hi)
     records, stats, record = [], _Stats(), _recorder(campaign)
@@ -591,7 +585,10 @@ def scan(
         stats.absorb(rec)
         if not campaign.mstd_only or rec.mstd:
             records.append(rec)
-    return records, stats.summary()
+    summary, window = stats.summary(), sum(math.comb(n, k) for k, on in enumerate(_sizes(campaign)) if on)
+    if (lo, hi) == (1, 1 << n) and summary.universe != window:  # the orbits must cover every subset once
+        raise RuntimeError(f"full scan of {campaign.describe()} weighed {summary.universe} subsets, not {window}")
+    return records, summary
 
 
 def find_mstd(*, threads: int = 1, **fields) -> list:

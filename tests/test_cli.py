@@ -496,11 +496,18 @@ def test_negative_literals_are_values(tmp_path):
 
 def test_threads_clamped_to_cores(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     parse = cli.build_parser().parse_args
     assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "64"]), {}) == 2
     assert cli._threads(parse(["mstd", "--group", "Z6"]), {"threads": "5"}) == 2
     assert cli._threads(parse(["scan", "--group", "Z6"]), {}) == 2
     assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "1"]), {"threads": "2"}) == 1
+    # the cores this process may run on, not the machine's
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "2"]), {}) == 1
+    assert cli._threads(parse(["scan", "--group", "Z6"]), {}) == 1
+    monkeypatch.delattr(cli.os, "sched_getaffinity")  # a platform without affinity counts every core
+    assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "64"]), {}) == 2
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
@@ -634,6 +641,7 @@ def test_two_workers_print_the_one_worker_bytes(monkeypatch, argv):
     serial = run([*argv, "--threads", "1"])
     parts, pool = [], concurrent.futures.ProcessPoolExecutor
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor", lambda max_workers: parts.append(max_workers) or pool(max_workers)

@@ -2,6 +2,8 @@ import io
 import pickle
 import math
 import random
+import re
+from itertools import islice
 from fractions import Fraction
 
 import pytest
@@ -275,16 +277,20 @@ def pool_parts(monkeypatch):
 
 @pytest.mark.parametrize("threads", [2, 3])
 @pytest.mark.parametrize(
-    "campaign",
+    "campaign, sizes",
     # walk campaigns: a cyclic group's orbits come from the necklace generator, in one part
-    [Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE), Campaign(group=GroupSpec((2, 6)))],
-    ids=["Z2xZ6-full-affine", "Z2xZ6"],
+    [
+        (Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE), 12),
+        (Campaign(group=GroupSpec((2, 6))), 12),
+        (Campaign(group=GroupSpec((2, 6)), min_size=4, max_size=5), 2),  # three workers: one residue has no size
+    ],
+    ids=["Z2xZ6-full-affine", "Z2xZ6", "Z2xZ6-sizes-4-5"],
 )
-def test_parallel_merge_matches_serial(monkeypatch, pool_parts, campaign, threads):
+def test_parallel_merge_matches_serial(monkeypatch, pool_parts, campaign, sizes, threads):
     serial_records, serial_summary = scan(campaign)
     monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
     records, summary = scan(campaign, threads=threads)
-    assert pool_parts == [threads]  # one pool, one part per worker: the parallel path ran
+    assert pool_parts == [min(threads, sizes)]  # one pool, one part per residue with a size: the parallel path ran
     assert records == serial_records
     assert summary == serial_summary  # argmax tuples compare in order, ties included
 
@@ -316,8 +322,9 @@ def test_necklaces_match_the_visited_walk(n, mode):
     for min_size, max_size in [(1, None), (2, max(2, n // 2)), (n // 2 + 1, n)]:
         campaign = Campaign(group=g, mode=mode, min_size=min_size, max_size=max_size)
         for lo, hi in cuts:
-            want = list(explorer._orbit_walk(campaign, lo, hi))
-            assert list(explorer._necklaces(campaign, lo, hi)) == want
+            keep = explorer._sizes(campaign)
+            want = list(explorer._orbit_walk(campaign, keep, lo, hi))
+            assert list(explorer._necklaces(campaign, keep, lo, hi)) == want
 
 
 @pytest.mark.parametrize("mode", NECKLACE_MODES)
@@ -564,6 +571,7 @@ SPLIT_CAMPAIGNS = [
     *(Campaign(group=GroupSpec(m), mode=mode) for m in SPLIT_GROUPS for mode in explorer.MODES),
     *(Campaign(ints=(0, 11), mode=mode) for mode in explorer.MODES),
     Campaign(group=GroupSpec((2, 6)), min_size=3, max_size=7),
+    Campaign(group=GroupSpec((2, 6)), min_size=4, max_size=5),  # three or four workers: a residue has no size
     Campaign(ints=(0, 11), min_size=5, max_size=6),  # fewer sizes than workers
     Campaign(group=GroupSpec((12,)), mstd_only=True),
 ]
@@ -585,6 +593,49 @@ def test_split_scan_matches_serial(inline_split, campaign, mask_range):
             assert inline_split == []  # necklace, mode none and integer campaigns run as one in-process part
         else:
             assert inline_split.pop() == min(threads, sizes)
+
+
+@pytest.mark.parametrize("moduli", [(12,), (2, 6)], ids=["Z12", "Z2xZ6"])
+def test_a_full_scan_that_misses_an_orbit_raises(monkeypatch, inline_split, moduli):
+    # a source that drops its first pair: in one part the singletons, in a split every part's least orbit
+    campaign = Campaign(group=GroupSpec(moduli))
+    window = scan(campaign, mask_range=(1, 300))
+    source, walk_part = explorer._canonical_masks, explorer._walk_part
+    monkeypatch.setattr(explorer, "_canonical_masks", lambda *a: islice(source(*a), 1, None))
+    monkeypatch.setattr(explorer, "_walk_part", lambda *a: walk_part(*a)[1:])
+    full = f"^full scan of {re.escape(campaign.describe())} weighed "
+    with pytest.raises(RuntimeError, match=full + f"{4095 - 12} subsets, not 4095$"):
+        scan(campaign)
+    with pytest.raises(RuntimeError, match=full + r"\d+ subsets, not 4095$"):
+        scan(campaign, threads=2, mask_range=(0, 1 << 20))  # clamped to the full range
+    assert inline_split == ([] if len(moduli) == 1 else [2])
+    assert scan(campaign, mask_range=(1, 300))[0] == window[0][1:]  # a window is not checked
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_size_residues_partition_a_full_window_evenly(parts):
+    for n in range(16, 25):
+        tables = [explorer._sizes(Campaign(group=GroupSpec((n,))), i, parts) for i in range(parts)]
+        assert [sum(column) for column in zip(*tables)] == [0] + [1] * n  # each size 1..n in one part
+        masks = [sum(math.comb(n, k) for k in range(n + 1) if keep[k]) for keep in tables]
+        assert sum(masks) == (1 << n) - 1
+        assert max(masks) - min(masks) <= parts - 1
+
+
+@pytest.mark.parametrize(
+    "moduli, mode, want",
+    [
+        ((2, 12), MODE_TRANSLATION_NEGATION, [177_591, 175_792]),
+        ((4, 5), MODE_TRANSLATION, [26_271, 26_216]),
+        ((2, 10), MODE_TRANSLATION_NEGATION, [13_825, 13_364]),
+    ],
+    ids=["Z2xZ12", "Z4xZ5", "Z2xZ10"],
+)
+def test_two_workers_walk_about_equal_orbit_counts(moduli, mode, want):
+    # the representatives that each part of a whole two-worker scan returns, counted by Burnside per size
+    campaign, n = Campaign(group=GroupSpec(moduli), mode=mode), math.prod(moduli)
+    tables = [explorer._sizes(campaign, i, 2) for i in (0, 1)]
+    assert [sum(burnside_orbit_count(moduli, mode, k, k) for k in range(n + 1) if keep[k]) for keep in tables] == want
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
