@@ -241,6 +241,15 @@ def _cases() -> list:
         ["scan", "--group", "Z4xZ5", "--mode", "translation", "--min-size", "3", "--max-size", "5", "--format", "json",
          "--threads", "2"],
     ]
+    # Long injection tables (runs of same-key int dicts): the README's 85 KB case, a product
+    # group and an integer literal with "modulus"; petridis steps hold lists among their ints.
+    for lit in (
+        "0,4,8,14,16,23,30,34,35,37,38,40,56,57,58,62,63@Z64",
+        "0,1,5,9,14,18,23,30,37,41,46@Z4xZ12",
+        "0,2,3,7,11,12,19,25,31,40@Z",
+    ):
+        cases.append(["witness", "ruzsa", lit, "--format", "json"])
+    cases.append(["witness", "petridis", "0,1,3,7,12,20,30,33,41,50@Z64", "--format", "json"])
     return cases
 
 
