@@ -18,8 +18,10 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
+from operator import itemgetter
 
 from ._version import VERSION
 from .errors import CapExceededError, ParseError, SumdiffError
@@ -223,6 +225,26 @@ def _json(obj, nl: str = "\n") -> str:
             parts.append(_quote(key) + ": " + (enc(value) if enc else _json(value, inner)))
         return "{" + inner + ("," + inner).join(parts) + nl + "}" if parts else "{}"
     if type(obj) is list or type(obj) is tuple:
+        # A run of dicts sharing one key set, every value an exact int (the injection tables),
+        # fills one row template per member from a single % over the sorted values; _quote
+        # raises the TypeError for a key that is not a str, as on the general path.
+        first = obj[0] if len(obj) > 1 else None
+        if (
+            type(first) is dict
+            and len(first) > 1
+            and set(map(type, first.values())) == {int}
+            and set(map(type, obj)) == {dict}
+            and set(map(len, obj)) == {len(first)}
+        ):
+            keys = sorted(first)
+            try:  # the members are as long as the first, so a KeyError is the only key mismatch left
+                flat = tuple(chain.from_iterable(map(itemgetter(*keys), obj)))
+            except KeyError:
+                flat = ()
+            if set(map(type, flat)) == {int}:
+                deeper = inner + "  "
+                row = "{" + deeper + ("," + deeper).join(_quote(k).replace("%", "%%") + ": %d" for k in keys)
+                return "[" + inner + ("," + inner).join([row + inner + "}"] * len(obj)) % flat + nl + "]"
         parts = [enc(v) if (enc := _SCALARS.get(type(v))) else _json(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(parts) + nl + "]" if parts else "[]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -332,8 +332,27 @@ def test_json_emitter_matches_json_dumps():
         | st.floats()
         | st.sampled_from(_AWKWARD_FLOATS)
     )
+    ints = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+    misses = {"bool": True, "float": 1.0, "str": "1", "list": [1], "nested": {"k": 1}}
+
+    @st.composite
+    def int_runs(draw):
+        """A list or tuple of dicts with one key set in shuffled orders and int values,
+        with at most one planted near-miss of the cli._json fast path."""
+        keys = draw(st.lists(strs | st.sampled_from(["%", "%d", "a%%s"]), min_size=1, max_size=4, unique=True))
+        run = [{k: draw(ints) for k in draw(st.permutations(keys))} for _ in range(draw(st.integers(1, 6)))]
+        member, key = draw(st.sampled_from(run)), draw(st.sampled_from(keys))
+        miss = draw(st.sampled_from([None, "missing", "extra", "renamed", *misses]))
+        if miss in ("missing", "renamed"):
+            del member[key]
+        if miss in ("extra", "renamed"):
+            member[draw(strs.filter(lambda k: k not in keys))] = 0
+        elif miss in misses:
+            member[key] = misses[miss]
+        return draw(st.sampled_from([list, tuple]))(run)
+
     payloads = st.recursive(
-        leaves,
+        leaves | int_runs(),
         lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(strs, kids),
         max_leaves=20,
     )
@@ -345,12 +364,30 @@ def test_json_emitter_matches_json_dumps():
 
     matches()
     fixed = {s: [s, {}, (), *_AWKWARD_FLOATS, -(2**70), 2**64, True, None] for s in _AWKWARD_STRS}
+    row = {"w": -(2**70), "%d": 2**64, "u": 0, "\u00e9": -1}
+    fixed["runs"] = [
+        [row, dict(reversed(row.items())), {**row, "w": 7}],
+        (row, {**row, "u": True}),
+        [row, {**row, "u": 0.0}],
+        [row, {**row, "u": "0"}],
+        [row, {**row, "u": [0]}],
+        [row, {k: v for k, v in row.items() if k != "u"}],
+        [row, {**row, "v": 0}],
+        [row, {**{k: v for k, v in row.items() if k != "u"}, "v": 0}],
+        [row, [*row.values()]],
+        [{"k": 1}, {"k": 2}],
+        [row],
+    ]
     assert cli._json(fixed) == json.dumps(fixed, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("bad", [Fraction(1, 3), {1, 2}, {1: "a"}], ids=["Fraction", "set", "int-key"])
+@pytest.mark.parametrize(
+    "bad",
+    [Fraction(1, 3), {1, 2}, {1: "a"}, [{1: 2, 3: 4}, {1: 5, 3: 6}]],
+    ids=["Fraction", "set", "int-key", "int-key-run"],
+)
 def test_json_emitter_rejects_other_types(bad):
-    for obj in (bad, {"k": [bad]}):
+    for obj in (bad, {"k": [bad]}, [{"a": 1, "b": 2}, {"a": 3, "b": bad}]):
         with pytest.raises(TypeError):
             cli._json(obj)
 
