@@ -206,6 +206,8 @@ class Campaign:
                 raise CapExceededError(
                     f"integer window width {hi - lo + 1} exceeds cap {self.width_cap}"
                 )
+        if self.min_size > self.width():
+            raise ValueError(f"min_size {self.min_size} exceeds the universe's {self.width()} elements")
 
     def width(self) -> int:
         if self.group is not None:

@@ -426,6 +426,8 @@ def test_config_out_dir(tmp_path):
         (["scan", "--group", "Z8", "--range", "5:2", "--threads", "1"], None, "mask range ends before it starts"),
         (["scan", "--group", "Z6", "--min-size", "0", "--threads", "1"], None, "error: --min-size must be >= 1, got 0"),
         (["scan", "--ints", "0..5", "--min-size", "-2", "--threads", "1"], None, "--min-size must be >= 1, got -2"),
+        (["scan", "--group", "Z6", "--min-size", "9"], None, "error: min_size 9 exceeds the universe's 6 elements"),
+        (["scan", "--ints", "0..5", "--min-size", "7"], None, "error: min_size 7 exceeds the universe's 6 elements"),
         (["scan", "--group", "Z6", "--max-size", "-1", "--threads", "1"], None, "--max-size -1 is below"),
         (["scan", "--group", "Z6", "--min-size", "4", "--max-size", "3", "--threads", "1"], None, "--max-size 3 is below"),
         (["mstd", "--group", "Z6", "--max-size", "-1", "--threads", "1"], None, "--max-size -1 is below"),

@@ -136,6 +136,12 @@ def test_empty_size_window_is_rejected(window):
         find_mstd(min_size=3, max_size=2, **window)
     with pytest.raises(ValueError, match="empty size window 1..0"):
         next(enumerate_canonical(Campaign(max_size=0, **window)))
+    with pytest.raises(ValueError, match="min_size 7 exceeds the universe's 6 elements"):
+        scan(Campaign(min_size=7, **window))
+    with pytest.raises(ValueError, match="min_size 9 exceeds the universe's 6 elements"):
+        find_mstd(min_size=9, **window)
+    with pytest.raises(ValueError, match="min_size 7 exceeds the universe's 6 elements"):
+        next(enumerate_canonical(Campaign(min_size=7, **window)))
     assert len(list(enumerate_canonical(Campaign(min_size=3, max_size=3, **window)))) > 0
 
 
