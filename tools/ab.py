@@ -2,12 +2,16 @@
 
     python3 tools/ab.py PARENT CHANGE --campaign "Z14 none" --campaign "0..15 translation+negation"
     python3 tools/ab.py PARENT CHANGE --cli "scan --group Z18 --mode none --format csv --out {out}"
+    python3 tools/ab.py PARENT CHANGE --request "witness ruzsa 0,1,3@Z8 --format json" --rounds 51
 
 PARENT and CHANGE are the roots of two checkouts (the same root twice is
 allowed). In-process, ``--campaign "UNIVERSE MODE"`` loads each side's
 ``src/sumdiff`` under its own package name and times, in CPU seconds, one
 ``scan`` plus ``write_csv`` on a fresh group; UNIVERSE is a group literal
-(``Z14``, ``Z2xZ10``) or an integer window (``0..15``). ``--cli ARGS`` times
+(``Z14``, ``Z2xZ10``) or an integer window (``0..15``). ``--request ARGS``
+times one ``cli.main(ARGS)`` of each side in-process, in CPU seconds, with
+its stdout captured: a request of a few milliseconds, which ``--cli`` would
+bury under interpreter start-up. ``--cli ARGS`` times
 ``python -m sumdiff ARGS`` in a child process per side, in wall and child CPU
 seconds; ``{out}`` stands for a fresh output file. Every round runs both
 sides, and the side that runs first alternates. Every run must write the
@@ -18,6 +22,7 @@ stdout is one JSON object.
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
 import io
 import json
@@ -30,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -61,6 +67,22 @@ def campaign_runner(pkg, text: str):
         records, _ = pkg.scan(campaign, threads=1)
         pkg.write_csv(records, buf, campaign)
         return time.process_time() - start, buf.getvalue().encode()
+
+    return run
+
+
+def request_runner(pkg, args: str):
+    """A function running ``cli.main(args)`` of ``pkg`` once in-process: (CPU seconds,
+    exit code and stdout); stderr is swallowed."""
+    main, argv = importlib.import_module(pkg.__name__ + ".cli").main, shlex.split(args)
+
+    def run():
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            start = time.process_time()
+            code = main(argv)
+            seconds = time.process_time() - start
+        return seconds, f"{code}\n{out.getvalue()}".encode()
 
     return run
 
@@ -110,24 +132,31 @@ def main(argv=None) -> int:
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--campaign", action="append", default=[], help='in-process scan, e.g. "Z14 none"')
+    p.add_argument("--request", action="append", default=[], help='in-process cli.main, e.g. "constants 0,1@Z5"')
     p.add_argument("--cli", action="append", default=[], help="whole-process command, e.g. \"mstd --ints 0..15\"")
     p.add_argument("--rounds", type=int, default=5)
     args = p.parse_args(argv)
-    if args.rounds < 1 or not args.campaign + args.cli:
-        p.error("need --rounds >= 1 and at least one --campaign or --cli")
+    if args.rounds < 1 or not args.campaign + args.request + args.cli:
+        p.error("need --rounds >= 1 and at least one --campaign, --request or --cli")
     roots = dict(zip(SIDES, (args.parent, args.change)))
     pkgs = {side: load_side(root, f"sumdiff_ab_{side}") for side, root in roots.items()}
     result = {
         "method": f"tools/ab.py, {args.rounds} rounds, the side that runs first alternating; in-process: "
-        "scan + write_csv on a fresh GroupSpec, CPU time (time.process_time); whole-process: "
+        "scan + write_csv on a fresh GroupSpec, or one cli.main request, CPU time (time.process_time); whole-process: "
         "python -m sumdiff, wall and child CPU time; both sides wrote the same bytes in every round",
         "in_process": {},
+        "requests": {},
         "whole_process": {},
     }
     for text in args.campaign:
         times = alternate({side: campaign_runner(pkgs[side], text) for side in SIDES}, args.rounds)
         result["in_process"][text] = {side: _stats(times[side]) for side in SIDES}
         cpus = {s: result["in_process"][text][s]["median_s"] for s in SIDES}
+        print(f"{text}: " + ", ".join(f"{s} {cpus[s]:.4f} s CPU" for s in SIDES), file=sys.stderr)
+    for text in args.request:
+        times = alternate({side: request_runner(pkgs[side], text) for side in SIDES}, args.rounds)
+        result["requests"][text] = {side: _stats(times[side]) for side in SIDES}
+        cpus = {s: result["requests"][text][s]["median_s"] for s in SIDES}
         print(f"{text}: " + ", ".join(f"{s} {cpus[s]:.4f} s CPU" for s in SIDES), file=sys.stderr)
     for text in args.cli:
         times = alternate({side: cli_runner(roots[side], text) for side in SIDES}, args.rounds)
