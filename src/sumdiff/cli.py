@@ -225,16 +225,12 @@ def _json(obj, nl: str = "\n") -> str:
             parts.append(_quote(key) + ": " + (enc(value) if enc else _json(value, inner)))
         return "{" + inner + ("," + inner).join(parts) + nl + "}" if parts else "{}"
     if type(obj) is list or type(obj) is tuple:
-        # A run of dicts sharing one key set, every value an exact int (the injection tables),
-        # fills one row template per member from a single % over the sorted values; _quote
-        # raises the TypeError for a key that is not a str, as on the general path.
+        # A run of dicts with one key set and exact-int values (the injection tables) fills one
+        # row template per member with a single %; a key that is not a str is a TypeError here too.
         first = obj[0] if len(obj) > 1 else None
         if (
-            type(first) is dict
-            and len(first) > 1
-            and set(map(type, first.values())) == {int}
-            and set(map(type, obj)) == {dict}
-            and set(map(len, obj)) == {len(first)}
+            type(first) is dict and len(first) > 1 and set(map(type, first.values())) == {int}
+            and set(map(type, obj)) == {dict} and set(map(len, obj)) == {len(first)}
         ):
             keys = sorted(first)
             try:  # the members are as long as the first, so a KeyError is the only key mismatch left

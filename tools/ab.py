@@ -108,8 +108,8 @@ def cli_runner(root: Path, args: str):
 
 
 def _stats(values: list) -> dict:
-    runs = [round(v, 4) for v in values]
-    return {"min_s": min(runs), "median_s": round(statistics.median(values), 4), "runs_s": runs}
+    runs = [round(v, 6) for v in values]
+    return {"min_s": min(runs), "median_s": round(statistics.median(values), 6), "runs_s": runs}
 
 
 def alternate(runners: dict, rounds: int) -> dict:
@@ -145,19 +145,14 @@ def main(argv=None) -> int:
         "scan + write_csv on a fresh GroupSpec, or one cli.main request, CPU time (time.process_time); whole-process: "
         "python -m sumdiff, wall and child CPU time; both sides wrote the same bytes in every round",
         "in_process": {},
-        "requests": {},
         "whole_process": {},
     }
-    for text in args.campaign:
-        times = alternate({side: campaign_runner(pkgs[side], text) for side in SIDES}, args.rounds)
+    in_process = [(text, campaign_runner) for text in args.campaign] + [(text, request_runner) for text in args.request]
+    for text, runner in in_process:
+        times = alternate({side: runner(pkgs[side], text) for side in SIDES}, args.rounds)
         result["in_process"][text] = {side: _stats(times[side]) for side in SIDES}
         cpus = {s: result["in_process"][text][s]["median_s"] for s in SIDES}
-        print(f"{text}: " + ", ".join(f"{s} {cpus[s]:.4f} s CPU" for s in SIDES), file=sys.stderr)
-    for text in args.request:
-        times = alternate({side: request_runner(pkgs[side], text) for side in SIDES}, args.rounds)
-        result["requests"][text] = {side: _stats(times[side]) for side in SIDES}
-        cpus = {s: result["requests"][text][s]["median_s"] for s in SIDES}
-        print(f"{text}: " + ", ".join(f"{s} {cpus[s]:.4f} s CPU" for s in SIDES), file=sys.stderr)
+        print(f"{text}: " + ", ".join(f"{s} {cpus[s] * 1e3:.3f} ms CPU" for s in SIDES), file=sys.stderr)
     for text in args.cli:
         times = alternate({side: cli_runner(roots[side], text) for side in SIDES}, args.rounds)
         result["whole_process"][text] = {
