@@ -142,6 +142,8 @@ def load_config(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ParseError(f"config line {lineno}: unknown key {key!r}", line, 0)
+            if key in config:
+                raise ParseError(f"config line {lineno}: duplicate key {key!r}", line, 0)
             config[key] = value.strip()
     return config
 
@@ -167,9 +169,8 @@ def _unread(args, keys: tuple, reason: str) -> None:
 
 
 def _threads(args, config: dict) -> int:
-    """Worker processes: at least 1, at most the number of cores this process may run on."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(_setting(args, config, "threads", cores), cores)
+    """Worker processes: at least 1, by default one per core; ``scan`` clamps them to the cores it may run on."""
+    return _setting(args, config, "threads", os.cpu_count() or 1)
 
 
 # -- output helpers --------------------------------------------------------------
@@ -341,6 +342,8 @@ def _cmd_check(args, config: dict) -> int:
     if args.sweep is not None:
         if args.set is not None:
             raise ParseError(f"--sweep takes no set literal, got {args.set!r}")
+        if args.sample is None:  # an exhaustive sweep draws nothing
+            _unread(args, ("seed",), "needs --sample")
         g = parse_group_literal(args.sweep)
         summary = sweep_claim(
             args.claim,
@@ -483,13 +486,6 @@ def _parse_pair(text: str, pattern: str, expected: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _parse_mask_range(text: str) -> tuple[int, int]:
-    lo, hi = _parse_pair(text, r"([0-9]+):([0-9]+)", "a mask range like 1:4096")
-    if hi < lo:
-        raise ParseError("mask range ends before it starts", text, 0)
-    return lo, hi
-
-
 def _campaign_fields(args, config: dict) -> dict:
     """The Campaign fields that scan and mstd read from their shared flags."""
     group = parse_group_literal(args.group) if args.group else None
@@ -498,10 +494,6 @@ def _campaign_fields(args, config: dict) -> dict:
         ints = _parse_pair(args.ints, r"(-?[0-9]+)\.\.(-?[0-9]+)", "an integer window like 0..14")
     if group is None and ints is None:
         raise ParseError("need --group or --ints", "", 0)
-    if args.min_size < 1:
-        raise ParseError(f"--min-size must be >= 1, got {args.min_size}")
-    if args.max_size is not None and args.max_size < args.min_size:
-        raise ParseError(f"--max-size {args.max_size} is below the minimum size {args.min_size}")
     return dict(
         group=group,
         ints=ints,
@@ -528,11 +520,7 @@ def _summary_lines(summary) -> list:
 
 def _cmd_scan(args, config: dict) -> int:
     campaign = Campaign(mstd_only=args.mstd, **_campaign_fields(args, config))
-    mask_range = _parse_mask_range(args.range) if args.range else None
-    if mask_range:  # an HI past the last mask is clamped, an LO there is an error
-        campaign.validate()
-        if mask_range[0] >> (n := campaign.width()):
-            raise ParseError(f"--range LO must be below 2^{n} = {1 << n}, got {mask_range[0]}")
+    mask_range = _parse_pair(args.range, r"([0-9]+):([0-9]+)", "a mask range like 1:4096") if args.range else None
     records, summary = scan(campaign, threads=_threads(args, config), mask_range=mask_range)
 
     def payload() -> dict:

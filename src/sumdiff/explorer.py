@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -191,7 +192,7 @@ class Campaign:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.min_size < 1:
-            raise ValueError("min_size must be >= 1")
+            raise ValueError(f"min_size must be >= 1, got {self.min_size}")
         if self.max_size is not None and self.max_size < self.min_size:
             raise ValueError(f"empty size window {self.min_size}..{self.max_size}")
         if self.group is not None and self.group.order > self.group_cap:
@@ -564,15 +565,23 @@ def scan(
     Records are canonical representatives in ascending-mask order (filtered
     when the campaign asks for it); summary counts are orbit-weighted so they
     describe the raw universe. ``mask_range`` restricts to a half-open window
-    of representative masks for resumable partitioning; ``threads`` > 1 walks
-    it in worker processes, one per residue class of sizes mod ``threads``, and
-    merges their masks. A full-range scan checks that its orbits cover its sizes.
+    of representative masks for resumable partitioning (HI is clamped to 2^N;
+    LO past HI or at 2^N and up is a ValueError); ``threads`` > 1, at most the
+    cores this process may run on, walks it in worker processes, one per residue
+    class of sizes mod ``threads``, and merges their masks. A full-range scan
+    checks that its orbits cover its sizes.
     """
     campaign.validate()
     n = campaign.width()
     lo, hi = mask_range or (1, 1 << n)
+    if hi < lo:
+        raise ValueError(f"mask range {lo}:{hi} ends before it starts")
+    if lo >= 1 << n:
+        raise ValueError(f"mask range {lo}:{hi} starts past the last mask: LO must be below 2^{n} = {1 << n}")
     lo, hi = max(lo, 1), min(hi, 1 << n)
     parts = threads if _walks(campaign) and hi - lo >= _PARALLEL_THRESHOLD else 1
+    if parts > 1:  # the cores this process may run on, else the machine's
+        parts = min(parts, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     tables = [keep for keep in (_sizes(campaign, i, parts) for i in range(parts)) if any(keep)]
     if len(tables) > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazily: keeps imports light

@@ -44,6 +44,8 @@ def test_parse_set_literal():
     assert p.kind == "group" and p.gset().elements() == (0, 1, 3)
     p = parse_set_literal("0,2,3,14@Z")
     assert p.kind == "ints" and p.values == (0, 2, 3, 14)
+    with pytest.raises(ValueError, match="^integer-mode literal has no direct GSet$"):
+        p.gset()  # it is embedded per operation
     with pytest.raises(ParseError):
         parse_set_literal("0,1,3")
     with pytest.raises(ParseError):
@@ -423,14 +425,15 @@ def test_config_out_dir(tmp_path):
         (["mstd", "--group", "Z6", "--threads", "0"], None, "error: --threads must be >= 1, got 0"),
         (["scan", "--group", "Z6"], "threads=0\n", "error: config key 'threads' must be >= 1, got 0"),
         (["mstd", "--group", "Z6"], "threads=0\n", "error: config key 'threads' must be >= 1, got 0"),
-        (["scan", "--group", "Z8", "--range", "5:2", "--threads", "1"], None, "mask range ends before it starts"),
-        (["scan", "--group", "Z6", "--min-size", "0", "--threads", "1"], None, "error: --min-size must be >= 1, got 0"),
-        (["scan", "--ints", "0..5", "--min-size", "-2", "--threads", "1"], None, "--min-size must be >= 1, got -2"),
+        (["scan", "--group", "Z6"], "threads=1\nthreads=2\n", "error: config line 2: duplicate key 'threads'"),
+        (["scan", "--group", "Z8", "--range", "5:2", "--threads", "1"], None, "mask range 5:2 ends before it starts"),
+        (["scan", "--group", "Z6", "--min-size", "0", "--threads", "1"], None, "error: min_size must be >= 1, got 0"),
+        (["scan", "--ints", "0..5", "--min-size", "-2", "--threads", "1"], None, "min_size must be >= 1, got -2"),
         (["scan", "--group", "Z6", "--min-size", "9"], None, "error: min_size 9 exceeds the universe's 6 elements"),
         (["scan", "--ints", "0..5", "--min-size", "7"], None, "error: min_size 7 exceeds the universe's 6 elements"),
-        (["scan", "--group", "Z6", "--max-size", "-1", "--threads", "1"], None, "--max-size -1 is below"),
-        (["scan", "--group", "Z6", "--min-size", "4", "--max-size", "3", "--threads", "1"], None, "--max-size 3 is below"),
-        (["mstd", "--group", "Z6", "--max-size", "-1", "--threads", "1"], None, "--max-size -1 is below"),
+        (["scan", "--group", "Z6", "--max-size", "-1", "--threads", "1"], None, "error: empty size window 1..-1"),
+        (["scan", "--group", "Z6", "--min-size", "4", "--max-size", "3", "--threads", "1"], None, "empty size window 4..3"),
+        (["mstd", "--group", "Z6", "--max-size", "-1", "--threads", "1"], None, "empty size window 1..-1"),
         (["constants", "0,0,1@Z8"], None, "duplicate element 0"),
         (["check", "ineq1", "3,3,1@Z"], None, "duplicate element 3"),
         (["witness", "petridis", "0,1@Z5", "--C", "1,1"], None, "duplicate element 1"),
@@ -445,6 +448,7 @@ def test_config_out_dir(tmp_path):
         (["check", "fact1", "0,1@Z5", "--sample", "3"], None, "error: --sample needs --sweep"),
         (["check", "fact1", "0,1@Z5", "--seed", "3"], None, "error: --seed needs --sweep"),
         (["check", "fact1", "0,1@Z5", "--seed", "-4", "--sample", "0"], None, "error: --sample needs --sweep"),
+        (["check", "thm1", "--sweep", "Z9", "--seed", "3"], None, "error: --seed needs --sample"),
         (["check", "thm1", "0,1@Z5", "--group-cap", "8"], None, "error: --group-cap needs --sweep"),
         (["witness", "ruzsa", "0,1,3@Z8", "--C", "0,1"], None, "error: --C is not read by witness ruzsa"),
         (["witness", "ruzsa", "0,1,3@Z8", "--base", "0,4"], None, "error: --base is not read by witness ruzsa"),
@@ -533,20 +537,16 @@ def test_negative_literals_are_values(tmp_path):
     assert _run_case(["scan", "--ints", "-4..5", "--format", "csv", "--threads", "1"], tmp_path) == (0, digest)
 
 
-def test_threads_clamped_to_cores(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_threads_default_to_every_core(monkeypatch):
+    # scan clamps the count to the cores it may run on: test_explorer.py::test_threads_clamped_to_cores
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
     parse = cli.build_parser().parse_args
-    assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "64"]), {}) == 2
-    assert cli._threads(parse(["mstd", "--group", "Z6"]), {"threads": "5"}) == 2
-    assert cli._threads(parse(["scan", "--group", "Z6"]), {}) == 2
+    assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "64"]), {}) == 64
+    assert cli._threads(parse(["mstd", "--group", "Z6"]), {"threads": "3"}) == 3
+    assert cli._threads(parse(["scan", "--group", "Z6"]), {}) == 5
     assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "1"]), {"threads": "2"}) == 1
-    # the cores this process may run on, not the machine's
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {1}, raising=False)
-    assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "2"]), {}) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # a platform that cannot count its cores
     assert cli._threads(parse(["scan", "--group", "Z6"]), {}) == 1
-    monkeypatch.delattr(cli.os, "sched_getaffinity")  # a platform without affinity counts every core
-    assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "64"]), {}) == 2
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])

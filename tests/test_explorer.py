@@ -130,6 +130,8 @@ def test_campaign_validation():
 
 @pytest.mark.parametrize("window", [{"group": GroupSpec((6,))}, {"ints": (0, 5)}], ids=["Z6", "ints"])
 def test_empty_size_window_is_rejected(window):
+    with pytest.raises(ValueError, match="^min_size must be >= 1, got 0$"):
+        scan(Campaign(min_size=0, **window))
     with pytest.raises(ValueError, match="empty size window 3..2"):
         scan(Campaign(min_size=3, max_size=2, **window))
     with pytest.raises(ValueError, match="empty size window 3..2"):
@@ -269,11 +271,37 @@ def test_scan_partitioning_and_threads():
     assert par == full and s_par == s_full
 
 
+@pytest.mark.parametrize(
+    "campaign", [Campaign(group=GroupSpec((6,))), Campaign(group=GroupSpec((2, 3))), Campaign(ints=(0, 5))],
+    ids=lambda c: c.describe(),
+)
+def test_mask_range_must_start_below_the_last_mask(campaign):
+    assert scan(campaign, mask_range=(0, 1 << 20)) == scan(campaign)  # an HI past the end is clamped
+    assert scan(campaign, mask_range=(63, 63))[1].representatives == 0  # an empty window is no error
+    with pytest.raises(ValueError, match="^mask range 5:2 ends before it starts$"):
+        scan(campaign, mask_range=(5, 2))
+    for lo in (64, 99999):
+        past = rf"^mask range {lo}:{2 * lo} starts past the last mask: LO must be below 2\^6 = 64$"
+        with pytest.raises(ValueError, match=past):
+            scan(campaign, mask_range=(lo, 2 * lo))
+
+
+def _pin_cores(monkeypatch, affinity):
+    """Let scan see the cores ``affinity`` in its affinity mask, or, for None, a platform
+    without affinity masks on a machine of two cores."""
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+    if affinity is None:
+        monkeypatch.delattr(explorer.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(explorer.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+
+
 @pytest.fixture
 def pool_parts(monkeypatch):
-    """Run split scans in real worker processes; yields the part count of each pool started."""
+    """Run split scans in real worker processes on four cores; yields the part count of each pool started."""
     import concurrent.futures
 
+    _pin_cores(monkeypatch, {0, 1, 2, 3})
     parts, pool = [], concurrent.futures.ProcessPoolExecutor
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor", lambda max_workers: parts.append(max_workers) or pool(max_workers)
@@ -514,10 +542,11 @@ class _InlinePool:
 
 @pytest.fixture
 def inline_split(monkeypatch):
-    """Split every scan with threads > 1, running the parts in this process;
-    yields the part count of each split."""
+    """Split every scan with threads > 1 on four cores, running the parts in this
+    process; yields the part count of each split."""
     import concurrent.futures
 
+    _pin_cores(monkeypatch, {0, 1, 2, 3})
     parts = []
     monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 1)
     monkeypatch.setattr(
@@ -616,6 +645,30 @@ def test_a_full_scan_that_misses_an_orbit_raises(monkeypatch, inline_split, modu
         scan(campaign, threads=2, mask_range=(0, 1 << 20))  # clamped to the full range
     assert inline_split == ([] if len(moduli) == 1 else [2])
     assert scan(campaign, mask_range=(1, 300))[0] == window[0][1:]  # a window is not checked
+
+
+@pytest.mark.parametrize(
+    "affinity, threads, parts",
+    [
+        ({0, 1}, 64, [2]),
+        ({0, 1}, 5, [2]),
+        ({0, 1}, 2, [2]),
+        ({0, 1}, 1, []),
+        ({1}, 2, []),  # the cores this process may run on, not the machine's
+        ({1}, 64, []),
+        (None, 64, [2]),  # a platform without affinity counts every core
+    ],
+    ids=["2-cores-64", "2-cores-5", "2-cores-2", "2-cores-1", "core-1-2", "core-1-64", "no-affinity-64"],
+)
+def test_threads_clamped_to_cores(monkeypatch, inline_split, affinity, threads, parts):
+    _pin_cores(monkeypatch, affinity)
+    fields = dict(group=GroupSpec((2, 10)), max_size=2)  # a walk of 2^20 masks splits at the default threshold too
+    serial, mstd = scan(Campaign(**fields)), find_mstd(**fields)
+    assert inline_split == []
+    assert scan(Campaign(**fields), threads=threads) == serial
+    assert inline_split == parts
+    assert find_mstd(threads=threads, **fields) == mstd
+    assert inline_split == parts * 2
 
 
 @pytest.mark.parametrize("parts", [2, 3])

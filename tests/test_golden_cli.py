@@ -252,6 +252,8 @@ def _cases() -> list:
     cases.append(["witness", "petridis", "0,1,3,7,12,20,30,33,41,50@Z64", "--format", "json"])
     # A --min-size above the universe's width: exit 1.
     cases += [["scan", "--group", "Z6", "--min-size", "9"], ["scan", "--ints", "0..5", "--min-size", "7"]]
+    # A --seed on an exhaustive sweep, which draws nothing: exit 1.
+    cases.append(["check", "thm1", "--sweep", "Z9", "--seed", "3"])
     return cases
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 from math import gcd, prod
 
@@ -92,6 +93,21 @@ def test_invalid_elements():
         for bad in (6, -1, 1.0):
             with pytest.raises(InvalidElementError):
                 g.shift_mask(0b101, bad)
+
+
+@pytest.mark.parametrize(
+    "moduli, digits, message",
+    [
+        ((6,), (1, 2), "expected 1 residues for Z6, got 2"),
+        ((2, 3), (1,), "expected 2 residues for Z2xZ3, got 1"),
+        ((6,), (6,), "residue 6 out of range for modulus 6"),
+        ((2, 3), (1, 3), "residue 3 out of range for modulus 3"),
+        ((2, 3), (-1, 0), "residue -1 out of range for modulus 2"),
+    ],
+)
+def test_encode_rejects_bad_residues(moduli, digits, message):
+    with pytest.raises(InvalidElementError, match=f"^{re.escape(message)}$"):
+        GroupSpec(moduli).encode(digits)
 
 
 def test_groupspec_equality_is_elementwise():

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -68,6 +69,38 @@ def test_minimizer_errors():
         find_minimizer(A, gs((5,), []))
     with pytest.raises(CapExceededError):
         find_minimizer(gs((25,), [0, 1]), GSet(GroupSpec((25,)), range(25)), cap=20)
+
+
+Z5, Z6 = GroupSpec((5,)), GroupSpec((6,))
+EMPTY, A6 = GSet(Z6, []), GSet(Z6, [0, 3])
+NO_CERTIFICATE = "brute_force_certificate needs non-empty A, X, C"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: find_minimizer(GSet(Z5, []), GSet(Z5, [0])), EmptySetError, "find_minimizer needs a non-empty A"),
+        (
+            lambda: verify_hypothesis(GSet(Z5, [0, 1]), GSet(Z5, [0, 1, 2]), 1, cap=2),
+            CapExceededError,
+            "hypothesis check over 3 elements exceeds cap 2",
+        ),
+        (lambda: petridis_inequality(A6, A6, 1, EMPTY), EmptySetError, "petridis_inequality needs a non-empty C"),
+        (lambda: replay_trace(EMPTY, A6, A6), EmptySetError, "replay_trace needs non-empty A and X"),
+        (lambda: replay_trace(A6, EMPTY, A6), EmptySetError, "replay_trace needs non-empty A and X"),
+        (lambda: replay_trace(A6, A6, EMPTY), EmptySetError, "replay_trace needs a non-empty C"),
+        (lambda: brute_force_certificate(EMPTY, A6, A6), EmptySetError, NO_CERTIFICATE),
+        (lambda: brute_force_certificate(A6, EMPTY, A6), EmptySetError, NO_CERTIFICATE),
+        (lambda: brute_force_certificate(A6, A6, EMPTY), EmptySetError, NO_CERTIFICATE),
+    ],
+    ids=[
+        "minimizer-empty-A", "hypothesis-cap", "inequality-empty-C", "trace-empty-A", "trace-empty-X",
+        "trace-empty-C", "certificate-empty-A", "certificate-empty-X", "certificate-empty-C",
+    ],
+)
+def test_empty_and_oversized_inputs_raise(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_verify_hypothesis_examples():

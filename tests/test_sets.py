@@ -9,6 +9,7 @@ from sumdiff import (
     GroupSpec,
     GSet,
     GroupMismatchError,
+    InvalidElementError,
     delta,
     diffset,
     embed_integer_set,
@@ -124,6 +125,13 @@ def test_constants_examples():
     assert sigma(a) == 2 and delta(a) == Fraction(7, 3)
     b = gs((5,), [0, 1])
     assert sigma(b) == Fraction(3, 2) and delta(b) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 6, 1 << 40], ids=["negative", "2^N", "wide"])
+def test_from_mask_rejects_masks_outside_the_group(mask):
+    for g in (GroupSpec((6,)), GroupSpec((2, 3))):
+        with pytest.raises(InvalidElementError, match=f"^mask {mask:#x} out of range for {g.label()}$"):
+            GSet.from_mask(g, mask)
 
 
 def test_constants_reject_empty():

@@ -12,6 +12,7 @@ import pytest
 from sumdiff import (
     CapExceededError,
     EQUALITY,
+    EmptySetError,
     HOLDS,
     VIOLATED,
     GroupSpec,
@@ -179,6 +180,12 @@ def test_verdict_internal_consistency_and_json():
     assert d["claim"] == "thm3" and d["group"] == "Z8" and d["set"] == "0,1,3"
     assert d["ratios"]["sigma"] == [2, 1]
     assert d["outcome"] == "holds"
+
+
+@pytest.mark.parametrize("claim", theorems.CLAIM_IDS)
+def test_verdicts_reject_the_empty_set(claim):
+    with pytest.raises(EmptySetError, match="^verdicts need a non-empty set$"):
+        run_claim(claim, gs((5,), []))
 
 
 def test_run_claim_dispatch_and_unknown():

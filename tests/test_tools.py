@@ -26,6 +26,7 @@ def test_ab_times_the_repo_against_itself():
             assert len(result["in_process"][text][side]["runs_s"]) == 2
     timed = result["whole_process"]["scan --group Z4 --format csv --out {out}"]
     assert all(len(timed[side][clock]["runs_s"]) == 2 for side in ("parent", "change") for clock in ("wall", "cpu"))
+    assert all(5 < timed[side]["peak_rss_mb"] < 500 for side in ("parent", "change"))  # an interpreter's, in MB
 
 
 def test_ab_alternates_sides_and_refuses_other_bytes():

@@ -13,7 +13,8 @@ times one ``cli.main(ARGS)`` of each side in-process, in CPU seconds, with
 its stdout captured: a request of a few milliseconds, which ``--cli`` would
 bury under interpreter start-up. ``--cli ARGS`` times
 ``python -m sumdiff ARGS`` in a child process per side, in wall and child CPU
-seconds; ``{out}`` stands for a fresh output file. Every round runs both
+seconds, and reports the median of the child's peak RSS (``ru_maxrss``) in MB;
+``{out}`` stands for a fresh output file. Every round runs both
 sides, and the side that runs first alternates. Every run must write the
 bytes of the first run, or the script stops with an error. The last line of
 stdout is one JSON object.
@@ -28,7 +29,6 @@ import io
 import json
 import os
 import re
-import resource
 import shlex
 import statistics
 import subprocess
@@ -88,21 +88,27 @@ def request_runner(pkg, args: str):
 
 
 def cli_runner(root: Path, args: str):
-    """A function running ``python -m sumdiff args`` once from ``root``:
-    ((wall seconds, child CPU seconds), stdout plus any --out file)."""
+    """A function running ``python -m sumdiff args`` once from ``root``: ((wall seconds,
+    child CPU seconds, child peak RSS in MB), stdout plus any --out file)."""
     env = {**os.environ, "PYTHONPATH": str(Path(root).resolve() / "src")}
 
     def run():
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             argv = [a.replace("{out}", str(out)) for a in shlex.split(args)]
-            before = resource.getrusage(resource.RUSAGE_CHILDREN)
             start = time.perf_counter()
-            proc = subprocess.run([sys.executable, "-m", "sumdiff", *argv], env=env, capture_output=True, check=True)
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "sumdiff", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+            )
+            with proc.stdout, proc.stderr:  # stderr is at most an error line; wait4 then gives this child's usage
+                stdout, stderr = proc.stdout.read(), proc.stderr.read()
+            _, status, usage = os.wait4(proc.pid, 0)
             wall = time.perf_counter() - start
-            after = resource.getrusage(resource.RUSAGE_CHILDREN)
-            cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-            return (wall, cpu), proc.stdout + (out.read_bytes() if out.exists() else b"")
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode:
+                raise RuntimeError(f"exit {proc.returncode}: python -m sumdiff {args}\n{stderr.decode()}")
+            cpu, rss_mb = usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
+            return (wall, cpu, rss_mb), stdout + (out.read_bytes() if out.exists() else b"")
 
     return run
 
@@ -143,7 +149,8 @@ def main(argv=None) -> int:
     result = {
         "method": f"tools/ab.py, {args.rounds} rounds, the side that runs first alternating; in-process: "
         "scan + write_csv on a fresh GroupSpec, or one cli.main request, CPU time (time.process_time); whole-process: "
-        "python -m sumdiff, wall and child CPU time; both sides wrote the same bytes in every round",
+        "python -m sumdiff, wall and child CPU time and median peak RSS (ru_maxrss from os.wait4); "
+        "both sides wrote the same bytes in every round",
         "in_process": {},
         "whole_process": {},
     }
@@ -156,11 +163,16 @@ def main(argv=None) -> int:
     for text in args.cli:
         times = alternate({side: cli_runner(roots[side], text) for side in SIDES}, args.rounds)
         result["whole_process"][text] = {
-            side: {"wall": _stats([t[0] for t in times[side]]), "cpu": _stats([t[1] for t in times[side]])}
+            side: {
+                "wall": _stats([t[0] for t in times[side]]),
+                "cpu": _stats([t[1] for t in times[side]]),
+                "peak_rss_mb": round(statistics.median(t[2] for t in times[side]), 1),
+            }
             for side in SIDES
         }
-        walls = {s: result["whole_process"][text][s]["wall"]["median_s"] for s in SIDES}
-        print(f"{text}: " + ", ".join(f"{s} {walls[s]:.4f} s wall" for s in SIDES), file=sys.stderr)
+        timed = result["whole_process"][text]
+        sides = (f"{s} {timed[s]['wall']['median_s']:.4f} s wall, {timed[s]['peak_rss_mb']} MB" for s in SIDES)
+        print(f"{text}: " + ", ".join(sides), file=sys.stderr)
     print(json.dumps(result))
     return 0
 
