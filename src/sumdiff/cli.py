@@ -176,32 +176,6 @@ def _threads(args, config: dict) -> int:
 # -- output helpers --------------------------------------------------------------
 
 
-def _write_out(args, config: dict, render) -> None:
-    """Call ``render(fh)`` on stdout, or on --out (relative to out_dir if set).
-
-    A file is written to a temporary name beside the target and renamed over
-    it only once complete, so a failure or interrupt leaves any existing file
-    intact and no partial output behind.
-    """
-    path = getattr(args, "out", None)
-    if path is None:
-        render(sys.stdout)
-        return
-    out_dir = config.get("out_dir")
-    if out_dir and not os.path.isabs(path):
-        path = os.path.join(out_dir, path)
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            render(fh)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 # json.dumps's spelling of each scalar by exact type, looked up inline by _json's containers
 _SCALARS = {
     int: int.__repr__,
@@ -250,12 +224,16 @@ def _json(obj, nl: str = "\n") -> str:
 def _emit(
     args, config: dict, payload, lines, modulus: int | None = None, echo="modulus  Z{} (embedding)", csv=None
 ) -> None:
-    """Write a command's output per --format through ``_write_out``: ``payload()``
-    as JSON, ``lines()`` as text, or ``csv(fh)`` as CSV. Only the chosen one is
-    called.
+    """Write a command's output per --format: ``payload()`` as JSON, ``lines()``
+    as text, or ``csv(fh)`` as CSV. Only the chosen one is called.
 
     An integer-mode literal's embedding modulus is added as the JSON key
     "modulus" and, formatted into ``echo``, as the second line of text.
+
+    Output goes to stdout, or to --out (relative to out_dir if set). A file is
+    written to a temporary name beside the target and renamed over it only
+    once complete, so a failure or interrupt leaves any existing file intact
+    and no partial output behind.
     """
     if args.format == "csv":
         render = csv
@@ -269,7 +247,23 @@ def _emit(
         if modulus is not None:
             text.insert(1, echo.format(modulus))
         render = lambda fh: fh.writelines(line + "\n" for line in text)
-    _write_out(args, config, render)
+    path = getattr(args, "out", None)
+    if path is None:
+        render(sys.stdout)
+        return
+    out_dir = config.get("out_dir")
+    if out_dir and not os.path.isabs(path):
+        path = os.path.join(out_dir, path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            render(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # -- embedding for integer-mode literals ------------------------------------------
@@ -342,8 +336,6 @@ def _cmd_check(args, config: dict) -> int:
     if args.sweep is not None:
         if args.set is not None:
             raise ParseError(f"--sweep takes no set literal, got {args.set!r}")
-        if args.sample is None:  # an exhaustive sweep draws nothing
-            _unread(args, ("seed",), "needs --sample")
         g = parse_group_literal(args.sweep)
         summary = sweep_claim(
             args.claim,
@@ -352,7 +344,7 @@ def _cmd_check(args, config: dict) -> int:
             cap=cap,
             group_cap=_setting(args, config, "group_cap", Campaign.group_cap),
             sample=_setting(args, config, "sample", None),
-            seed=args.seed or 0,
+            seed=args.seed,
         )
         _emit(
             args,

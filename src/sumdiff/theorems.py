@@ -319,7 +319,7 @@ def sweep_claim(
     cap: int = MINIMIZER_CAP,
     group_cap: int = Campaign.group_cap,
     sample: int | None = None,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> SweepSummary:
     """Run one claim over every non-empty subset of ``g`` (or a uniform sample).
 
@@ -329,31 +329,30 @@ def sweep_claim(
     orbit sizes sum to 2^|g| - 1. It lists the 32 least violating masks, ascending;
     a sample lists the first 32 it draws.
 
-    Exhaustive sweeps are capped by group order; sampling lifts that cap. A
-    sample draws masks uniformly with replacement from a seeded generator, so
-    identical invocations see identical sets; one at least as large as the
-    universe is exhaustive. The minimizer claims (thm3, thm5) search subsets
-    of A, so on groups of order above ``cap`` they sample uniformly among the
-    sets of at most ``cap`` elements.
+    A sweep draws only when ``sample`` is below the 2^|g| - 1 subsets: uniformly,
+    with replacement, seeded by ``seed`` (0 if None), and past the group cap.
+    Any other sweep is exhaustive, takes no seed (ValueError), and is refused
+    above ``group_cap`` by its Campaign's ``validate`` before any walk. The
+    minimizer claims (thm3, thm5) search subsets of A, so on groups of order
+    above ``cap`` they sample uniformly among the sets of at most ``cap`` elements.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"sample size must be >= 1, got {sample}")
-    if sample is None and g.order > group_cap:
-        raise CapExceededError(
-            f"exhaustive sweep needs group order <= {group_cap}, got {g.order}"
-            " (use sampling for larger groups)"
-        )
     total_universe = (1 << g.order) - 1
-    sampled = sample is not None and total_universe > sample
+    sampled = sample is not None and sample < total_universe
     top = cap if claim in ("thm3", "thm5") else g.order  # the most elements a verdict can take
     if sampled:
-        rng = Random(seed)
+        rng = Random(seed or 0)
         weighted = ((_draw(rng, g.order, top), 1) for _ in range(sample))
-    elif top < g.order:  # the walk would reach 2^(cap+1) - 1, a representative, and stop there
-        raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
+    elif seed is not None:
+        raise ValueError(f"seed {seed} needs a sample smaller than the {total_universe} subsets of {g.label()}")
     else:
+        campaign = Campaign(group=g, mode=MODE_FULL_AFFINE, group_cap=group_cap)
+        campaign.validate()
+        if top < g.order:  # the walk would reach 2^(cap+1) - 1, a representative, and stop there
+            raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
         maps = g.automorphisms()  # with the unit scalars of full-affine mode, all of Aut(g)
-        weighted = _canonical_masks(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, total_universe + 1, maps)
+        weighted = _canonical_masks(campaign, 1, total_universe + 1, maps)
     counts = {HOLDS: 0, EQUALITY: 0, VIOLATED: 0}
     violations = []  # masks
     for mask, weight in weighted:

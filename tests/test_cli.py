@@ -302,6 +302,12 @@ def test_exit_codes():
     assert code == 1 and "error" in err
     code, _, err = run(["check", "thm3", "--sweep", "Z26"])
     assert code == 2
+    # a sample covering every subset sweeps exhaustively, so the group cap refuses it
+    for argv, message in (
+        (["check", "fact1", "--sweep", "Z8", "--group-cap", "6", "--sample", "255"], "group order 8 exceeds scan cap 6"),
+        (["check", "fact1", "--sweep", "Z2xZ32", "--sample", str(2**64 - 1)], "group order 64 exceeds scan cap 24"),
+    ):
+        assert run(argv) == (2, "", f"error: {message}\n")
     code, _, err = run(["scan", "--group", "Z30", "--threads", "1"])
     assert code == 2
     code, _, _ = run(["check", "bogus", "0,1@Z5"])
@@ -448,7 +454,8 @@ def test_config_out_dir(tmp_path):
         (["check", "fact1", "0,1@Z5", "--sample", "3"], None, "error: --sample needs --sweep"),
         (["check", "fact1", "0,1@Z5", "--seed", "3"], None, "error: --seed needs --sweep"),
         (["check", "fact1", "0,1@Z5", "--seed", "-4", "--sample", "0"], None, "error: --sample needs --sweep"),
-        (["check", "thm1", "--sweep", "Z9", "--seed", "3"], None, "error: --seed needs --sample"),
+        (["check", "thm1", "--sweep", "Z9", "--seed", "3"], None, "needs a sample smaller than the 511 subsets of Z9"),
+        (["check", "thm1", "--sweep", "Z4", "--sample", "100", "--seed", "2"], None, "seed 2 needs a sample smaller than"),
         (["check", "thm1", "0,1@Z5", "--group-cap", "8"], None, "error: --group-cap needs --sweep"),
         (["witness", "ruzsa", "0,1,3@Z8", "--C", "0,1"], None, "error: --C is not read by witness ruzsa"),
         (["witness", "ruzsa", "0,1,3@Z8", "--base", "0,4"], None, "error: --base is not read by witness ruzsa"),

@@ -254,6 +254,12 @@ def _cases() -> list:
     cases += [["scan", "--group", "Z6", "--min-size", "9"], ["scan", "--ints", "0..5", "--min-size", "7"]]
     # A --seed on an exhaustive sweep, which draws nothing: exit 1.
     cases.append(["check", "thm1", "--sweep", "Z9", "--seed", "3"])
+    # A sample covering every subset sweeps exhaustively: the group cap holds (exit 2), a seed is refused (exit 1).
+    cases += [
+        ["check", "fact1", "--sweep", "Z8", "--group-cap", "6", "--sample", "255"],
+        ["check", "thm1", "--sweep", "Z4", "--sample", "100", "--seed", "2"],
+        ["check", "fact1", "--sweep", "Z2xZ32", "--sample", "18446744073709551615"],
+    ]
     return cases
 
 

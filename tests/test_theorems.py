@@ -400,8 +400,39 @@ def test_a_sample_of_the_whole_universe_sweeps_it_exhaustively(claim):
     for g in (GroupSpec((8,)), GroupSpec((2, 3))):
         full = sweep_claim(claim, g)
         universe = (1 << g.order) - 1
-        assert sweep_claim(claim, g, sample=universe, seed=4) == full
+        assert sweep_claim(claim, g, sample=universe) == full
         assert sweep_claim(claim, g, sample=universe + 9) == full
+        with pytest.raises(ValueError, match=f"^seed 4 needs a sample smaller than the {universe} subsets of "):
+            sweep_claim(claim, g, sample=universe, seed=4)
+
+
+def test_an_exhaustive_sweep_is_refused_above_the_group_cap_before_any_walk(monkeypatch):
+    # a sample that covers every subset sweeps exhaustively, so it obeys the group
+    # cap as no sample does: Campaign.validate refuses it before Aut(g) or a walk
+    calls, source, automorphisms = [], theorems._canonical_masks, GroupSpec.automorphisms
+    monkeypatch.setattr(theorems, "_canonical_masks", lambda *a: calls.append("walk") or source(*a))
+    monkeypatch.setattr(GroupSpec, "automorphisms", lambda g: calls.append("aut") or automorphisms(g))
+    z8 = GroupSpec((8,))
+    for sample in (None, 255, 256):
+        with pytest.raises(CapExceededError, match="^group order 8 exceeds scan cap 6$"):
+            sweep_claim("fact1", z8, group_cap=6, sample=sample)
+    with pytest.raises(CapExceededError, match="^group order 64 exceeds scan cap 24$"):  # not an OverflowError
+        sweep_claim("fact1", GroupSpec((2, 32)), sample=2**64 - 1)
+    with pytest.raises(CapExceededError, match="^group order 26 exceeds scan cap 24$"):
+        sweep_claim("thm3", GroupSpec((26,)))  # the group cap before the minimizer cap
+    assert calls == []
+    assert sweep_claim("fact1", z8, group_cap=6, sample=254).total == 254  # a draw lifts the cap
+    assert calls == []
+
+
+def test_a_seed_needs_a_sweep_that_draws():
+    z8 = GroupSpec((8,))
+    for sample in (None, 300):  # no sample, and one past the 255 subsets
+        with pytest.raises(ValueError, match="^seed 4 needs a sample smaller than the 255 subsets of Z8$"):
+            sweep_claim("thm1", z8, sample=sample, seed=4)
+    with pytest.raises(ValueError, match="^seed 0 needs"):  # the seed rule before the group cap
+        sweep_claim("thm3", GroupSpec((26,)), seed=0)
+    assert sweep_claim("thm1", z8, sample=254) == sweep_claim("thm1", z8, sample=254, seed=0)
 
 
 def test_upper_builds_each_sumset_and_diffset_once(monkeypatch):

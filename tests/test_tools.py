@@ -15,13 +15,16 @@ AB = ROOT / "tools" / "ab.py"
 
 
 def test_ab_times_the_repo_against_itself():
-    argv = [sys.executable, str(AB), str(ROOT), str(ROOT), "--rounds", "2", "--campaign", "Z6 translation+negation"]
-    argv += ["--campaign", "-2..3 none", "--cli", "scan --group Z4 --format csv --out {out}"]
-    argv += ["--request", "witness ruzsa 0,1,3@Z8 --format json"]
+    scans = ["scan --group Z6 --format csv --threads 1", "scan --ints -2..3 --mode none --format csv --threads 1"]
+    requests = [*scans, "witness ruzsa 0,1,3@Z8 --format json"]
+    argv = [sys.executable, str(AB), str(ROOT), str(ROOT), "--rounds", "2"]
+    argv += ["--cli", "scan --group Z4 --format csv --out {out}"]
+    for text in requests:
+        argv += ["--request", text]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    for text in ("Z6 translation+negation", "-2..3 none", "witness ruzsa 0,1,3@Z8 --format json"):
+    for text in requests:
         for side in ("parent", "change"):
             assert len(result["in_process"][text][side]["runs_s"]) == 2
     timed = result["whole_process"]["scan --group Z4 --format csv --out {out}"]

@@ -1,23 +1,20 @@
 """Side-by-side timing of two checkouts of sumdiff. Stdlib only; run as
 
-    python3 tools/ab.py PARENT CHANGE --campaign "Z14 none" --campaign "0..15 translation+negation"
-    python3 tools/ab.py PARENT CHANGE --cli "scan --group Z18 --mode none --format csv --out {out}"
+    python3 tools/ab.py PARENT CHANGE --request "scan --group Z14 --mode none --format csv --threads 1"
     python3 tools/ab.py PARENT CHANGE --request "witness ruzsa 0,1,3@Z8 --format json" --rounds 51
+    python3 tools/ab.py PARENT CHANGE --cli "scan --group Z18 --mode none --format csv --out {out}"
 
 PARENT and CHANGE are the roots of two checkouts (the same root twice is
-allowed). In-process, ``--campaign "UNIVERSE MODE"`` loads each side's
-``src/sumdiff`` under its own package name and times, in CPU seconds, one
-``scan`` plus ``write_csv`` on a fresh group; UNIVERSE is a group literal
-(``Z14``, ``Z2xZ10``) or an integer window (``0..15``). ``--request ARGS``
-times one ``cli.main(ARGS)`` of each side in-process, in CPU seconds, with
-its stdout captured: a request of a few milliseconds, which ``--cli`` would
-bury under interpreter start-up. ``--cli ARGS`` times
-``python -m sumdiff ARGS`` in a child process per side, in wall and child CPU
-seconds, and reports the median of the child's peak RSS (``ru_maxrss``) in MB;
-``{out}`` stands for a fresh output file. Every round runs both
-sides, and the side that runs first alternates. Every run must write the
-bytes of the first run, or the script stops with an error. The last line of
-stdout is one JSON object.
+allowed). In-process, ``--request ARGS`` loads each side's ``src/sumdiff``
+under its own package name and times one ``cli.main(ARGS)`` of each side, in
+CPU seconds, with its stdout captured: a scan plus its csv, or a request of a
+few milliseconds, which ``--cli`` would bury under interpreter start-up.
+``--cli ARGS`` times ``python -m sumdiff ARGS`` in a child process per side,
+in wall and child CPU seconds, and reports the median of the child's peak RSS
+(``ru_maxrss``) in MB; ``{out}`` stands for a fresh output file. Every round
+runs both sides, and the side that runs first alternates. Every run must
+write the bytes of the first run, or the script stops with an error. The last
+line of stdout is one JSON object.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ import importlib.util
 import io
 import json
 import os
-import re
 import shlex
 import statistics
 import subprocess
@@ -49,26 +45,6 @@ def load_side(root: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
-
-
-def campaign_runner(pkg, text: str):
-    """A function running the campaign ``text`` once on ``pkg``: (CPU seconds, csv bytes)."""
-    universe, mode = text.split()
-    window = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", universe)
-    if window is None and not re.fullmatch(r"Z\d+(xZ\d+)*", universe):
-        raise SystemExit(f"ab.py: expected a universe like Z14, Z2xZ10 or 0..15, got {universe!r}")
-
-    def run():
-        group = None if window else pkg.GroupSpec(tuple(int(n) for n in universe[1:].split("xZ")))
-        ints = (int(window[1]), int(window[2])) if window else None
-        campaign = pkg.Campaign(group=group, ints=ints, mode=mode)
-        buf = io.StringIO()
-        start = time.process_time()
-        records, _ = pkg.scan(campaign, threads=1)
-        pkg.write_csv(records, buf, campaign)
-        return time.process_time() - start, buf.getvalue().encode()
-
-    return run
 
 
 def request_runner(pkg, args: str):
@@ -137,26 +113,24 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--campaign", action="append", default=[], help='in-process scan, e.g. "Z14 none"')
     p.add_argument("--request", action="append", default=[], help='in-process cli.main, e.g. "constants 0,1@Z5"')
     p.add_argument("--cli", action="append", default=[], help="whole-process command, e.g. \"mstd --ints 0..15\"")
     p.add_argument("--rounds", type=int, default=5)
     args = p.parse_args(argv)
-    if args.rounds < 1 or not args.campaign + args.request + args.cli:
-        p.error("need --rounds >= 1 and at least one --campaign, --request or --cli")
+    if args.rounds < 1 or not args.request + args.cli:
+        p.error("need --rounds >= 1 and at least one --request or --cli")
     roots = dict(zip(SIDES, (args.parent, args.change)))
     pkgs = {side: load_side(root, f"sumdiff_ab_{side}") for side, root in roots.items()}
     result = {
         "method": f"tools/ab.py, {args.rounds} rounds, the side that runs first alternating; in-process: "
-        "scan + write_csv on a fresh GroupSpec, or one cli.main request, CPU time (time.process_time); whole-process: "
+        "one cli.main request with stdout captured, CPU time (time.process_time); whole-process: "
         "python -m sumdiff, wall and child CPU time and median peak RSS (ru_maxrss from os.wait4); "
         "both sides wrote the same bytes in every round",
         "in_process": {},
         "whole_process": {},
     }
-    in_process = [(text, campaign_runner) for text in args.campaign] + [(text, request_runner) for text in args.request]
-    for text, runner in in_process:
-        times = alternate({side: runner(pkgs[side], text) for side in SIDES}, args.rounds)
+    for text in args.request:
+        times = alternate({side: request_runner(pkgs[side], text) for side in SIDES}, args.rounds)
         result["in_process"][text] = {side: _stats(times[side]) for side in SIDES}
         cpus = {s: result["in_process"][text][s]["median_s"] for s in SIDES}
         print(f"{text}: " + ", ".join(f"{s} {cpus[s] * 1e3:.3f} ms CPU" for s in SIDES), file=sys.stderr)
