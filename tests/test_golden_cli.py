@@ -260,6 +260,13 @@ def _cases() -> list:
         ["check", "thm1", "--sweep", "Z4", "--sample", "100", "--seed", "2"],
         ["check", "fact1", "--sweep", "Z2xZ32", "--sample", "18446744073709551615"],
     ]
+    # ineq1 and thm1 on products with more automorphisms than unit scalars, and thm1 on a
+    # cyclic bracelet source above Z12.
+    cases += [
+        ["check", "ineq1", "--sweep", "Z4xZ4", "--format", "json"],
+        ["check", "thm1", "--sweep", "Z2xZ2xZ2xZ2", "--format", "json"],
+        ["check", "thm1", "--sweep", "Z16", "--format", "json"],
+    ]
     return cases
 
 
