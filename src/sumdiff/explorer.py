@@ -317,16 +317,16 @@ def _orbit_walk(campaign: Campaign, keep: bytes, lo: int, hi_mask: int, maps: tu
     """``_canonical_masks`` for any group, the size table ``keep`` and the automorphism tables ``maps``: an
     orbit is built at its least member in the window, and its other members there are marked visited.
     Members below ``lo`` only decide whether that one is the representative, so windows concatenate."""
-    visited = bytearray(max(hi_mask - lo, 0))
-    for mask in range(lo, hi_mask):
-        if visited[mask - lo] or not keep[mask.bit_count()]:
-            continue
-        orbit = _group_orbit(campaign.group, mask, campaign.mode, maps)
-        for m in orbit:
-            if mask < m < hi_mask:
-                visited[m - lo] = 1
-        if mask == min(orbit):
-            yield mask, len(orbit)
+    visited, mask = bytearray(max(hi_mask - lo, 0) + 1), lo  # the last byte, at hi_mask, stays 0
+    while mask < hi_mask:
+        if keep[mask.bit_count()]:
+            orbit = _group_orbit(campaign.group, mask, campaign.mode, maps)
+            for m in orbit:
+                if mask < m < hi_mask:
+                    visited[m - lo] = 1
+            if mask == min(orbit):
+                yield mask, len(orbit)
+        mask = lo + visited.find(0, mask - lo + 1)  # the next unvisited mask, once this orbit is marked
 
 
 def _necklaces(campaign: Campaign, keep: bytes, lo: int, hi_mask: int) -> Iterator[tuple]:

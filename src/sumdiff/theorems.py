@@ -27,7 +27,7 @@ from math import comb
 from random import Random
 
 from .errors import CapExceededError, EmptySetError
-from .explorer import MODE_FULL_AFFINE, Campaign, _canonical_masks, _group_orbit
+from .explorer import MODE_FULL_AFFINE, Campaign, _canonical_masks, _group_orbit, _size_kernel
 from .groups import GroupSpec, is_coset
 from .petridis import MINIMIZER_CAP, find_minimizer
 from .ruzsa import build_injection, build_witness_table, check_surjective, verify_injective
@@ -107,37 +107,43 @@ def _base(A: GSet, two_a: GSet | None = None, d: int | None = None) -> tuple:
     return a, s, d, {"A": a, "AA": s, "AmA": d}, {"sigma": Fraction(s, a), "delta": Fraction(d, a)}
 
 
+def _outcome(ok: bool, tight: bool) -> str:
+    """Violated unless ``ok``; otherwise the equality case exactly when ``tight``."""
+    return VIOLATED if not ok else EQUALITY if tight else HOLDS
+
+
 def _verdict(
     claim: str, A: GSet, sizes: dict, ratios: dict, ok: bool, tight: bool, details: dict
 ) -> Verdict:
-    """Violated unless ``ok``; otherwise the equality case exactly when ``tight``."""
-    outcome = VIOLATED if not ok else EQUALITY if tight else HOLDS
-    return Verdict(claim, A.group, A.elements(), sizes, ratios, outcome, details)
+    return Verdict(claim, A.group, A.elements(), sizes, ratios, _outcome(ok, tight), details)
+
+
+# claim -> (ok, tight) from |A|, |A+A|, |A-A| and whether A is a coset: the one rule that a
+# check_* verdict and an exhaustive sweep's size-kernel read both decide by. ineq1 is
+# delta <= sigma^2 and sigma <= delta^2; thm1 asks for equality in one exactly on cosets.
+_SIZE_RULES = {
+    "fact1": lambda a, s, d, coset: ((s == a) == (d == a) == coset, s == a),
+    "ineq1": lambda a, s, d, coset: (d * a <= s * s and s * a <= d * d, d * a == s * s or s * a == d * d),
+    "thm1": lambda a, s, d, coset: ((eq := d * a == s * s or s * a == d * d) == coset, eq),
+}
 
 
 def check_fact1(A: GSet) -> Verdict:
     """sigma = 1, delta = 1 and cosetness must agree; record the shared value."""
     a, s, d, sizes, ratios = _base(A)
     coset = is_coset(A)
-    preds = (s == a, d == a, coset is not None)
-    details = {"sigma_is_one": preds[0], "delta_is_one": preds[1], "coset": preds[2]}
+    details = {"sigma_is_one": s == a, "delta_is_one": d == a, "coset": coset is not None}
     if coset is not None:
         details["subgroup"] = coset[0]
         details["representative"] = coset[1]
-    return _verdict("fact1", A, sizes, ratios, len(set(preds)) == 1, preds[0], details)
+    return _verdict("fact1", A, sizes, ratios, *_SIZE_RULES["fact1"](a, s, d, coset is not None), details)
 
 
 def check_inequality(A: GSet) -> Verdict:
     """Both bounds relating sigma and delta, with equality flags."""
     a, s, d, sizes, ratios = _base(A)
-    upper_ok = d * a <= s * s  # delta <= sigma^2
-    lower_ok = s * a <= d * d  # sigma <= delta^2
-    upper_tight = d * a == s * s
-    lower_tight = s * a == d * d
-    details = {"upper_tight": upper_tight, "lower_tight": lower_tight}
-    return _verdict(
-        "ineq1", A, sizes, ratios, upper_ok and lower_ok, upper_tight or lower_tight, details
-    )
+    details = {"upper_tight": d * a == s * s, "lower_tight": s * a == d * d}
+    return _verdict("ineq1", A, sizes, ratios, *_SIZE_RULES["ineq1"](a, s, d, False), details)
 
 
 def check_upper(A: GSet) -> Verdict:
@@ -167,12 +173,9 @@ def check_upper(A: GSet) -> Verdict:
 def check_main_theorem(A: GSet) -> Verdict:
     """Equality in either bound if and only if A is a coset."""
     a, s, d, sizes, ratios = _base(A)
-    upper_tight = d * a == s * s  # delta = sigma^2
-    lower_tight = s * a == d * d  # sigma = delta^2
-    eq_any = upper_tight or lower_tight
     coset = is_coset(A) is not None
-    details = {"upper_tight": upper_tight, "lower_tight": lower_tight, "coset": coset}
-    return _verdict("thm1", A, sizes, ratios, eq_any == coset, eq_any, details)
+    details = {"upper_tight": d * a == s * s, "lower_tight": s * a == d * d, "coset": coset}
+    return _verdict("thm1", A, sizes, ratios, *_SIZE_RULES["thm1"](a, s, d, coset), details)
 
 
 def check_lower_chain(A: GSet, cap: int = MINIMIZER_CAP) -> Verdict:
@@ -262,6 +265,8 @@ def check_plunnecke(A: GSet, n: int, cap: int = MINIMIZER_CAP) -> Verdict:
 # claim id -> (integer-mode embedding arity for a given n, verifier). The
 # verifiers look their check_* function up by name on each call, so a
 # rebound module attribute (a tracing wrapper, say) is the one that runs.
+# Single sets, samples and thm2, thm3 and thm5 sweeps run these verifiers;
+# exhaustive fact1, ineq1 and thm1 sweeps read _size_kernel and _SIZE_RULES.
 _CLAIMS = {
     "fact1": (lambda n: (1, 1), lambda A, n, cap: check_fact1(A)),
     "ineq1": (lambda n: (1, 1), lambda A, n, cap: check_inequality(A)),
@@ -327,7 +332,9 @@ def sweep_claim(
     with the orbit's size: a claim reads only sizes of sums of A and -A and whether
     A is a coset, which every automorphism keeps; it raises RuntimeError unless the
     orbit sizes sum to 2^|g| - 1. It lists the 32 least violating masks, ascending;
-    a sample lists the first 32 it draws.
+    a sample lists the first 32 it draws. An exhaustive fact1, ineq1 or thm1 sweep
+    reads |A+A| and |A-A| from ``explorer._size_kernel``, with no GSet or Verdict;
+    samples and the other claims run the check_* verifier on each set.
 
     A sweep draws only when ``sample`` is below the 2^|g| - 1 subsets: uniformly,
     with replacement, seeded by ``seed`` (0 if None), and past the group cap.
@@ -353,10 +360,16 @@ def sweep_claim(
             raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
         maps = g.automorphisms()  # with the unit scalars of full-affine mode, all of Aut(g)
         weighted = _canonical_masks(campaign, 1, total_universe + 1, maps)
+    rule = None if sampled else _SIZE_RULES.get(claim)  # a sampled sweep's group may have any order,
+    sizes = rule and _size_kernel(g.moduli, g.order)  # and the kernel's tables grow with it
     counts = {HOLDS: 0, EQUALITY: 0, VIOLATED: 0}
     violations = []  # masks
     for mask, weight in weighted:
-        outcome = run_claim(claim, GSet.from_mask(g, mask), n=n, cap=cap).outcome
+        if rule:  # a coset a+H has |A+A| = |H| = |A|, so no other set needs the coset test
+            a, (s, d) = mask.bit_count(), sizes(mask)
+            outcome = _outcome(*rule(a, s, d, s == a and is_coset(GSet.from_mask(g, mask)) is not None))
+        else:
+            outcome = run_claim(claim, GSet.from_mask(g, mask), n=n, cap=cap).outcome
         counts[outcome] += weight
         if outcome == VIOLATED and not sampled:  # an orbit's least member is its representative
             violations = sorted([*violations, *_group_orbit(g, mask, MODE_FULL_AFFINE, maps)])[:32]

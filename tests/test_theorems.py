@@ -395,6 +395,72 @@ def test_planted_sampled_violations_are_listed_in_draw_order(monkeypatch):
     assert sorted(odd[:32]) != odd[:32]
 
 
+SIZE_CLAIMS = ("fact1", "ineq1", "thm1")
+
+
+@pytest.mark.parametrize("moduli, cosets", [((12,), 6), ((2, 6), 18)], ids=["Z12", "Z2xZ6"])
+def test_a_planted_kernel_fault_reaches_the_exhaustive_size_sweeps(monkeypatch, moduli, cosets):
+    # a kernel that reports |A-A| one too large on two-element sets: only the two-element
+    # cosets, where |A+A| = |A-A| = |A| = 2, then break fact1, ineq1 and thm1 (a pair
+    # {x, y} off a coset has |A+A| = |A-A| = 3, and 4 keeps every claim)
+    kernel = theorems._size_kernel
+
+    def faulty(*args):
+        sizes = kernel(*args)
+        return lambda mask: (lambda s, d: (s, d + (mask.bit_count() == 2)))(*sizes(mask))
+
+    monkeypatch.setattr(theorems, "_size_kernel", faulty)
+    g = GroupSpec(moduli)
+    pairs = [m for m in range(1, 1 << g.order) if m.bit_count() == 2 and is_coset(GSet.from_mask(g, m))]
+    assert len(pairs) == cosets
+    for claim in SIZE_CLAIMS:
+        s = sweep_claim(claim, g)
+        assert s.total == (1 << g.order) - 1 and s.counts[VIOLATED] == cosets, claim
+        assert s.violations == tuple(str(GSet.from_mask(g, m)) for m in pairs), claim
+
+
+@pytest.mark.parametrize("moduli, cosets", [((12,), 28), ((2, 6), 44)], ids=["Z12", "Z2xZ6"])
+def test_a_coset_test_that_finds_none_fails_every_coset(monkeypatch, moduli, cosets):
+    # the sweeps take the coset flag from theorems.is_coset, on the sets with |A+A| = |A|
+    monkeypatch.setattr(theorems, "is_coset", lambda A: None)
+    g = GroupSpec(moduli)
+    least = sorted(naive_coset_masks(moduli))[:32]
+    assert len(naive_coset_masks(moduli)) == cosets
+    for claim in ("fact1", "thm1"):
+        s = sweep_claim(claim, g)
+        assert s.counts == {HOLDS: (1 << g.order) - 1 - cosets, EQUALITY: 0, VIOLATED: cosets}, claim
+        assert s.violations == tuple(str(GSet.from_mask(g, m)) for m in least), claim
+    assert sweep_claim("ineq1", g).counts[VIOLATED] == 0  # ineq1 reads no coset flag
+
+
+def test_exhaustive_size_sweeps_build_no_sumset(monkeypatch):
+    calls = []
+    for module in list(sys.modules.values()):  # every module that imported the kernel
+        if module.__name__.startswith("sumdiff") and getattr(module, "sumset", None) is sets.sumset:
+            monkeypatch.setattr(module, "sumset", lambda *a, kernel=sets.sumset: calls.append(a) or kernel(*a))
+    for g in (GroupSpec((12,)), GroupSpec((2, 6))):
+        for claim in SIZE_CLAIMS:
+            sweep_claim(claim, g)
+    assert calls == []
+    run_claim("fact1", gs((12,), [0, 1]))  # the single-set verifier still builds A+A
+    assert calls
+
+
+def test_only_exhaustive_size_sweeps_build_the_kernel(monkeypatch):
+    built, kernel = [], theorems._size_kernel
+    monkeypatch.setattr(theorems, "_size_kernel", lambda *a: built.append(a) or kernel(*a))
+    for claim in ("thm2", "thm3", "thm5"):
+        sweep_claim(claim, GroupSpec((2, 3)))
+    for claim in theorems.CLAIM_IDS:
+        sweep_claim(claim, GroupSpec((64,)), sample=3, cap=8)  # a sample may take any order
+        sweep_claim(claim, GroupSpec((6,)), sample=62)
+        run_claim(claim, gs((6,), [0, 1, 3]))
+    assert built == []
+    for claim in SIZE_CLAIMS:
+        sweep_claim(claim, GroupSpec((2, 3)))
+    assert built == [((2, 3), 6)] * 3
+
+
 @pytest.mark.parametrize("claim", theorems.CLAIM_IDS)
 def test_a_sample_of_the_whole_universe_sweeps_it_exhaustively(claim):
     for g in (GroupSpec((8,)), GroupSpec((2, 3))):
