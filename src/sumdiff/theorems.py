@@ -333,7 +333,7 @@ def sweep_claim(
     A is a coset, which every automorphism keeps; it raises RuntimeError unless the
     orbit sizes sum to 2^|g| - 1. It lists the 32 least violating masks, ascending;
     a sample lists the first 32 it draws. An exhaustive fact1, ineq1 or thm1 sweep
-    reads |A+A| and |A-A| from ``explorer._size_kernel``, with no GSet or Verdict;
+    reads |A+A| and |A-A| from ``explorer._size_kernel``, with no sumset or Verdict;
     samples and the other claims run the check_* verifier on each set.
 
     A sweep draws only when ``sample`` is below the 2^|g| - 1 subsets: uniformly,
