@@ -267,6 +267,17 @@ def _cases() -> list:
         ["check", "thm1", "--sweep", "Z2xZ2xZ2xZ2", "--format", "json"],
         ["check", "thm1", "--sweep", "Z16", "--format", "json"],
     ]
+    # Product translation classes: a 3-bit and a 12-bit block, factors of size 1, a size
+    # window cut by a mask range, and a two-worker scan that splits its walk at 2^20 masks.
+    cases += [
+        ["scan", "--group", "Z3xZ6", "--mode", "translation", "--format", "csv", "--threads", "1"],
+        ["scan", "--group", "Z12xZ2", "--mode", "translation+negation", "--format", "csv", "--threads", "1"],
+        ["scan", "--group", "Z4xZ1", "--format", "csv", "--threads", "1"],
+        ["scan", "--group", "Z1xZ4", "--format", "csv", "--threads", "1"],
+        ["scan", "--group", "Z2xZ2xZ4", "--min-size", "3", "--max-size", "6", "--range", "100:40000", "--format", "csv",
+         "--threads", "1"],
+        ["scan", "--group", "Z2xZ10", "--max-size", "3", "--format", "csv", "--threads", "2"],
+    ]
     return cases
 
 
