@@ -7,10 +7,11 @@ structural flags, and float exponents for reporting only. Aggregate counts
 are orbit-weighted, i.e. they describe the raw universe before dedup.
 
 Canonical representative = the lexicographically least bitmask in the orbit.
-Enumeration is in ascending representative order. Z_N's orbits in every mode but
-none come from a necklace generator, a product group's from a walk over the masks.
-Both cut into mask ranges whose results concatenate (resumable output); a walk scan's
-workers also each take the sizes of one residue class, and their masks merge.
+Enumeration is in ascending representative order. Z_N's orbits in every mode but none come
+from a necklace generator, a product group's in modes translation and translation+negation
+from a block-necklace generator, and its full-affine ones (also under automorphisms) from a
+walk over the masks. All cut into mask ranges whose results concatenate (resumable output);
+a walk scan's workers also each take the sizes of one residue class, and their masks merge.
 """
 
 from __future__ import annotations
@@ -282,11 +283,15 @@ def _int_orbit_size(mask: int, width: int, mode: str) -> int:
     return 0 if mirror < mask else translates if mirror == mask else 2 * translates
 
 
-def _walks(campaign: Campaign) -> bool:
-    """Whether a scan's orbits come from the visited walk, the one source that splits by size residue: a
-    product group's outside mode none. Z_N's necklaces, mode none and integer windows cost their records."""
+def _walks(campaign: Campaign, lo: int, hi_mask: int) -> bool:
+    """Whether a scan's orbits in [lo, hi) come from the visited walk, the one source that splits by size
+    residue: a product group's in full-affine mode. The necklace generators, mode none and integer windows
+    cost their records. A walk refuses more than 2^30 masks, a byte each in its visited array."""
     g = campaign.group
-    return g is not None and len(g.moduli) > 1 and campaign.mode != MODE_NONE
+    walks = g is not None and len(g.moduli) > 1 and campaign.mode == MODE_FULL_AFFINE
+    if walks and hi_mask - lo > 1 << 30:
+        raise CapExceededError(f"full-affine orbits of {g.label()} walk {hi_mask - lo} masks, above 2^30")
+    return walks
 
 
 def _sizes(campaign: Campaign, part: int = 0, parts: int = 1) -> bytes:
@@ -298,13 +303,14 @@ def _sizes(campaign: Campaign, part: int = 0, parts: int = 1) -> bytes:
 
 def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
     """Yield (representative mask, orbit size) with masks ascending in [lo, hi): Z_N's orbits in every
-    mode but none from the necklace generator, a product group's from the visited walk, whose orbits
-    also take the automorphism tables ``maps`` (Z_N has none past its unit scalars)."""
-    lo, keep = max(lo_mask, 1), _sizes(campaign)
-    if _walks(campaign):
+    mode but none from the necklace generator, a product group's from the block-necklace generator in
+    modes translation and translation+negation and from the visited walk in full-affine mode, whose
+    orbits also take the automorphism tables ``maps`` (Z_N has none past its unit scalars)."""
+    lo, keep, g = max(lo_mask, 1), _sizes(campaign), campaign.group
+    if _walks(campaign, lo, hi_mask):
         yield from _orbit_walk(campaign, keep, lo, hi_mask, maps)
-    elif campaign.group is not None and campaign.mode != MODE_NONE:  # Z_N
-        yield from _necklaces(campaign, keep, lo, hi_mask)
+    elif g is not None and campaign.mode != MODE_NONE:
+        yield from (_necklaces if len(g.moduli) == 1 else _block_necklaces)(campaign, keep, lo, hi_mask)
     else:  # an integer window, or a group in mode none
         width, mode = campaign.width(), campaign.mode
         step = 1 if mode == MODE_NONE else 2  # a canonical translate holds bit 0: odd masks only
@@ -381,6 +387,71 @@ def _rotation_order(s: str, run: str, *doubled: str) -> int:
                 return -(rotation < s)
             k = tt.find(run, k + 1)
     return 1
+
+
+def _block_necklaces(campaign: Campaign, keep: bytes, lo: int, hi_mask: int) -> Iterator[tuple]:
+    """``_canonical_masks`` for G = H x Z_m (m the last modulus) in modes translation and translation+negation.
+    A mask is m blocks of b = |H| bits, a word a_0 .. a_{m-1} from the top block down: translation by (h, s)
+    rotates it by s and maps each block by tau_h, H's shift_mask, and negation reverses it and maps each block
+    by x -> h - x. A 2^b-ary FKM walk (as ``_necklaces``) keeps the starts s where tau_h(a_s ..), h != 0, and
+    the backward readings h - a_t, .., h - a_0 still equal the head, drops a prefix once one reads lower, and
+    at a necklace settles the wrap-around of the readings left: each equal one fixes the word."""
+    g, neg = campaign.group, campaign.mode == MODE_TRANSLATION_NEGATION
+    sub, m = GroupSpec(g.moduli[:-1]), g.moduli[-1]
+    b, top, orbit, shifts = sub.order, keep.rfind(1), g.order << neg, range(1, sub.order)
+    a, fore, back = [0] * m, [()] * m, [()] * m  # the word, and its symbols' images by h
+
+    @lru_cache(maxsize=None)  # bounded by the symbols the walk meets
+    def symbol(x: int) -> tuple:  # x's images by h and by x -> h - x, the least of each, and |x|
+        row, flip = sub.translates(x), sub.translates(sub.neg_mask(x)) if neg else ()
+        return row, flip, min(row), min(flip, default=1 << b), x.bit_count()
+
+    def order(images: list, h: int, picks: range, at: int) -> int:  # -1, 0 or 1: images[j][h] over picks
+        for i, j in enumerate(picks, at):  # read below, equal to or above a[at:]
+            if (y := images[j][h]) != a[i]:
+                return -1 if y < a[i] else 1
+        return 0
+
+    # A reading is (images, h, picks, at): its wrap-around, images[j][h] over picks, meets a[at:].
+    def extend(t: int, p: int, prefix: int, ones: int, starts: list, reads: list) -> Iterator[tuple]:
+        shift, base = b * (m - 1 - t), prefix << b  # from FKM's least symbol, or the first subtree to reach lo,
+        first, stop = max(a[t - p] if t else 0, (lo >> shift) - base), ((hi_mask - 1) >> shift) - base + 1
+        for x in range(first, min(1 << b, stop)):  # to the last to start below hi
+            row, flip, least, nleast, bits = symbol(x)
+            a[t], fore[t], back[t] = x, row, flip
+            if ones + bits > top or least < (a0 := a[0]) or nleast < a0:
+                continue
+            kept = []
+            for start in starts:  # tau_h(a_t) is place t - s of the start s, whose wrap meets a[m - s:]
+                if (y := row[start[1]]) != (c := a[t + start[3] - m]):
+                    if y < c:
+                        break
+                else:
+                    kept.append(start)
+            else:
+                if least == a0:
+                    kept += [(fore, h, range(t), m - t) for h in shifts if row[h] == a0]
+                now = reads
+                if nleast == a0:
+                    orders = [(order(back, h, range(t - 1, -1, -1), 1), h) for h in range(b) if flip[h] == a0]
+                    if min(orders)[0] < 0:
+                        continue
+                    now = reads + [(back, h, range(m - 1, t, -1), t + 1) for o, h in orders if not o]
+                q = p if t and x == a[t - p] else t + 1  # FKM's period
+                if t + 1 < m:
+                    yield from extend(t + 1, q, base + x, ones + bits, kept, now)
+                elif m % q == 0 and keep[ones + bits]:
+                    fixed = m // q
+                    for images, h, picks, at in kept + now:
+                        if picks and images[picks[0]][h] > a[at]:
+                            continue
+                        if (o := order(images, h, picks, at)) < 0:
+                            break
+                        fixed += not o
+                    else:
+                        yield base + x, orbit // fixed
+
+    yield from extend(0, 1, 0, 0, [], [])
 
 
 def enumerate_canonical(campaign: Campaign):
@@ -547,10 +618,10 @@ def _walk_part(campaign: Campaign, keep: bytes, lo_mask: int, hi_mask: int) -> l
     return list(_orbit_walk(campaign, keep, lo_mask, hi_mask))
 
 
-# Walk windows this wide or wider use workers, so a whole product-group scan of order 20 splits and
+# Walk windows this wide or wider use workers, so a whole full-affine product scan of order 20 splits and
 # one of order 18 does not. Whole process on 2 cores, two workers took 0.76 s against one's 0.80 s on
-# Z2xZ10 and 0.77 s against 0.96 s on Z2xZ2xZ5 (won 8 and 11 of 11 rounds), but Z3xZ6 forced to
-# split took 0.31 s against 0.32 s (won 6 of 11) for 27% more CPU.
+# Z2xZ10 and 0.77 s against 0.96 s on Z2xZ2xZ5 (won 8 and 11 of 11 rounds, when translation+negation
+# still walked), but Z3xZ6 forced to split took 0.31 s against 0.32 s (won 6 of 11) for 27% more CPU.
 _PARALLEL_THRESHOLD = 1 << 19
 
 
@@ -566,10 +637,11 @@ def scan(
     when the campaign asks for it); summary counts are orbit-weighted so they
     describe the raw universe. ``mask_range`` restricts to a half-open window
     of representative masks for resumable partitioning (HI is clamped to 2^N;
-    LO past HI or at 2^N and up is a ValueError); ``threads`` > 1, at most the
-    cores this process may run on, walks it in worker processes, one per residue
-    class of sizes mod ``threads``, and merges their masks. A full-range scan
-    checks that its orbits cover its sizes.
+    LO past HI or at 2^N and up is a ValueError). ``threads`` > 1 splits only a
+    walk, a full-affine product scan: at most the cores this process may run on
+    walk it in worker processes, one per residue class of sizes mod ``threads``,
+    and the parent merges their masks. The other sources run as one part. A
+    full-range scan checks that its orbits cover its sizes.
     """
     campaign.validate()
     n = campaign.width()
@@ -579,7 +651,7 @@ def scan(
     if lo >= 1 << n:
         raise ValueError(f"mask range {lo}:{hi} starts past the last mask: LO must be below 2^{n} = {1 << n}")
     lo, hi = max(lo, 1), min(hi, 1 << n)
-    parts = threads if _walks(campaign) and hi - lo >= _PARALLEL_THRESHOLD else 1
+    parts = threads if _walks(campaign, lo, hi) and hi - lo >= _PARALLEL_THRESHOLD else 1
     if parts > 1:  # the cores this process may run on, else the machine's
         parts = min(parts, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     tables = [keep for keep in (_sizes(campaign, i, parts) for i in range(parts)) if any(keep)]

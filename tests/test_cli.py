@@ -632,6 +632,48 @@ def test_wide_integer_literal_runs_in_bounded_memory(argv):
     assert payload["set"].startswith("0,1,1000000") and payload.get("sizes", {"A": 3})["A"] == 3
 
 
+@pytest.mark.parametrize("mode", ["translation", "translation+negation"])
+@pytest.mark.parametrize("moduli", [(8, 4, 2), (2, 32)], ids=["Z8xZ4xZ2", "Z2xZ32"])
+def test_a_window_of_an_order_64_product_costs_its_own_share(moduli, mode):
+    # two 32-bit blocks and 32 blocks of 2 bits: the 512 masks below 2^64 take neither a 2^32-entry
+    # symbol table nor a walk through every prefix below LO, either of which the limits stop
+    lo, hi = (1 << 64) - 512, 1 << 64
+    campaign = Campaign(group=GroupSpec(moduli), mode=mode, group_cap=64)
+    label, window = campaign.group.label(), f"{lo}:{hi}"
+    argv = ["scan", "--group", label, "--group-cap", "64", "--mode", mode, "--range", window, "--format", "csv"]
+    code, out, err, peak_mb = _limited_process(argv, 1024)
+    record = explorer._recorder(campaign)
+    walk = [record(*pair) for pair in explorer._orbit_walk(campaign, explorer._sizes(campaign), lo, hi)]
+    buf = io.StringIO()
+    explorer.write_csv(walk, buf, campaign)
+    assert (code, err) == (0, "") and out == buf.getvalue() and peak_mb < 300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "fact1", "--sweep", "Z2xZ32", "--group-cap", "64"],
+        ["scan", "--group", "Z2xZ32", "--group-cap", "64", "--mode", "full-affine"],
+        ["check", "fact1", "--sweep", "Z2xZ20", "--group-cap", "40"],
+    ],
+    ids=" ".join,
+)
+def test_a_walk_above_its_ceiling_exits_2(argv):
+    # a raised --group-cap reaches the full-affine walk, whose visited array takes a byte per mask
+    code, out, err, _ = _limited_process(argv, 1024)
+    group = argv[argv.index("--sweep" if "--sweep" in argv else "--group") + 1]
+    masks = (1 << parse_group_literal(group).order) - 1
+    assert (code, out) == (2, "")
+    assert err == f"error: full-affine orbits of {group} walk {masks} masks, above 2^30\n"
+
+
+def test_a_narrow_walk_of_an_order_64_product_runs():
+    window = f"{(1 << 64) - 512}:{1 << 64}"
+    argv = ["scan", "--group", "Z2xZ32", "--group-cap", "64", "--mode", "full-affine", "--range", window]
+    code, out, err, _ = _limited_process([*argv, "--format", "json"], 1024)
+    assert (code, err) == (0, "") and json.loads(out)["summary"]["representatives"] == 1  # the whole group
+
+
 @pytest.mark.parametrize(
     "first, first_code",
     [
@@ -673,11 +715,12 @@ def test_second_main_call_builds_no_parser(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        # walk campaigns only: cyclic (necklace), mode none and integer scans run in one part
+        # walk campaigns only, full-affine products: the necklace generators, mode none and integer
+        # scans run in one part
         ["scan", "--group", "Z2xZ8", "--mode", "full-affine", "--exponents", "--format", "json"],
-        ["scan", "--group", "Z2xZ6", "--format", "csv"],
-        ["scan", "--group", "Z2xZ6", "--mode", "translation", "--exponents"],
-        ["mstd", "--group", "Z3xZ4", "--max-size", "8", "--format", "json"],
+        ["scan", "--group", "Z2xZ6", "--mode", "full-affine", "--format", "csv"],
+        ["scan", "--group", "Z3xZ4", "--mode", "full-affine", "--exponents"],
+        ["mstd", "--group", "Z3xZ4", "--mode", "full-affine", "--max-size", "8", "--format", "json"],
     ],
     ids=["scan-json", "scan-csv", "scan-human", "mstd-json"],
 )

@@ -312,13 +312,13 @@ def pool_parts(monkeypatch):
 @pytest.mark.parametrize("threads", [2, 3])
 @pytest.mark.parametrize(
     "campaign, sizes",
-    # walk campaigns: a cyclic group's orbits come from the necklace generator, in one part
+    # walk campaigns, full-affine products: the necklace generators run in one part
     [
         (Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE), 12),
-        (Campaign(group=GroupSpec((2, 6))), 12),
-        (Campaign(group=GroupSpec((2, 6)), min_size=4, max_size=5), 2),  # three workers: one residue has no size
-    ],
-    ids=["Z2xZ6-full-affine", "Z2xZ6", "Z2xZ6-sizes-4-5"],
+        (Campaign(group=GroupSpec((3, 4)), mode=MODE_FULL_AFFINE), 12),
+        (Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE, min_size=4, max_size=5), 2),  # three workers:
+    ],  # one residue has no size
+    ids=["Z2xZ6-full-affine", "Z3xZ4-full-affine", "Z2xZ6-full-affine-sizes-4-5"],
 )
 def test_parallel_merge_matches_serial(monkeypatch, pool_parts, campaign, sizes, threads):
     serial_records, serial_summary = scan(campaign)
@@ -370,6 +370,53 @@ def test_necklaces_count_every_orbit_once(n, mode):
     assert sum(sizes) == (1 << n) - 1
 
 
+BLOCK_GROUPS = [
+    *((p, q) for p in range(2, 9) for q in range(2, 9) if p * q <= 16),
+    *((p, q, r) for p in range(2, 5) for q in range(2, 5) for r in range(2, 5) if p * q * r <= 16),
+    (3, 6), (6, 3), (2, 3, 3), (4, 1), (1, 4), (2, 1, 3),
+]
+
+
+@pytest.mark.parametrize("mode", [MODE_TRANSLATION, MODE_TRANSLATION_NEGATION])
+@pytest.mark.parametrize("moduli", BLOCK_GROUPS, ids=lambda m: "x".join(f"Z{n}" for n in m))
+def test_block_necklaces_match_the_visited_walk(moduli, mode):
+    # the walk's windows concatenate (test_windows_and_chunks_concatenate), so on each window and size
+    # table it yields the pairs of one whole walk that lie in the window and have a size in the table
+    g = GroupSpec(moduli)
+    n = g.order
+    walk = list(explorer._orbit_walk(Campaign(group=g, mode=mode), bytes([0] + [1] * n), 1, 1 << n))
+    cuts = [(1, 1 << n), (1 << n // 2, (1 << n) - (1 << n // 3)), (3, 1 << n - 1)]
+    for min_size, max_size in [(1, None), (2, max(2, n // 2)), (n // 2 + 1, n)]:
+        campaign = Campaign(group=g, mode=mode, min_size=min_size, max_size=max_size)
+        keep = explorer._sizes(campaign)
+        for lo, hi in cuts:
+            want = [(mask, size) for mask, size in walk if lo <= mask < hi and keep[mask.bit_count()]]
+            assert list(explorer._block_necklaces(campaign, keep, lo, hi)) == want
+
+
+@pytest.mark.parametrize("mode", [MODE_TRANSLATION, MODE_TRANSLATION_NEGATION])
+@pytest.mark.parametrize("moduli", [(8, 8), (2, 4, 8), (4, 4, 4), (8, 2, 4), (2, 32)], ids=lambda m: "x".join(f"Z{n}" for n in m))
+def test_block_necklaces_match_the_walk_on_windows_of_order_64(moduli, mode):
+    rng, campaign = random.Random(30), Campaign(group=GroupSpec(moduli), mode=mode, group_cap=64)
+    keep, found = explorer._sizes(campaign), 0
+    for _ in range(4):  # windows of 512 masks from the least translate of a random set
+        lo = min(campaign.group.translates(rng.getrandbits(64) | 1))
+        hi = min(lo + 512, 1 << 64)
+        want = list(explorer._orbit_walk(campaign, keep, lo, hi))
+        assert list(explorer._block_necklaces(campaign, keep, lo, hi)) == want
+        found += len(want)
+    assert found
+
+
+@pytest.mark.parametrize("mode", [MODE_TRANSLATION, MODE_TRANSLATION_NEGATION])
+@pytest.mark.parametrize("moduli", [(2, 10), (5, 4), (2, 2, 5), (3, 7), (11, 2)], ids=lambda m: "x".join(f"Z{n}" for n in m))
+def test_block_necklaces_count_every_orbit_once(moduli, mode):
+    n = math.prod(moduli)
+    sizes = [size for _, size in explorer._canonical_masks(Campaign(group=GroupSpec(moduli), mode=mode), 1, 1 << n)]
+    assert len(sizes) == burnside_orbit_count(moduli, mode)
+    assert sum(sizes) == (1 << n) - 1
+
+
 def _no_pool(*args, **kwargs):
     pytest.fail("a pool started")
 
@@ -381,6 +428,15 @@ def test_cyclic_scan_starts_no_pool(monkeypatch):
     for mode in (MODE_TRANSLATION_NEGATION, MODE_FULL_AFFINE):  # 2^20 masks: past the threshold
         records, summary = scan(Campaign(group=GroupSpec((20,)), mode=mode), threads=2)
         assert len(records) == summary.representatives == burnside_orbit_count((20,), mode)
+
+
+def test_product_translation_scan_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    for mode in (MODE_TRANSLATION, MODE_TRANSLATION_NEGATION):  # 2^20 masks: past the threshold
+        records, summary = scan(Campaign(group=GroupSpec((2, 10)), mode=mode), threads=2)
+        assert len(records) == summary.representatives == burnside_orbit_count((2, 10), mode)
 
 
 @pytest.mark.parametrize(
@@ -563,11 +619,12 @@ def _mask(r):
 
 
 def _one_part(campaign):
-    """Whether the campaign runs as one in-process part for any worker count: the necklace
-    generator (every mode of a cyclic group but none), mode none and integer windows build
-    no orbit, so a split would walk nothing."""
+    """Whether the campaign runs as one in-process part for any worker count: only a product
+    group's full-affine orbits come from the walk; the necklace generators (every mode of a
+    cyclic group but none, and a product's translation and translation+negation modes), mode
+    none and integer windows build no orbit, so a split would walk nothing."""
     g = campaign.group
-    return g is None or campaign.mode == MODE_NONE or len(g.moduli) == 1
+    return g is None or campaign.mode != MODE_FULL_AFFINE or len(g.moduli) == 1
 
 
 @pytest.mark.parametrize("mode", explorer.MODES)
@@ -580,9 +637,9 @@ def test_split_builds_each_orbit_once(monkeypatch, inline_split, moduli, mode):
         calls["orbit"] += 1
         return orbit(*args)
 
-    def counted_translates(*args):
-        calls["translates"] += 1
-        return translates(*args)
+    def counted_translates(g, mask):  # the group's own: the block generator maps blocks by its first factors'
+        calls["translates"] += g.moduli == moduli
+        return translates(g, mask)
 
     monkeypatch.setattr(explorer, "_group_orbit", counted_orbit)
     monkeypatch.setattr(GroupSpec, "translates", counted_translates)
@@ -605,8 +662,9 @@ def test_split_builds_each_orbit_once(monkeypatch, inline_split, moduli, mode):
 SPLIT_CAMPAIGNS = [
     *(Campaign(group=GroupSpec(m), mode=mode) for m in SPLIT_GROUPS for mode in explorer.MODES),
     *(Campaign(ints=(0, 11), mode=mode) for mode in explorer.MODES),
-    Campaign(group=GroupSpec((2, 6)), min_size=3, max_size=7),
-    Campaign(group=GroupSpec((2, 6)), min_size=4, max_size=5),  # three or four workers: a residue has no size
+    Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE, min_size=3, max_size=7),
+    Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE, min_size=4, max_size=5),  # three or four workers:
+    # a residue has no size
     Campaign(ints=(0, 11), min_size=5, max_size=6),  # fewer sizes than workers
     Campaign(group=GroupSpec((12,)), mstd_only=True),
 ]
@@ -630,10 +688,12 @@ def test_split_scan_matches_serial(inline_split, campaign, mask_range):
             assert inline_split.pop() == min(threads, sizes)
 
 
-@pytest.mark.parametrize("moduli", [(12,), (2, 6)], ids=["Z12", "Z2xZ6"])
-def test_a_full_scan_that_misses_an_orbit_raises(monkeypatch, inline_split, moduli):
+@pytest.mark.parametrize(
+    "moduli, mode", [((12,), MODE_TRANSLATION_NEGATION), ((2, 6), MODE_FULL_AFFINE)], ids=["Z12", "Z2xZ6-full-affine"]
+)
+def test_a_full_scan_that_misses_an_orbit_raises(monkeypatch, inline_split, moduli, mode):
     # a source that drops its first pair: in one part the singletons, in a split every part's least orbit
-    campaign = Campaign(group=GroupSpec(moduli))
+    campaign = Campaign(group=GroupSpec(moduli), mode=mode)
     window = scan(campaign, mask_range=(1, 300))
     source, walk_part = explorer._canonical_masks, explorer._walk_part
     monkeypatch.setattr(explorer, "_canonical_masks", lambda *a: islice(source(*a), 1, None))
@@ -662,7 +722,7 @@ def test_a_full_scan_that_misses_an_orbit_raises(monkeypatch, inline_split, modu
 )
 def test_threads_clamped_to_cores(monkeypatch, inline_split, affinity, threads, parts):
     _pin_cores(monkeypatch, affinity)
-    fields = dict(group=GroupSpec((2, 10)), max_size=2)  # a walk of 2^20 masks splits at the default threshold too
+    fields = dict(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE, max_size=2)  # a walk: full-affine orbits
     serial, mstd = scan(Campaign(**fields)), find_mstd(**fields)
     assert inline_split == []
     assert scan(Campaign(**fields), threads=threads) == serial
@@ -684,14 +744,15 @@ def test_size_residues_partition_a_full_window_evenly(parts):
 @pytest.mark.parametrize(
     "moduli, mode, want",
     [
-        ((2, 12), MODE_TRANSLATION_NEGATION, [177_591, 175_792]),
-        ((4, 5), MODE_TRANSLATION, [26_271, 26_216]),
-        ((2, 10), MODE_TRANSLATION_NEGATION, [13_825, 13_364]),
+        ((2, 12), MODE_FULL_AFFINE, [93_201, 91_652]),
+        ((4, 5), MODE_FULL_AFFINE, [3_759, 3_626]),
+        ((2, 10), MODE_FULL_AFFINE, [6_952, 6_698]),
     ],
     ids=["Z2xZ12", "Z4xZ5", "Z2xZ10"],
 )
 def test_two_workers_walk_about_equal_orbit_counts(moduli, mode, want):
-    # the representatives that each part of a whole two-worker scan returns, counted by Burnside per size
+    # the representatives that each part of a whole two-worker scan returns, counted by Burnside per size;
+    # only full-affine product scans walk, and so split
     campaign, n = Campaign(group=GroupSpec(moduli), mode=mode), math.prod(moduli)
     tables = [explorer._sizes(campaign, i, 2) for i in (0, 1)]
     assert [sum(burnside_orbit_count(moduli, mode, k, k) for k in range(n + 1) if keep[k]) for keep in tables] == want

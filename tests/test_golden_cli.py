@@ -235,7 +235,8 @@ def _cases() -> list:
         ["scan", "--group", "Z15", "--mode", "full-affine", "--format", "csv", "--threads", "1"],
         ["scan", "--group", "Z12", "--mode", "full-affine", "--range", "300:2900", "--format", "csv", "--threads", "1"],
     ]
-    # Product-group walks of 2^20 masks: with two workers they split across a process pool.
+    # Product-group scans of 2^20 masks with two workers. They were walks split across a process pool
+    # when pinned; translation orbits now come from the block-necklace generator, in one part.
     cases += [
         ["scan", "--group", "Z2xZ10", "--max-size", "4", "--format", "csv", "--threads", "2"],
         ["scan", "--group", "Z4xZ5", "--mode", "translation", "--min-size", "3", "--max-size", "5", "--format", "json",
@@ -278,6 +279,9 @@ def _cases() -> list:
          "--threads", "1"],
         ["scan", "--group", "Z2xZ10", "--max-size", "3", "--format", "csv", "--threads", "2"],
     ]
+    # A full-affine product walk of 2^20 masks, which two workers still split across a process pool.
+    cases.append(["scan", "--group", "Z2xZ10", "--mode", "full-affine", "--max-size", "4", "--format", "csv",
+                  "--threads", "2"])
     return cases
 
 
