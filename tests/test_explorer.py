@@ -312,19 +312,22 @@ def pool_parts(monkeypatch):
 @pytest.mark.parametrize("threads", [2, 3])
 @pytest.mark.parametrize(
     "campaign, sizes",
-    # walk campaigns, full-affine products: the necklace generators run in one part
+    # walk campaigns split, full-affine products; the block-necklace generator runs in one part (sizes 0)
     [
         (Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE), 12),
+        (Campaign(group=GroupSpec((2, 6))), 0),
+        (Campaign(group=GroupSpec((2, 6)), min_size=4, max_size=5), 0),
         (Campaign(group=GroupSpec((3, 4)), mode=MODE_FULL_AFFINE), 12),
         (Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE, min_size=4, max_size=5), 2),  # three workers:
     ],  # one residue has no size
-    ids=["Z2xZ6-full-affine", "Z3xZ4-full-affine", "Z2xZ6-full-affine-sizes-4-5"],
+    ids=["Z2xZ6-full-affine", "Z2xZ6", "Z2xZ6-sizes-4-5", "Z3xZ4-full-affine", "Z2xZ6-full-affine-sizes-4-5"],
 )
 def test_parallel_merge_matches_serial(monkeypatch, pool_parts, campaign, sizes, threads):
     serial_records, serial_summary = scan(campaign)
     monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
     records, summary = scan(campaign, threads=threads)
-    assert pool_parts == [min(threads, sizes)]  # one pool, one part per residue with a size: the parallel path ran
+    # one pool, one part per residue with a size: the parallel path ran
+    assert pool_parts == ([min(threads, sizes)] if sizes else [])
     assert records == serial_records
     assert summary == serial_summary  # argmax tuples compare in order, ties included
 
@@ -370,6 +373,10 @@ def test_necklaces_count_every_orbit_once(n, mode):
     assert sum(sizes) == (1 << n) - 1
 
 
+def _label(moduli):
+    return "x".join(f"Z{n}" for n in moduli)
+
+
 BLOCK_GROUPS = [
     *((p, q) for p in range(2, 9) for q in range(2, 9) if p * q <= 16),
     *((p, q, r) for p in range(2, 5) for q in range(2, 5) for r in range(2, 5) if p * q * r <= 16),
@@ -378,7 +385,7 @@ BLOCK_GROUPS = [
 
 
 @pytest.mark.parametrize("mode", [MODE_TRANSLATION, MODE_TRANSLATION_NEGATION])
-@pytest.mark.parametrize("moduli", BLOCK_GROUPS, ids=lambda m: "x".join(f"Z{n}" for n in m))
+@pytest.mark.parametrize("moduli", BLOCK_GROUPS, ids=_label)
 def test_block_necklaces_match_the_visited_walk(moduli, mode):
     # the walk's windows concatenate (test_windows_and_chunks_concatenate), so on each window and size
     # table it yields the pairs of one whole walk that lie in the window and have a size in the table
@@ -395,7 +402,7 @@ def test_block_necklaces_match_the_visited_walk(moduli, mode):
 
 
 @pytest.mark.parametrize("mode", [MODE_TRANSLATION, MODE_TRANSLATION_NEGATION])
-@pytest.mark.parametrize("moduli", [(8, 8), (2, 4, 8), (4, 4, 4), (8, 2, 4), (2, 32)], ids=lambda m: "x".join(f"Z{n}" for n in m))
+@pytest.mark.parametrize("moduli", [(8, 8), (2, 4, 8), (4, 4, 4), (8, 2, 4), (2, 32)], ids=_label)
 def test_block_necklaces_match_the_walk_on_windows_of_order_64(moduli, mode):
     rng, campaign = random.Random(30), Campaign(group=GroupSpec(moduli), mode=mode, group_cap=64)
     keep, found = explorer._sizes(campaign), 0
@@ -409,7 +416,7 @@ def test_block_necklaces_match_the_walk_on_windows_of_order_64(moduli, mode):
 
 
 @pytest.mark.parametrize("mode", [MODE_TRANSLATION, MODE_TRANSLATION_NEGATION])
-@pytest.mark.parametrize("moduli", [(2, 10), (5, 4), (2, 2, 5), (3, 7), (11, 2)], ids=lambda m: "x".join(f"Z{n}" for n in m))
+@pytest.mark.parametrize("moduli", [(2, 10), (5, 4), (2, 2, 5), (3, 7), (11, 2)], ids=_label)
 def test_block_necklaces_count_every_orbit_once(moduli, mode):
     n = math.prod(moduli)
     sizes = [size for _, size in explorer._canonical_masks(Campaign(group=GroupSpec(moduli), mode=mode), 1, 1 << n)]
@@ -659,12 +666,13 @@ def test_split_builds_each_orbit_once(monkeypatch, inline_split, moduli, mode):
     assert all(w == work[0] for w in work)  # the work does not grow with the worker count
 
 
+WALK_AND_BLOCK_MODES = (MODE_TRANSLATION_NEGATION, MODE_FULL_AFFINE)  # a product's: one part, and a split
 SPLIT_CAMPAIGNS = [
     *(Campaign(group=GroupSpec(m), mode=mode) for m in SPLIT_GROUPS for mode in explorer.MODES),
     *(Campaign(ints=(0, 11), mode=mode) for mode in explorer.MODES),
-    Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE, min_size=3, max_size=7),
-    Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE, min_size=4, max_size=5),  # three or four workers:
-    # a residue has no size
+    *(Campaign(group=GroupSpec((2, 6)), mode=m, min_size=3, max_size=7) for m in WALK_AND_BLOCK_MODES),
+    # three or four workers: a residue has no size
+    *(Campaign(group=GroupSpec((2, 6)), mode=m, min_size=4, max_size=5) for m in WALK_AND_BLOCK_MODES),
     Campaign(ints=(0, 11), min_size=5, max_size=6),  # fewer sizes than workers
     Campaign(group=GroupSpec((12,)), mstd_only=True),
 ]
@@ -689,7 +697,7 @@ def test_split_scan_matches_serial(inline_split, campaign, mask_range):
 
 
 @pytest.mark.parametrize(
-    "moduli, mode", [((12,), MODE_TRANSLATION_NEGATION), ((2, 6), MODE_FULL_AFFINE)], ids=["Z12", "Z2xZ6-full-affine"]
+    "moduli, mode", [((12,), MODE_TRANSLATION_NEGATION), ((2, 6), MODE_FULL_AFFINE)], ids=["Z12", "Z2xZ6"]
 )
 def test_a_full_scan_that_misses_an_orbit_raises(monkeypatch, inline_split, moduli, mode):
     # a source that drops its first pair: in one part the singletons, in a split every part's least orbit
