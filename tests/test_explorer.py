@@ -697,7 +697,9 @@ def test_split_scan_matches_serial(inline_split, campaign, mask_range):
 
 
 @pytest.mark.parametrize(
-    "moduli, mode", [((12,), MODE_TRANSLATION_NEGATION), ((2, 6), MODE_FULL_AFFINE)], ids=["Z12", "Z2xZ6"]
+    "moduli, mode",
+    [((12,), MODE_TRANSLATION_NEGATION), ((2, 6), MODE_FULL_AFFINE), ((2, 6), MODE_TRANSLATION_NEGATION)],
+    ids=["Z12", "Z2xZ6", "Z2xZ6-blocks"],
 )
 def test_a_full_scan_that_misses_an_orbit_raises(monkeypatch, inline_split, moduli, mode):
     # a source that drops its first pair: in one part the singletons, in a split every part's least orbit
@@ -711,7 +713,7 @@ def test_a_full_scan_that_misses_an_orbit_raises(monkeypatch, inline_split, modu
         scan(campaign)
     with pytest.raises(RuntimeError, match=full + r"\d+ subsets, not 4095$"):
         scan(campaign, threads=2, mask_range=(0, 1 << 20))  # clamped to the full range
-    assert inline_split == ([] if len(moduli) == 1 else [2])
+    assert inline_split == ([] if _one_part(campaign) else [2])
     assert scan(campaign, mask_range=(1, 300))[0] == window[0][1:]  # a window is not checked
 
 
