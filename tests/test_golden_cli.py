@@ -282,6 +282,12 @@ def _cases() -> list:
     # A full-affine product walk of 2^20 masks, which two workers still split across a process pool.
     cases.append(["scan", "--group", "Z2xZ10", "--mode", "full-affine", "--max-size", "4", "--format", "csv",
                   "--threads", "2"])
+    # Integer windows cut by a mask range, which the representative source cuts per top bit.
+    for mode in MODES[:3]:
+        cases.append(["scan", "--ints", "0..11", "--mode", mode, "--range", "1000:3001", "--format", "csv",
+                      "--threads", "1"])
+    cases.append(["scan", "--ints=-2..10", "--min-size", "3", "--max-size", "6", "--range", "517:6000", "--format",
+                  "csv", "--threads", "1"])
     return cases
 
 
