@@ -10,8 +10,9 @@ Canonical representative = the lexicographically least bitmask in the orbit.
 Enumeration is in ascending representative order. Z_N's orbits in every mode but none come
 from a necklace generator, a product group's in modes translation and translation+negation
 from a block-necklace generator, and its full-affine ones (also under automorphisms) from a
-walk over the masks. All cut into mask ranges whose results concatenate (resumable output);
-a walk scan's workers also each take the sizes of one residue class, and their masks merge.
+walk over the masks; an integer window's are read off by top bit. All cut into mask ranges
+whose results concatenate (resumable output); a walk scan's workers also each take the sizes
+of one residue class, and their masks merge.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -265,24 +266,6 @@ def _group_orbit(g: GroupSpec, mask: int, mode: str, maps: tuple = ()) -> set:
     return orbit
 
 
-def _reflect(mask: int) -> int:
-    """Mirror a mask within its span: bit b goes to bit (bit_length - 1 - b)."""
-    return int(bin(mask)[:1:-1], 2)
-
-
-def _int_orbit_size(mask: int, width: int, mode: str) -> int:
-    """The orbit size if ``mask`` is canonical, else 0. Outside mode none the mask
-    holds bit 0 (``_canonical_masks`` passes odd masks only), so it hugs the
-    window's left edge; under negation it must also be at most its mirror."""
-    if mode == MODE_NONE:
-        return 1
-    translates = width - mask.bit_length() + 1
-    if mode == MODE_TRANSLATION:
-        return translates
-    mirror = _reflect(mask)
-    return 0 if mirror < mask else translates if mirror == mask else 2 * translates
-
-
 def _walks(campaign: Campaign, lo: int, hi_mask: int) -> bool:
     """Whether a scan's orbits in [lo, hi) come from the visited walk, the one source that splits by size
     residue: a product group's in full-affine mode. The necklace generators, mode none and integer windows
@@ -305,18 +288,26 @@ def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple
     """Yield (representative mask, orbit size) with masks ascending in [lo, hi): Z_N's orbits in every
     mode but none from the necklace generator, a product group's from the block-necklace generator in
     modes translation and translation+negation and from the visited walk in full-affine mode, whose
-    orbits also take the automorphism tables ``maps`` (Z_N has none past its unit scalars)."""
+    orbits also take the automorphism tables ``maps`` (Z_N has none past its unit scalars). An integer
+    window's class is a set's translates and, but in mode translation, its mirror's: per top bit t the
+    masks 2^t + 2m + 1, under negation only those whose inner bits m are at most their reversal."""
     lo, keep, g = max(lo_mask, 1), _sizes(campaign), campaign.group
     if _walks(campaign, lo, hi_mask):
         yield from _orbit_walk(campaign, keep, lo, hi_mask, maps)
-    elif g is not None and campaign.mode != MODE_NONE:
+    elif campaign.mode == MODE_NONE:  # every set is its own class
+        yield from ((mask, 1) for mask in range(lo, hi_mask) if keep[mask.bit_count()])
+    elif g is not None:
         yield from (_necklaces if len(g.moduli) == 1 else _block_necklaces)(campaign, keep, lo, hi_mask)
-    else:  # an integer window, or a group in mode none
-        width, mode = campaign.width(), campaign.mode
-        step = 1 if mode == MODE_NONE else 2  # a canonical translate holds bit 0: odd masks only
-        for mask in range(lo if step == 1 else lo | 1, hi_mask, step):
-            if keep[mask.bit_count()] and (size := _int_orbit_size(mask, width, mode)):
-                yield mask, size
+    else:  # an integer window: a class's least mask 2^t + 2m + 1 holds bit 0, with inner bits m below top bit t
+        n, neg, rev = campaign.width(), campaign.mode != MODE_TRANSLATION, [0]
+        for t in range(min(n, hi_mask.bit_length())):
+            if neg and t > 1:  # rev[m]: the t - 1 inner bits m reversed, the mirror's inner bits
+                rev = [r << 1 for r in rev]
+                rev += [r | 1 for r in rev]
+            base = (1 << t) | 1  # n - t translates, twice as many when the mirror differs
+            for m in range(max(lo - base + 1 >> 1, 0), min(hi_mask - base + 1 >> 1, (1 << t) + 1 >> 1)):
+                if keep[(mask := base + 2 * m).bit_count()] and not (neg and rev[m] < m):
+                    yield mask, n - t << (neg and rev[m] != m)
 
 
 def _orbit_walk(campaign: Campaign, keep: bytes, lo: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
@@ -511,20 +502,32 @@ def _size_kernel(moduli: tuple, width: int):
     return sizes
 
 
+# SearchRecord's slot setters in field order: a scan's records skip the frozen __init__'s object.__setattr__.
+_RECORD_SLOTS = tuple(SearchRecord.__dict__[f.name].__set__ for f in fields(SearchRecord))
+
+
 def _recorder(campaign: Campaign):
     """``record(mask, orbit_size)``, the set's SearchRecord, with the size kernel, label and window
     offset bound once. A window of width W lives in Z_{2W-1}, where no sum or difference wraps."""
     g, n = campaign.group, campaign.width()
     sizes = _size_kernel(g.moduli if g else (2 * n - 1,), n)
     label, lo = (g.label(), 0) if g else ("Z", campaign.ints[0])
+    new, (set_group, set_elements, set_card, set_sum, set_diff, set_coset, set_orbit) = object.__new__, _RECORD_SLOTS
 
     def record(mask: int, orbit_size: int) -> SearchRecord:
         bits = iter_bits(mask)
         card = len(bits)
         s, d = sizes(mask)
+        r = new(SearchRecord)
+        set_group(r, label)
+        set_elements(r, tuple([b + lo for b in bits]) if lo else bits)
+        set_card(r, card)
+        set_sum(r, s)
+        set_diff(r, d)
         # a coset a+H has |A+A| = |H| = |A|, so no other set needs the test; in Z only a singleton
-        coset = s == card and (g is None or is_coset(GSet.from_mask(g, mask)) is not None)
-        return SearchRecord(label, tuple([b + lo for b in bits]) if lo else bits, card, s, d, coset, orbit_size)
+        set_coset(r, s == card and (g is None or is_coset(GSet.from_mask(g, mask)) is not None))
+        set_orbit(r, orbit_size)
+        return r
 
     return record
 
@@ -738,9 +741,16 @@ def exponent_report(records) -> ExponentReport:
 # -- output ------------------------------------------------------------------
 
 
+_NAMES = {i: str(i) for i in range(256)}  # bounded: the strings of 0..255, the elements of most csv lines
+
+
 def _csv_lines(records) -> Iterator[str]:
+    name = _NAMES.__getitem__
     for r in records:
-        s = ",".join(map(str, r.elements))  # ints: only a comma needs quotes
+        try:
+            s = ",".join(map(name, r.elements))  # ints: only a comma needs quotes
+        except KeyError:  # a negative or wider element
+            s = ",".join(map(str, r.elements))
         q = '"' if "," in s else ""
         yield f"{_csv_field(r.group)},{q}{s}{q},{_csv_tail(r.card, r.sum_card, r.diff_card, r.coset)}"
 

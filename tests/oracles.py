@@ -9,7 +9,9 @@ residue oracles check on its own, and reach sizes far past what
 ``naive_minimizer`` can enumerate. The other is ``per_subset_sweep``, the
 plain form of the orbit-weighted claim sweep: it takes its verdicts from the
 production verifiers, one subset at a time, so it checks the orbit weighting
-and the violation list rather than the verdicts. ``csv_writer_text`` writes
+and the violation list rather than the verdicts. ``int_window_representatives``
+judges each mask of an integer window on its own, where the scan's source
+yields only representatives. ``csv_writer_text`` writes
 scan records through the standard library's csv module, the writer the
 preformatted scan csv lines must match byte for byte.
 """
@@ -322,6 +324,28 @@ def per_subset_sweep(claim, g, *, n=2, cap=20, equal=None):
         if outcome == "violated" and len(violations) < 32:
             violations.append(str(A))
     return SweepSummary(claim, g, (1 << g.order) - 1, counts, tuple(violations))
+
+
+def int_window_representatives(width, mode, sizes, lo, hi):
+    """The (mask, orbit size) pairs of an integer-window scan of 0..width-1 with
+    masks in [lo, hi) and set sizes in ``sizes``, judged mask by mask. In mode
+    none every set is its own class. Otherwise a representative holds 0, the
+    least element of its translates, and under negation (every other mode) its
+    mirror max(A) - A is not below it as a mask. Its class holds its
+    width - max(A) translates, twice as many when the mirror differs."""
+    pairs = []
+    for mask in range(max(lo, 1), min(hi, 1 << width)):
+        A = [i for i in range(width) if mask >> i & 1]
+        if len(A) not in sizes:
+            continue
+        if mode == "none":
+            pairs.append((mask, 1))
+            continue
+        mirror = sum(1 << (A[-1] - a) for a in A)
+        if A[0] != 0 or (mode != "translation" and mirror < mask):
+            continue
+        pairs.append((mask, (width - A[-1]) * (1 if mode == "translation" or mirror == mask else 2)))
+    return pairs
 
 
 def csv_writer_text(records, campaign=None):

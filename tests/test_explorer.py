@@ -35,6 +35,7 @@ from oracles import (
     divisor_coset_count,
     int_iterated,
     int_sumset,
+    int_window_representatives,
     naive_coset_masks,
     naive_diffset,
     naive_sumset,
@@ -468,22 +469,53 @@ def test_record_bound_scans_start_no_pool(monkeypatch, campaign):
 WINDOW_CUTS = (1, 7, 300, 1500, 2900, 1 << 12)  # five uneven windows
 
 
+def _int_orbit(campaign, elements):
+    """The masks of the class of an integer-window set: its translates and, outside
+    mode translation, its mirror's."""
+    lo, hi = campaign.ints
+    images = [elements] if campaign.mode == MODE_TRANSLATION else [elements, [max(elements) - x for x in elements]]
+    return {sum(1 << x - min(A) + k for x in A) for A in images for k in range(hi - lo + 1 - max(A) + min(A))}
+
+
 @pytest.mark.parametrize("mode", explorer.MODES)
-@pytest.mark.parametrize("moduli", [(12,), (2, 6)], ids=["Z12", "Z2xZ6"])
-def test_windows_and_chunks_concatenate(monkeypatch, moduli, mode):
-    g = GroupSpec(moduli)
-    campaign = Campaign(group=g, mode=mode)
+@pytest.mark.parametrize(
+    "universe", [{"group": GroupSpec((12,))}, {"group": GroupSpec((2, 6))}, {"ints": (-3, 8)}],
+    ids=["Z12", "Z2xZ6", "ints-3..8"],
+)
+def test_windows_and_chunks_concatenate(monkeypatch, universe, mode):
+    campaign = Campaign(mode=mode, **universe)
     full, summary = scan(campaign)
     windows = list(zip(WINDOW_CUTS, WINDOW_CUTS[1:]))
     parts = [scan(campaign, mask_range=w)[0] for w in windows]
     assert [r for part in parts for r in part] == full
     if mode != MODE_NONE:
         # every cut splits some orbit: its least member lies in an earlier window
-        orbits = [explorer._group_orbit(g, sum(1 << e for e in r.elements), mode) for r in full]
+        g = campaign.group
+        orbits = [
+            explorer._group_orbit(g, sum(1 << e for e in r.elements), mode) if g else _int_orbit(campaign, r.elements)
+            for r in full
+        ]
         for cut in WINDOW_CUTS[1:-1]:
             assert any(min(orbit) < cut <= max(orbit) for orbit in orbits)
     monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
     assert scan(campaign, threads=2) == (full, summary)
+
+
+@pytest.mark.parametrize("mode", explorer.MODES)
+def test_int_window_source_matches_the_per_mask_rule(mode):
+    rng = random.Random(31)
+    for width in range(1, 13):
+        for _ in range(6):
+            min_size = rng.randint(1, width)
+            max_size = rng.choice([None, rng.randint(min_size, width)])
+            lo = rng.choice([0, 1, rng.randrange(1 << width)])
+            hi = rng.choice([1 << width, rng.randrange(lo, (1 << width) + 2), (1 << width) + rng.randrange(1, 99)])
+            campaign = Campaign(ints=(-2, width - 3), mode=mode, min_size=min_size, max_size=max_size)
+            sizes = range(min_size, (max_size or width) + 1)
+            want = int_window_representatives(width, mode, sizes, lo, hi)
+            assert list(explorer._canonical_masks(campaign, lo, min(hi, 1 << width))) == want
+            records, _ = scan(campaign, mask_range=(lo, hi))  # which clamps an HI past 2^W
+            assert [(sum(1 << x + 2 for x in r.elements), r.orbit_size) for r in records] == want
 
 
 def test_int_records_match_oracles():
@@ -788,6 +820,23 @@ def test_search_record_has_slots_and_pickles():
     for r in records[::97]:
         assert not hasattr(r, "__dict__")
         assert pickle.loads(pickle.dumps(r)) == r
+
+
+def test_scan_records_keep_the_frozen_dataclass_contract():
+    import dataclasses
+
+    records, _ = scan(Campaign(ints=(-2, 7), mode=MODE_NONE))
+    for r in records[::37]:
+        built = explorer.SearchRecord(*(getattr(r, f.name) for f in dataclasses.fields(r)))
+        assert type(r) is explorer.SearchRecord and r == built and hash(r) == hash(built) and repr(r) == repr(built)
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.card = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del r.orbit_size
+        assert dataclasses.asdict(r) == dataclasses.asdict(built)
+        other = dataclasses.replace(r, orbit_size=r.orbit_size + 1)
+        assert other != r and other.elements == r.elements and other.orbit_size == r.orbit_size + 1
 
 
 def test_ratios_reduce_as_fractions():
