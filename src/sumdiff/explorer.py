@@ -284,6 +284,9 @@ def _sizes(campaign: Campaign, part: int = 0, parts: int = 1) -> bytes:
     return bytes(campaign.min_size <= k <= (campaign.max_size or n) and k % parts == part for k in range(n + 1))
 
 
+_BYTE_REVERSED = tuple(int(f"{y:08b}"[::-1], 2) for y in range(256))
+
+
 def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
     """Yield (representative mask, orbit size) with masks ascending in [lo, hi): Z_N's orbits in every
     mode but none from the necklace generator, a product group's from the block-necklace generator in
@@ -299,15 +302,16 @@ def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple
     elif g is not None:
         yield from (_necklaces if len(g.moduli) == 1 else _block_necklaces)(campaign, keep, lo, hi_mask)
     else:  # an integer window: a class's least mask 2^t + 2m + 1 holds bit 0, with inner bits m below top bit t
-        n, neg, rev = campaign.width(), campaign.mode != MODE_TRANSLATION, [0]
+        n, neg = campaign.width(), campaign.mode != MODE_TRANSLATION
         for t in range(min(n, hi_mask.bit_length())):
-            if neg and t > 1:  # rev[m]: the t - 1 inner bits m reversed, the mirror's inner bits
-                rev = [r << 1 for r in rev]
-                rev += [r | 1 for r in rev]
-            base = (1 << t) | 1  # n - t translates, twice as many when the mirror differs
-            for m in range(max(lo - base + 1 >> 1, 0), min(hi_mask - base + 1 >> 1, (1 << t) + 1 >> 1)):
-                if keep[(mask := base + 2 * m).bit_count()] and not (neg and rev[m] < m):
-                    yield mask, n - t << (neg and rev[m] != m)
+            base, k = (1 << t) | 1, max(t - 1, 0)  # n - t translates, twice as many when the mirror differs
+            a, b = max(lo - base + 1 >> 1, 0), min(hi_mask - base + 1 >> 1, (1 << t) + 1 >> 1)
+            low = [r << k >> 8 for r in _BYTE_REVERSED]  # the k-bit reversal of m, the mirror's inner bits, is
+            for x in range(a >> 8, (b - 1 >> 8) + 1):  # its low byte's, k - 8 bits up, and its high bits'
+                high = int(f"{x:0{k - 8}b}"[::-1], 2) if k > 8 else 0
+                for m in range(max(a, x << 8), min(b, x + 1 << 8)):
+                    if keep[(mask := base + 2 * m).bit_count()] and (r := low[m & 255] | high if neg else m) >= m:
+                        yield mask, n - t << (r != m)
 
 
 def _orbit_walk(campaign: Campaign, keep: bytes, lo: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:

@@ -518,6 +518,18 @@ def test_int_window_source_matches_the_per_mask_rule(mode):
             assert [(sum(1 << x + 2 for x in r.elements), r.orbit_size) for r in records] == want
 
 
+@pytest.mark.parametrize("mode", explorer.MODES[1:])
+def test_int_window_source_reads_only_its_range_of_a_wide_window(mode):
+    # a table over every inner mask of a 40-wide window, 2^38 of them, would not fit in memory
+    rng = random.Random(32)
+    for width in (20, 40):
+        for _ in range(3):
+            lo = rng.randrange(1 << width - 1, (1 << width) - 3000)
+            campaign = Campaign(ints=(0, width - 1), mode=mode, width_cap=width)
+            want = int_window_representatives(width, mode, range(1, width + 1), lo, lo + 3000)
+            assert want and list(explorer._canonical_masks(campaign, lo, lo + 3000)) == want
+
+
 def test_int_records_match_oracles():
     lo = -4
     campaign = Campaign(ints=(lo, lo + 9), mode=MODE_NONE)
