@@ -292,7 +292,7 @@ def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple
     mode but none from the necklace generator, a product group's from the block-necklace generator in
     modes translation and translation+negation and from the visited walk in full-affine mode, whose
     orbits also take the automorphism tables ``maps`` (Z_N has none past its unit scalars). An integer
-    window's class is a set's translates and, but in mode translation, its mirror's: per top bit t the
+    window's class is a set's translates and, outside mode translation, its mirror's: per top bit t the
     masks 2^t + 2m + 1, under negation only those whose inner bits m are at most their reversal."""
     lo, keep, g = max(lo_mask, 1), _sizes(campaign), campaign.group
     if _walks(campaign, lo, hi_mask):
