@@ -288,6 +288,12 @@ def _cases() -> list:
                       "--threads", "1"])
     cases.append(["scan", "--ints=-2..10", "--min-size", "3", "--max-size", "6", "--range", "517:6000", "--format",
                   "csv", "--threads", "1"])
+    # Full-affine scans of products whose only units are +-1 (exponent 4, 6 and 6), json with orbit sizes.
+    cases += [
+        ["scan", "--group", "Z4xZ4", "--mode", "full-affine", "--format", "csv", "--threads", "1"],
+        ["scan", "--group", "Z2xZ2xZ3", "--mode", "full-affine", "--format", "json", "--threads", "1"],
+        ["scan", "--group", "Z3xZ6", "--mode", "full-affine", "--max-size", "5", "--format", "csv", "--threads", "2"],
+    ]
     return cases
 
 
