@@ -169,8 +169,8 @@ def _unread(args, keys: tuple, reason: str) -> None:
 
 
 def _threads(args, config: dict) -> int:
-    """Worker processes: at least 1, by default one per core; ``scan`` clamps them to the cores it may run on."""
-    return _setting(args, config, "threads", os.cpu_count() or 1)
+    """The worker count, at least 1 (default 1): only validated, as every scan runs in one process."""
+    return _setting(args, config, "threads", 1)
 
 
 # -- output helpers --------------------------------------------------------------
@@ -608,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     universe.add_argument("--ints", help="integer window, e.g. 0..14")
     universe.add_argument("--max-size", type=_integer)
     universe.add_argument("--mode", choices=MODES, default=Campaign.mode)
-    universe.add_argument("--threads", type=_integer, help="worker processes (default: all cores)")
+    universe.add_argument("--threads", type=_integer, help="worker count, at least 1; every scan runs in one process")
     universe.add_argument("--group-cap", type=_integer)
     universe.add_argument("--width-cap", type=_integer)
     universe.add_argument("--format", choices=("human", "json", "csv"), default="human")

@@ -7,23 +7,20 @@ structural flags, and float exponents for reporting only. Aggregate counts
 are orbit-weighted, i.e. they describe the raw universe before dedup.
 
 Canonical representative = the lexicographically least bitmask in the orbit.
-Enumeration is in ascending representative order. Z_N's orbits in every mode but none come
-from a necklace generator, a product group's in modes translation and translation+negation
-from a block-necklace generator, and its full-affine ones (also under automorphisms) from a
+Enumeration is in ascending representative order, one stream in one process. Z_N's orbits in
+every mode but none come from a necklace generator; a product group's in modes translation and
+translation+negation from a block-necklace generator, which also gives the full-affine ones
+when its only units are +-1; its other full-affine ones (also under automorphisms) come from a
 walk over the masks; an integer window's are read off by top bit. All cut into mask ranges
-whose results concatenate (resumable output); a walk scan's workers also each take the sizes
-of one residue class, and their masks merge.
+whose results concatenate (resumable output).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from operator import itemgetter
 from typing import Iterator
 
@@ -266,22 +263,22 @@ def _group_orbit(g: GroupSpec, mask: int, mode: str, maps: tuple = ()) -> set:
     return orbit
 
 
-def _walks(campaign: Campaign, lo: int, hi_mask: int) -> bool:
-    """Whether a scan's orbits in [lo, hi) come from the visited walk, the one source that splits by size
-    residue: a product group's in full-affine mode. The necklace generators, mode none and integer windows
-    cost their records. A walk refuses more than 2^30 masks, a byte each in its visited array."""
+def _walks(campaign: Campaign, lo: int, hi_mask: int, maps: tuple = ()) -> bool:
+    """Whether the orbits in [lo, hi) come from the visited walk: a product group's full-affine ones
+    under automorphism tables ``maps`` (a sweep's) or units other than +-1. A group of exponent 1, 2,
+    3, 4 or 6 has only those, so with no ``maps`` its full-affine orbits are its translation+negation
+    classes. A walk refuses more than 2^30 masks, a byte each in its visited array."""
     g = campaign.group
-    walks = g is not None and len(g.moduli) > 1 and campaign.mode == MODE_FULL_AFFINE
+    walks = g is not None and len(g.moduli) > 1 and campaign.mode == MODE_FULL_AFFINE and (maps or len(g.units()) > 2)
     if walks and hi_mask - lo > 1 << 30:
         raise CapExceededError(f"full-affine orbits of {g.label()} walk {hi_mask - lo} masks, above 2^30")
-    return walks
+    return bool(walks)
 
 
-def _sizes(campaign: Campaign, part: int = 0, parts: int = 1) -> bytes:
-    """``keep[k]`` for k = 0..N, whether a scan takes the sets of size k: those in the campaign's size
-    window and, for walk part ``part`` of ``parts``, only those with k = part (mod parts)."""
+def _sizes(campaign: Campaign) -> bytes:
+    """``keep[k]`` for k = 0..N, whether a scan takes the sets of size k: those in the campaign's size window."""
     n = campaign.width()
-    return bytes(campaign.min_size <= k <= (campaign.max_size or n) and k % parts == part for k in range(n + 1))
+    return bytes(campaign.min_size <= k <= (campaign.max_size or n) for k in range(n + 1))
 
 
 _BYTE_REVERSED = tuple(int(f"{y:08b}"[::-1], 2) for y in range(256))
@@ -289,13 +286,13 @@ _BYTE_REVERSED = tuple(int(f"{y:08b}"[::-1], 2) for y in range(256))
 
 def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
     """Yield (representative mask, orbit size) with masks ascending in [lo, hi): Z_N's orbits in every
-    mode but none from the necklace generator, a product group's from the block-necklace generator in
-    modes translation and translation+negation and from the visited walk in full-affine mode, whose
-    orbits also take the automorphism tables ``maps`` (Z_N has none past its unit scalars). An integer
+    mode but none from the necklace generator, a product group's from the visited walk where ``_walks``
+    says so, whose orbits also take the automorphism tables ``maps`` (Z_N has none past its unit
+    scalars), and otherwise from the block-necklace generator. An integer
     window's class is a set's translates and, outside mode translation, its mirror's: per top bit t the
     masks 2^t + 2m + 1, under negation only those whose inner bits m are at most their reversal."""
     lo, keep, g = max(lo_mask, 1), _sizes(campaign), campaign.group
-    if _walks(campaign, lo, hi_mask):
+    if _walks(campaign, lo, hi_mask, maps):
         yield from _orbit_walk(campaign, keep, lo, hi_mask, maps)
     elif campaign.mode == MODE_NONE:  # every set is its own class
         yield from ((mask, 1) for mask in range(lo, hi_mask) if keep[mask.bit_count()])
@@ -385,13 +382,14 @@ def _rotation_order(s: str, run: str, *doubled: str) -> int:
 
 
 def _block_necklaces(campaign: Campaign, keep: bytes, lo: int, hi_mask: int) -> Iterator[tuple]:
-    """``_canonical_masks`` for G = H x Z_m (m the last modulus) in modes translation and translation+negation.
+    """``_canonical_masks`` for G = H x Z_m (m the last modulus) in mode translation, and translation+negation
+    (so full-affine, when +-1 are G's only units).
     A mask is m blocks of b = |H| bits, a word a_0 .. a_{m-1} from the top block down: translation by (h, s)
     rotates it by s and maps each block by tau_h, H's shift_mask, and negation reverses it and maps each block
     by x -> h - x. A 2^b-ary FKM walk (as ``_necklaces``) keeps the starts s where tau_h(a_s ..), h != 0, and
     the backward readings h - a_t, .., h - a_0 still equal the head, drops a prefix once one reads lower, and
     at a necklace settles the wrap-around of the readings left: each equal one fixes the word."""
-    g, neg = campaign.group, campaign.mode == MODE_TRANSLATION_NEGATION
+    g, neg = campaign.group, campaign.mode != MODE_TRANSLATION
     sub, m = GroupSpec(g.moduli[:-1]), g.moduli[-1]
     b, top, orbit, shifts = sub.order, keep.rfind(1), g.order << neg, range(1, sub.order)
     a, fore, back = [0] * m, [()] * m, [()] * m  # the word, and its symbols' images by h
@@ -464,7 +462,7 @@ def enumerate_canonical(campaign: Campaign):
 # -- records -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)  # bounded: a scan part binds one kernel
+@lru_cache(maxsize=8)  # bounded: a scan binds one kernel
 def _size_kernel(moduli: tuple, width: int):
     """``sizes(mask) -> (|A+A|, |A-A|)`` for the set A with this mask in Z_{n_1} x ... x Z_{n_k};
     only the table rows of masks below bit ``width`` are built. Element i, with digits d_j, goes
@@ -620,18 +618,6 @@ class _Stats:
         )
 
 
-def _walk_part(campaign: Campaign, keep: bytes, lo_mask: int, hi_mask: int) -> list:
-    """One worker's share of a split scan: the (mask, orbit size) pairs of the sizes in its table."""
-    return list(_orbit_walk(campaign, keep, lo_mask, hi_mask))
-
-
-# Walk windows this wide or wider use workers, so a whole full-affine product scan of order 20 splits and
-# one of order 18 does not. Whole process on 2 cores, two workers took 0.76 s against one's 0.80 s on
-# Z2xZ10 and 0.77 s against 0.96 s on Z2xZ2xZ5 (won 8 and 11 of 11 rounds, when translation+negation
-# still walked), but Z3xZ6 forced to split took 0.31 s against 0.32 s (won 6 of 11) for 27% more CPU.
-_PARALLEL_THRESHOLD = 1 << 19
-
-
 def scan(
     campaign: Campaign,
     *,
@@ -644,11 +630,9 @@ def scan(
     when the campaign asks for it); summary counts are orbit-weighted so they
     describe the raw universe. ``mask_range`` restricts to a half-open window
     of representative masks for resumable partitioning (HI is clamped to 2^N;
-    LO past HI or at 2^N and up is a ValueError). ``threads`` > 1 splits only a
-    walk, a full-affine product scan: at most the cores this process may run on
-    walk it in worker processes, one per residue class of sizes mod ``threads``,
-    and the parent merges their masks. The other sources run as one part. A
-    full-range scan checks that its orbits cover its sizes.
+    LO past HI or at 2^N and up is a ValueError). Every scan is one stream from
+    ``_canonical_masks`` in this process; ``threads`` is accepted and does not
+    change it. A full-range scan checks that its orbits cover its sizes.
     """
     campaign.validate()
     n = campaign.width()
@@ -658,19 +642,8 @@ def scan(
     if lo >= 1 << n:
         raise ValueError(f"mask range {lo}:{hi} starts past the last mask: LO must be below 2^{n} = {1 << n}")
     lo, hi = max(lo, 1), min(hi, 1 << n)
-    parts = threads if _walks(campaign, lo, hi) and hi - lo >= _PARALLEL_THRESHOLD else 1
-    if parts > 1:  # the cores this process may run on, else the machine's
-        parts = min(parts, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    tables = [keep for keep in (_sizes(campaign, i, parts) for i in range(parts)) if any(keep)]
-    if len(tables) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # lazily: keeps imports light
-
-        with ProcessPoolExecutor(max_workers=len(tables)) as pool:
-            pairs = heapq.merge(*pool.map(_walk_part, repeat(campaign), tables, repeat(lo), repeat(hi)))
-    else:
-        pairs = _canonical_masks(campaign, lo, hi)
     records, stats, record = [], _Stats(), _recorder(campaign)
-    for mask, orbit_size in pairs:
+    for mask, orbit_size in _canonical_masks(campaign, lo, hi):
         rec = record(mask, orbit_size)
         stats.absorb(rec)
         if not campaign.mstd_only or rec.mstd:

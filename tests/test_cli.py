@@ -544,16 +544,13 @@ def test_negative_literals_are_values(tmp_path):
     assert _run_case(["scan", "--ints", "-4..5", "--format", "csv", "--threads", "1"], tmp_path) == (0, digest)
 
 
-def test_threads_default_to_every_core(monkeypatch):
-    # scan clamps the count to the cores it may run on: test_explorer.py::test_threads_clamped_to_cores
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+def test_threads_are_only_validated():
+    # every scan runs in one process: the count is read, checked (test_bad_input_exits_1) and passed on
     parse = cli.build_parser().parse_args
     assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "64"]), {}) == 64
     assert cli._threads(parse(["mstd", "--group", "Z6"]), {"threads": "3"}) == 3
-    assert cli._threads(parse(["scan", "--group", "Z6"]), {}) == 5
-    assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "1"]), {"threads": "2"}) == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # a platform that cannot count its cores
     assert cli._threads(parse(["scan", "--group", "Z6"]), {}) == 1
+    assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "1"]), {"threads": "2"}) == 1
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
@@ -715,8 +712,7 @@ def test_second_main_call_builds_no_parser(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        # walk campaigns only, full-affine products: the necklace generators, mode none and integer
-        # scans run in one part
+        # full-affine products: Z2xZ8 and Z3xZ4 walk, Z2xZ6 (units +-1) takes block necklaces
         ["scan", "--group", "Z2xZ8", "--mode", "full-affine", "--exponents", "--format", "json"],
         ["scan", "--group", "Z2xZ6", "--mode", "full-affine", "--format", "csv"],
         ["scan", "--group", "Z3xZ4", "--mode", "full-affine", "--exponents"],
@@ -724,19 +720,8 @@ def test_second_main_call_builds_no_parser(monkeypatch):
     ],
     ids=["scan-json", "scan-csv", "scan-human", "mstd-json"],
 )
-def test_two_workers_print_the_one_worker_bytes(monkeypatch, argv):
-    import concurrent.futures
-
-    serial = run([*argv, "--threads", "1"])
-    parts, pool = [], concurrent.futures.ProcessPoolExecutor
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: parts.append(max_workers) or pool(max_workers)
-    )
-    assert run([*argv, "--threads", "2"]) == serial
-    assert parts == [2]  # one pool of two parts: the worker path ran
+def test_two_workers_print_the_one_worker_bytes(argv):
+    assert run([*argv, "--threads", "2"]) == run([*argv, "--threads", "1"])
 
 
 @pytest.mark.parametrize("fmt, builds", [("csv", 0), ("json", 1), ("human", 1)])

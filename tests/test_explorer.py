@@ -287,52 +287,6 @@ def test_mask_range_must_start_below_the_last_mask(campaign):
             scan(campaign, mask_range=(lo, 2 * lo))
 
 
-def _pin_cores(monkeypatch, affinity):
-    """Let scan see the cores ``affinity`` in its affinity mask, or, for None, a platform
-    without affinity masks on a machine of two cores."""
-    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
-    if affinity is None:
-        monkeypatch.delattr(explorer.os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(explorer.os, "sched_getaffinity", lambda pid: affinity, raising=False)
-
-
-@pytest.fixture
-def pool_parts(monkeypatch):
-    """Run split scans in real worker processes on four cores; yields the part count of each pool started."""
-    import concurrent.futures
-
-    _pin_cores(monkeypatch, {0, 1, 2, 3})
-    parts, pool = [], concurrent.futures.ProcessPoolExecutor
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: parts.append(max_workers) or pool(max_workers)
-    )
-    return parts
-
-
-@pytest.mark.parametrize("threads", [2, 3])
-@pytest.mark.parametrize(
-    "campaign, sizes",
-    # walk campaigns split, full-affine products; the block-necklace generator runs in one part (sizes 0)
-    [
-        (Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE), 12),
-        (Campaign(group=GroupSpec((2, 6))), 0),
-        (Campaign(group=GroupSpec((2, 6)), min_size=4, max_size=5), 0),
-        (Campaign(group=GroupSpec((3, 4)), mode=MODE_FULL_AFFINE), 12),
-        (Campaign(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE, min_size=4, max_size=5), 2),  # three workers:
-    ],  # one residue has no size
-    ids=["Z2xZ6-full-affine", "Z2xZ6", "Z2xZ6-sizes-4-5", "Z3xZ4-full-affine", "Z2xZ6-full-affine-sizes-4-5"],
-)
-def test_parallel_merge_matches_serial(monkeypatch, pool_parts, campaign, sizes, threads):
-    serial_records, serial_summary = scan(campaign)
-    monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
-    records, summary = scan(campaign, threads=threads)
-    # one pool, one part per residue with a size: the parallel path ran
-    assert pool_parts == ([min(threads, sizes)] if sizes else [])
-    assert records == serial_records
-    assert summary == serial_summary  # argmax tuples compare in order, ties included
-
-
 BURNSIDE_GROUPS = [(n,) for n in range(1, 13)] + [(2, 4), (2, 6), (3, 3), (2, 2, 2), (2, 8)]
 
 
@@ -425,45 +379,49 @@ def test_block_necklaces_count_every_orbit_once(moduli, mode):
     assert sum(sizes) == (1 << n) - 1
 
 
-def _no_pool(*args, **kwargs):
-    pytest.fail("a pool started")
+def _products(order_cap, factors=()):
+    """Every tuple of two or more moduli of at least 2 that extends ``factors``, of product at most ``order_cap``."""
+    for n in range(2, order_cap // math.prod(factors) + 1):
+        if factors:
+            yield (*factors, n)
+        yield from _products(order_cap, (*factors, n))
 
 
-def test_cyclic_scan_starts_no_pool(monkeypatch):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    for mode in (MODE_TRANSLATION_NEGATION, MODE_FULL_AFFINE):  # 2^20 masks: past the threshold
-        records, summary = scan(Campaign(group=GroupSpec((20,)), mode=mode), threads=2)
-        assert len(records) == summary.representatives == burnside_orbit_count((20,), mode)
+# the products of order <= 16 whose exponent is 1, 2, 3, 4 or 6, so their only units are +-1, with factors of 1
+UNIT_PM1_PRODUCTS = [m for m in _products(16) if math.lcm(*m) in (2, 3, 4, 6)] + [(4, 1), (1, 4), (2, 1, 3)]
 
 
-def test_product_translation_scan_starts_no_pool(monkeypatch):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    for mode in (MODE_TRANSLATION, MODE_TRANSLATION_NEGATION):  # 2^20 masks: past the threshold
-        records, summary = scan(Campaign(group=GroupSpec((2, 10)), mode=mode), threads=2)
-        assert len(records) == summary.representatives == burnside_orbit_count((2, 10), mode)
+@pytest.mark.parametrize("moduli", UNIT_PM1_PRODUCTS, ids=_label)
+def test_unit_pm1_full_affine_masks_match_the_walk(moduli):
+    # scalings by +-1 only: the full-affine orbits are translation+negation classes, from the block generator
+    g = GroupSpec(moduli)
+    n = g.order
+    assert set(g.units()) <= {1, g.exponent - 1}
+    assert not explorer._walks(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, 1 << n)
+    for min_size, max_size in [(1, None), (2, max(2, n // 2))]:
+        campaign = Campaign(group=g, mode=MODE_FULL_AFFINE, min_size=min_size, max_size=max_size)
+        keep = explorer._sizes(campaign)
+        for lo, hi in [(1, 1 << n), (300, min(2900, 1 << n))]:
+            want = list(explorer._orbit_walk(campaign, keep, lo, hi))
+            assert list(explorer._canonical_masks(campaign, lo, hi)) == want
 
 
 @pytest.mark.parametrize(
-    "campaign",
+    "moduli, mode",
     [
-        Campaign(group=GroupSpec((12,)), mode=MODE_NONE),
-        Campaign(group=GroupSpec((2, 6)), mode=MODE_NONE),
-        *(Campaign(ints=(0, 11), mode=mode) for mode in explorer.MODES),
+        ((20,), MODE_TRANSLATION_NEGATION),
+        ((20,), MODE_FULL_AFFINE),
+        ((2, 10), MODE_TRANSLATION),
+        ((2, 10), MODE_TRANSLATION_NEGATION),
+        ((4, 5), MODE_FULL_AFFINE),  # a walk: units 1, 3, 7, 9, 11, 13, 17 and 19
+        ((3, 6), MODE_FULL_AFFINE),  # block necklaces: units +-1
     ],
-    ids=lambda c: c.describe(),
+    ids=lambda v: v if isinstance(v, str) else _label(v),
 )
-def test_record_bound_scans_start_no_pool(monkeypatch, campaign):
-    # mode none and integer windows walk no orbit: their records are their whole cost
-    import concurrent.futures
-
-    serial = scan(campaign)
-    monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    assert scan(campaign, threads=2) == serial
+def test_scans_of_order_18_and_20_match_burnside(moduli, mode):
+    records, summary = scan(Campaign(group=GroupSpec(moduli), mode=mode), threads=2)
+    assert len(records) == summary.representatives == burnside_orbit_count(moduli, mode)
+    assert summary.universe == (1 << math.prod(moduli)) - 1
 
 
 WINDOW_CUTS = (1, 7, 300, 1500, 2900, 1 << 12)  # five uneven windows
@@ -482,7 +440,7 @@ def _int_orbit(campaign, elements):
     "universe", [{"group": GroupSpec((12,))}, {"group": GroupSpec((2, 6))}, {"ints": (-3, 8)}],
     ids=["Z12", "Z2xZ6", "ints-3..8"],
 )
-def test_windows_and_chunks_concatenate(monkeypatch, universe, mode):
+def test_windows_and_chunks_concatenate(universe, mode):
     campaign = Campaign(mode=mode, **universe)
     full, summary = scan(campaign)
     windows = list(zip(WINDOW_CUTS, WINDOW_CUTS[1:]))
@@ -497,7 +455,6 @@ def test_windows_and_chunks_concatenate(monkeypatch, universe, mode):
         ]
         for cut in WINDOW_CUTS[1:-1]:
             assert any(min(orbit) < cut <= max(orbit) for orbit in orbits)
-    monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 64)
     assert scan(campaign, threads=2) == (full, summary)
 
 
@@ -631,56 +588,26 @@ def test_scans_never_call_the_sumset_kernels(monkeypatch):
         assert summary.universe == 1023 and summary.counts["coset"] == 10
 
 
-# -- the size split behind threads > 1 ------------------------------------------
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: maps in this process, so a test can
-    count the work of every part of a split scan."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    map = staticmethod(map)
-
-
-@pytest.fixture
-def inline_split(monkeypatch):
-    """Split every scan with threads > 1 on four cores, running the parts in this
-    process; yields the part count of each split."""
-    import concurrent.futures
-
-    _pin_cores(monkeypatch, {0, 1, 2, 3})
-    parts = []
-    monkeypatch.setattr(explorer, "_PARALLEL_THRESHOLD", 1)
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: parts.append(max_workers) or _InlinePool()
-    )
-    return parts
-
-
-SPLIT_GROUPS = [(12,), (2, 6), (3, 3)]
+# -- one stream per scan, whatever the worker count ------------------------------
 
 
 def _mask(r):
     return sum(1 << x for x in r.elements)
 
 
-def _one_part(campaign):
-    """Whether the campaign runs as one in-process part for any worker count: only a product
-    group's full-affine orbits come from the walk; the necklace generators (every mode of a
-    cyclic group but none, and a product's translation and translation+negation modes), mode
-    none and integer windows build no orbit, so a split would walk nothing."""
+def _walk_campaign(campaign):
+    """Whether a scan's orbits come from the visited walk: a product group's full-affine orbits when
+    it has units other than +-1. The necklace generators (every mode of a cyclic group but none, a
+    product's translation and translation+negation modes, and its full-affine mode when its exponent
+    is 1, 2, 3, 4 or 6), mode none and integer windows build no orbit."""
     g = campaign.group
-    return g is None or campaign.mode != MODE_FULL_AFFINE or len(g.moduli) == 1
+    product = g is not None and len(g.moduli) > 1
+    return product and campaign.mode == MODE_FULL_AFFINE and g.exponent not in (1, 2, 3, 4, 6)
 
 
 @pytest.mark.parametrize("mode", explorer.MODES)
-@pytest.mark.parametrize("moduli", SPLIT_GROUPS, ids=lambda m: "x".join(f"Z{n}" for n in m))
-def test_split_builds_each_orbit_once(monkeypatch, inline_split, moduli, mode):
+@pytest.mark.parametrize("moduli", [(12,), (2, 6), (3, 4)], ids=_label)
+def test_a_walk_builds_each_orbit_once(monkeypatch, moduli, mode):
     calls = {"orbit": 0, "translates": 0}
     orbit, translates = explorer._group_orbit, GroupSpec.translates
 
@@ -695,129 +622,76 @@ def test_split_builds_each_orbit_once(monkeypatch, inline_split, moduli, mode):
     monkeypatch.setattr(explorer, "_group_orbit", counted_orbit)
     monkeypatch.setattr(GroupSpec, "translates", counted_translates)
     campaign = Campaign(group=GroupSpec(moduli), mode=mode)
-    work = []
-    for threads in (1, 2, 3, 4):
-        calls.update(orbit=0, translates=0)
-        _, summary = scan(campaign, threads=threads)
-        work.append(dict(calls))
-        if not _one_part(campaign):  # one orbit per representative, in whichever part
-            assert calls["orbit"] == summary.representatives
-            assert summary.representatives <= calls["translates"]
-        else:  # records read their sizes from the kernel, not from translate tables
-            assert calls == {"orbit": 0, "translates": 0}
-    # every split ran, one part per worker; the other campaigns never split
-    assert inline_split == ([] if _one_part(campaign) else [2, 3, 4])
-    assert all(w == work[0] for w in work)  # the work does not grow with the worker count
+    _, summary = scan(campaign)
+    if _walk_campaign(campaign):  # Z3xZ4 full-affine: one orbit per representative
+        assert calls["orbit"] == summary.representatives
+        assert summary.representatives <= calls["translates"]
+    else:  # records read their sizes from the kernel, not from translate tables
+        assert calls == {"orbit": 0, "translates": 0}
 
 
-WALK_AND_BLOCK_MODES = (MODE_TRANSLATION_NEGATION, MODE_FULL_AFFINE)  # a product's: one part, and a split
-SPLIT_CAMPAIGNS = [
-    *(Campaign(group=GroupSpec(m), mode=mode) for m in SPLIT_GROUPS for mode in explorer.MODES),
+WALK_AND_BLOCK_MODES = (MODE_TRANSLATION_NEGATION, MODE_FULL_AFFINE)
+THREADS_CAMPAIGNS = [
+    *(Campaign(group=GroupSpec(m), mode=mode) for m in [(12,), (2, 6), (3, 4)] for mode in explorer.MODES),
     *(Campaign(ints=(0, 11), mode=mode) for mode in explorer.MODES),
-    *(Campaign(group=GroupSpec((2, 6)), mode=m, min_size=3, max_size=7) for m in WALK_AND_BLOCK_MODES),
-    # three or four workers: a residue has no size
-    *(Campaign(group=GroupSpec((2, 6)), mode=m, min_size=4, max_size=5) for m in WALK_AND_BLOCK_MODES),
-    Campaign(ints=(0, 11), min_size=5, max_size=6),  # fewer sizes than workers
+    *(Campaign(group=GroupSpec(m), mode=mode, min_size=3, max_size=7) for m in [(2, 6), (3, 4)]
+      for mode in WALK_AND_BLOCK_MODES),
+    *(Campaign(group=GroupSpec((3, 4)), mode=mode, min_size=4, max_size=5) for mode in WALK_AND_BLOCK_MODES),
+    Campaign(ints=(0, 11), min_size=5, max_size=6),
     Campaign(group=GroupSpec((12,)), mstd_only=True),
 ]
 
 
 @pytest.mark.parametrize("mask_range", [None, (300, 2900)], ids=["full", "window"])
-@pytest.mark.parametrize("campaign", SPLIT_CAMPAIGNS, ids=lambda c: c.describe())
-def test_split_scan_matches_serial(inline_split, campaign, mask_range):
+@pytest.mark.parametrize("campaign", THREADS_CAMPAIGNS, ids=lambda c: c.describe())
+def test_threads_do_not_change_a_scan(campaign, mask_range):
     serial = scan(campaign, mask_range=mask_range)
     masks = [_mask(r) for r in serial[0]]
     assert masks == sorted(masks)
     n = campaign.width()
     lo, hi = mask_range or (1, 1 << n)
     assert all(lo <= m < hi for m in masks)
-    sizes = (campaign.max_size or n) - campaign.min_size + 1
-    for threads in (2, 3, 4):
+    for threads in (2, 3, 64):
         assert scan(campaign, threads=threads, mask_range=mask_range) == serial
-        if _one_part(campaign):
-            assert inline_split == []  # necklace, mode none and integer campaigns run as one in-process part
-        else:
-            assert inline_split.pop() == min(threads, sizes)
+
+
+def test_find_mstd_takes_any_worker_count():
+    fields = dict(group=GroupSpec((3, 4)), mode=MODE_FULL_AFFINE, max_size=8)  # a walk: full-affine orbits
+    mstd = find_mstd(**fields)
+    assert mstd and all(r.mstd for r in mstd)
+    for threads in (2, 64):
+        assert find_mstd(threads=threads, **fields) == mstd
 
 
 @pytest.mark.parametrize(
     "moduli, mode",
-    [((12,), MODE_TRANSLATION_NEGATION), ((2, 6), MODE_FULL_AFFINE), ((2, 6), MODE_TRANSLATION_NEGATION)],
-    ids=["Z12", "Z2xZ6", "Z2xZ6-blocks"],
+    [
+        ((12,), MODE_TRANSLATION_NEGATION),
+        ((3, 4), MODE_FULL_AFFINE),
+        ((2, 6), MODE_FULL_AFFINE),
+        ((2, 6), MODE_TRANSLATION_NEGATION),
+    ],
+    ids=["Z12-necklaces", "Z3xZ4-walk", "Z2xZ6-full-affine-blocks", "Z2xZ6-blocks"],
 )
-def test_a_full_scan_that_misses_an_orbit_raises(monkeypatch, inline_split, moduli, mode):
-    # a source that drops its first pair: in one part the singletons, in a split every part's least orbit
+def test_a_full_scan_that_misses_an_orbit_raises(monkeypatch, moduli, mode):
+    # a source that drops its first pair, the singletons
     campaign = Campaign(group=GroupSpec(moduli), mode=mode)
     window = scan(campaign, mask_range=(1, 300))
-    source, walk_part = explorer._canonical_masks, explorer._walk_part
+    source = explorer._canonical_masks
     monkeypatch.setattr(explorer, "_canonical_masks", lambda *a: islice(source(*a), 1, None))
-    monkeypatch.setattr(explorer, "_walk_part", lambda *a: walk_part(*a)[1:])
-    full = f"^full scan of {re.escape(campaign.describe())} weighed "
-    with pytest.raises(RuntimeError, match=full + f"{4095 - 12} subsets, not 4095$"):
+    full = f"^full scan of {re.escape(campaign.describe())} weighed {4095 - 12} subsets, not 4095$"
+    with pytest.raises(RuntimeError, match=full):
         scan(campaign)
-    with pytest.raises(RuntimeError, match=full + r"\d+ subsets, not 4095$"):
+    with pytest.raises(RuntimeError, match=full):
         scan(campaign, threads=2, mask_range=(0, 1 << 20))  # clamped to the full range
-    assert inline_split == ([] if _one_part(campaign) else [2])
     assert scan(campaign, mask_range=(1, 300))[0] == window[0][1:]  # a window is not checked
 
 
-@pytest.mark.parametrize(
-    "affinity, threads, parts",
-    [
-        ({0, 1}, 64, [2]),
-        ({0, 1}, 5, [2]),
-        ({0, 1}, 2, [2]),
-        ({0, 1}, 1, []),
-        ({1}, 2, []),  # the cores this process may run on, not the machine's
-        ({1}, 64, []),
-        (None, 64, [2]),  # a platform without affinity counts every core
-    ],
-    ids=["2-cores-64", "2-cores-5", "2-cores-2", "2-cores-1", "core-1-2", "core-1-64", "no-affinity-64"],
-)
-def test_threads_clamped_to_cores(monkeypatch, inline_split, affinity, threads, parts):
-    _pin_cores(monkeypatch, affinity)
-    fields = dict(group=GroupSpec((2, 6)), mode=MODE_FULL_AFFINE, max_size=2)  # a walk: full-affine orbits
-    serial, mstd = scan(Campaign(**fields)), find_mstd(**fields)
-    assert inline_split == []
-    assert scan(Campaign(**fields), threads=threads) == serial
-    assert inline_split == parts
-    assert find_mstd(threads=threads, **fields) == mstd
-    assert inline_split == parts * 2
-
-
-@pytest.mark.parametrize("parts", [2, 3])
-def test_size_residues_partition_a_full_window_evenly(parts):
-    for n in range(16, 25):
-        tables = [explorer._sizes(Campaign(group=GroupSpec((n,))), i, parts) for i in range(parts)]
-        assert [sum(column) for column in zip(*tables)] == [0] + [1] * n  # each size 1..n in one part
-        masks = [sum(math.comb(n, k) for k in range(n + 1) if keep[k]) for keep in tables]
-        assert sum(masks) == (1 << n) - 1
-        assert max(masks) - min(masks) <= parts - 1
-
-
-@pytest.mark.parametrize(
-    "moduli, mode, want",
-    [
-        ((2, 12), MODE_FULL_AFFINE, [93_201, 91_652]),
-        ((4, 5), MODE_FULL_AFFINE, [3_759, 3_626]),
-        ((2, 10), MODE_FULL_AFFINE, [6_952, 6_698]),
-    ],
-    ids=["Z2xZ12", "Z4xZ5", "Z2xZ10"],
-)
-def test_two_workers_walk_about_equal_orbit_counts(moduli, mode, want):
-    # the representatives that each part of a whole two-worker scan returns, counted by Burnside per size;
-    # only full-affine product scans walk, and so split
-    campaign, n = Campaign(group=GroupSpec(moduli), mode=mode), math.prod(moduli)
-    tables = [explorer._sizes(campaign, i, 2) for i in (0, 1)]
-    assert [sum(burnside_orbit_count(moduli, mode, k, k) for k in range(n + 1) if keep[k]) for keep in tables] == want
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_exponent_ties_come_in_mask_order(inline_split, threads):
-    # above half the group A+A = A-A = Z2xZ8, so every non-coset ties at exponent 1; a product
-    # group's full-affine orbits come from the walk, which splits, so the ties arrive from several parts
+@pytest.mark.parametrize("threads", [1, 2])
+def test_exponent_ties_come_in_mask_order(threads):
+    # above half the group A+A = A-A = Z2xZ8, so every non-coset ties at exponent 1; Z2xZ8's
+    # full-affine orbits come from the walk
     records, summary = scan(Campaign(group=GroupSpec((2, 8)), mode=MODE_FULL_AFFINE, min_size=9), threads=threads)
-    assert inline_split == ([] if threads == 1 else [threads])
     non_coset = [r for r in records if not r.coset]
     assert len(non_coset) == summary.representatives - 1  # Z2xZ8 itself is the one coset
     assert summary.max_exponent_up == summary.max_exponent_down == 1.0
@@ -916,13 +790,13 @@ def _recount(records):
 
 
 TALLY_CAMPAIGNS = [
-    *(Campaign(group=GroupSpec(m), mode=mode) for m in [(12,), (2, 6)] for mode in explorer.MODES),
+    *(Campaign(group=GroupSpec(m), mode=mode) for m in [(12,), (2, 6), (3, 4)] for mode in explorer.MODES),
     *(Campaign(ints=(0, 11), mode=mode) for mode in explorer.MODES),
 ]
 
 
 @pytest.mark.parametrize("campaign", TALLY_CAMPAIGNS, ids=lambda c: c.describe())
-def test_key_tally_matches_a_recount_of_the_records(inline_split, campaign):
+def test_key_tally_matches_a_recount_of_the_records(campaign):
     for threads in (1, 3):
         records, summary = scan(campaign, threads=threads)
         counts, rep_counts = _recount(records)
@@ -930,5 +804,3 @@ def test_key_tally_matches_a_recount_of_the_records(inline_split, campaign):
         assert list(summary.counts) == list(counts)  # the json keys keep their order
         assert summary.universe == sum(r.orbit_size for r in records) == (1 << 12) - 1
         assert summary.representatives == len(records)
-    # the 3-part split ran; necklace, mode none and integer campaigns never split
-    assert inline_split == ([] if _one_part(campaign) else [3])
