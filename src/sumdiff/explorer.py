@@ -288,9 +288,9 @@ def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple
     """Yield (representative mask, orbit size) with masks ascending in [lo, hi): Z_N's orbits in every
     mode but none from the necklace generator, a product group's from the visited walk where ``_walks``
     says so, whose orbits also take the automorphism tables ``maps`` (Z_N has none past its unit
-    scalars), and otherwise from the block-necklace generator. An integer
-    window's class is a set's translates and, outside mode translation, its mirror's: per top bit t the
-    masks 2^t + 2m + 1, under negation only those whose inner bits m are at most their reversal."""
+    scalars), and otherwise from the block-necklace generator. An integer window's class is a set's
+    translates and, outside mode translation, its mirror's: per top bit t the masks 2^t + 2m + 1, under
+    negation only those whose inner bits m are at most their reversal."""
     lo, keep, g = max(lo_mask, 1), _sizes(campaign), campaign.group
     if _walks(campaign, lo, hi_mask, maps):
         yield from _orbit_walk(campaign, keep, lo, hi_mask, maps)
@@ -382,13 +382,13 @@ def _rotation_order(s: str, run: str, *doubled: str) -> int:
 
 
 def _block_necklaces(campaign: Campaign, keep: bytes, lo: int, hi_mask: int) -> Iterator[tuple]:
-    """``_canonical_masks`` for G = H x Z_m (m the last modulus) in mode translation, and translation+negation
-    (so full-affine, when +-1 are G's only units).
-    A mask is m blocks of b = |H| bits, a word a_0 .. a_{m-1} from the top block down: translation by (h, s)
-    rotates it by s and maps each block by tau_h, H's shift_mask, and negation reverses it and maps each block
-    by x -> h - x. A 2^b-ary FKM walk (as ``_necklaces``) keeps the starts s where tau_h(a_s ..), h != 0, and
-    the backward readings h - a_t, .., h - a_0 still equal the head, drops a prefix once one reads lower, and
-    at a necklace settles the wrap-around of the readings left: each equal one fixes the word."""
+    """``_canonical_masks`` for G = H x Z_m (m the last modulus) in modes translation and translation+negation,
+    which full-affine is when +-1 are G's only units. A mask is m blocks of b = |H| bits, a word a_0 .. a_{m-1}
+    from the top block down: translation by (h, s) rotates it by s and maps each block by tau_h, H's shift_mask,
+    and negation reverses it and maps each block by x -> h - x. A 2^b-ary FKM walk (as ``_necklaces``) keeps
+    the starts s where tau_h(a_s ..), h != 0, and the backward readings h - a_t, .., h - a_0 still equal the
+    head, drops a prefix once one reads lower, and at a necklace settles the wrap-around of the readings left:
+    each equal one fixes the word."""
     g, neg = campaign.group, campaign.mode != MODE_TRANSLATION
     sub, m = GroupSpec(g.moduli[:-1]), g.moduli[-1]
     b, top, orbit, shifts = sub.order, keep.rfind(1), g.order << neg, range(1, sub.order)
