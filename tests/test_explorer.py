@@ -387,7 +387,7 @@ def _products(order_cap, factors=()):
         yield from _products(order_cap, (*factors, n))
 
 
-# the products of order <= 16 whose exponent is 1, 2, 3, 4 or 6, so their only units are +-1, with factors of 1
+# the products of order <= 16 whose only units are +-1 (exponent 2, 3, 4 or 6), and three with a factor of 1
 UNIT_PM1_PRODUCTS = [m for m in _products(16) if math.lcm(*m) in (2, 3, 4, 6)] + [(4, 1), (1, 4), (2, 1, 3)]
 
 
