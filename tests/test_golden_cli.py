@@ -294,6 +294,16 @@ def _cases() -> list:
         ["scan", "--group", "Z2xZ2xZ3", "--mode", "full-affine", "--format", "json", "--threads", "1"],
         ["scan", "--group", "Z3xZ6", "--mode", "full-affine", "--max-size", "5", "--format", "csv", "--threads", "2"],
     ]
+    # Exhaustive sweeps of products whose translation+negation classes split their Aut orbits
+    # most (fact1 on Z2xZ8 is pinned above), a cyclic fact1 sweep, and thm2 and thm3 on products
+    # of order 12 with a factor 3.
+    cases += [
+        ["check", "ineq1", "--sweep", "Z2xZ2xZ4", "--format", "json"],
+        ["check", "thm1", "--sweep", "Z4xZ4", "--format", "json"],
+        ["check", "fact1", "--sweep", "Z16", "--format", "json"],
+        ["check", "thm2", "--sweep", "Z2xZ2xZ3", "--format", "json"],
+        ["check", "thm3", "--sweep", "Z3xZ4", "--format", "json"],
+    ]
     return cases
 
 
