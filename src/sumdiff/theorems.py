@@ -27,7 +27,9 @@ from math import comb
 from random import Random
 
 from .errors import CapExceededError, EmptySetError
-from .explorer import MODE_FULL_AFFINE, Campaign, _canonical_masks, _group_orbit, _size_kernel
+from .explorer import (
+    MODE_FULL_AFFINE, MODE_TRANSLATION_NEGATION, Campaign, _canonical_masks, _group_orbit, _size_kernel,
+)
 from .groups import GroupSpec, is_coset
 from .petridis import MINIMIZER_CAP, find_minimizer
 from .ruzsa import build_injection, build_witness_table, check_surjective, verify_injective
@@ -96,15 +98,15 @@ def _two_a(A: GSet) -> GSet:
     return sumset(A, A)
 
 
-def _base(A: GSet, two_a: GSet | None = None, d: int | None = None) -> tuple:
-    """|A|, |A+A|, |A-A| and the sizes and ratios dicts every verdict starts from.
+def _base(A: GSet) -> tuple:
+    """|A|, |A+A|, |A-A| and the sizes and ratios dicts every verdict starts from."""
+    a, s, d = A.card, _two_a(A).card, diffset(A, A).card
+    return a, s, d, *_measures(a, s, d)
 
-    ``two_a`` is A+A and ``d`` is |A-A| when the caller has already computed them.
-    """
-    if two_a is None:
-        two_a = _two_a(A)
-    a, s, d = A.card, two_a.card, diffset(A, A).card if d is None else d
-    return a, s, d, {"A": a, "AA": s, "AmA": d}, {"sigma": Fraction(s, a), "delta": Fraction(d, a)}
+
+def _measures(a: int, s: int, d: int) -> tuple:
+    """The sizes and ratios dicts of |A| = a, |A+A| = s and |A-A| = d."""
+    return {"A": a, "AA": s, "AmA": d}, {"sigma": Fraction(s, a), "delta": Fraction(d, a)}
 
 
 def _outcome(ok: bool, tight: bool) -> str:
@@ -146,28 +148,25 @@ def check_inequality(A: GSet) -> Verdict:
     return _verdict("ineq1", A, sizes, ratios, *_SIZE_RULES["ineq1"](a, s, d, False), details)
 
 
+def _upper(A: GSet) -> tuple:
+    """check_upper's decision on integers: (ok, tight, (|A+A|, |A-A|, details))."""
+    s, table = _two_a(A).card, build_witness_table(A)
+    a, d = A.card, len(table.pairs)
+    inj = build_injection(A, table)
+    injective, surjective = verify_injective(inj), check_surjective(inj, s)
+    coset, upper_tight = is_coset(A) is not None, d * a == s * s
+    details = {"injective": injective, "surjective": surjective, "upper_tight": upper_tight, "coset": coset}
+    return injective and d * a <= s * s and upper_tight == coset == surjective, coset, (s, d, details)
+
+
 def check_upper(A: GSet) -> Verdict:
     """delta <= sigma^2 with equality exactly on cosets.
 
     Cross-checked constructively: the witness injection must be injective
     always and surjective exactly when A is a coset.
     """
-    two_a, table = _two_a(A), build_witness_table(A)
-    a, s, d, sizes, ratios = _base(A, two_a, len(table.pairs))
-    inj = build_injection(A, table)
-    injective = verify_injective(inj)
-    surjective = check_surjective(inj, s)
-    coset = is_coset(A) is not None
-    upper_ok = d * a <= s * s
-    upper_tight = d * a == s * s
-    consistent = injective and upper_ok and upper_tight == coset == surjective
-    details = {
-        "injective": injective,
-        "surjective": surjective,
-        "upper_tight": upper_tight,
-        "coset": coset,
-    }
-    return _verdict("thm2", A, sizes, ratios, consistent, coset, details)
+    ok, tight, (s, d, details) = _upper(A)
+    return _verdict("thm2", A, *_measures(A.card, s, d), ok, tight, details)
 
 
 def check_main_theorem(A: GSet) -> Verdict:
@@ -178,6 +177,26 @@ def check_main_theorem(A: GSet) -> Verdict:
     return _verdict("thm1", A, sizes, ratios, *_SIZE_RULES["thm1"](a, s, d, coset), details)
 
 
+_CHAIN = ("<=", "<=", "==", "<=", "<=")  # the relations of thm3's five links
+
+
+def _lower_chain(A: GSet, cap: int) -> tuple:
+    """check_lower_chain's decision on integers: (ok, tight, (sizes, minimizer, numerators, den, holds)).
+
+    The six link values are ``numerators`` over one common denominator ``den`` = q^2 |A|
+    (K = p/q, delta = d/|A|), and ``holds`` says which of the five links hold.
+    """
+    two_a = _two_a(A)
+    a, s, d = A.card, two_a.card, diffset(A, A).card
+    mn = find_minimizer(A, A.negate(), cap=cap)
+    x, p, q = mn.x, mn.k.numerator, mn.k.denominator
+    sizes = {"A": a, "AA": s, "AmA": d, "AAX": sumset(two_a, x).card, "XA": sumset(x, A).card, "X": x.card}
+    den = q * q * a
+    nums = (s * den, sizes["AAX"] * den, p * sizes["XA"] * q * a, p * p * x.card * a, p * p * a * a, d * d * q * q)
+    holds = [lhs == rhs if rel == "==" else lhs <= rhs for lhs, rel, rhs in zip(nums, _CHAIN, nums[1:])]
+    return all(holds), len(set(nums)) == 1, (sizes, mn, nums, den, holds)
+
+
 def check_lower_chain(A: GSet, cap: int = MINIMIZER_CAP) -> Verdict:
     """The five-link chain from |A+A| up to delta^2 |A| via the minimizer.
 
@@ -185,40 +204,36 @@ def check_lower_chain(A: GSet, cap: int = MINIMIZER_CAP) -> Verdict:
     minimizes |A+X|/|X| over non-empty subsets of -A. Every link is evaluated
     exactly and its slack recorded; all links are tight exactly on cosets.
     """
-    two_a = _two_a(A)
-    a, s, d, sizes, ratios = _base(A, two_a)
-    mn = find_minimizer(A, A.negate(), cap=cap)
-    x, k = mn.x, mn.k
-    two_a_x = sumset(two_a, x).card
-    xa = sumset(x, A).card
-    # The six link values over one common denominator q^2 |A| (K = p/q,
-    # delta = d/|A|): links are decided on the integer numerators, and
-    # Fractions are built only for the details.
-    p, q = k.numerator, k.denominator
-    den = q * q * a
-    nums = [s * den, two_a_x * den, p * xa * q * a, p * p * x.card * a, p * p * a * a, d * d * q * q]
+    ok, tight, (sizes, mn, nums, den, holds) = _lower_chain(A, cap)
     values = [Fraction(n, den) for n in nums]
-    relations = ("<=", "<=", "==", "<=", "<=")
-    links = []
-    all_hold = True
-    all_tight = True
-    for i, rel in enumerate(relations):
-        slack = nums[i + 1] - nums[i]
-        ok = slack == 0 if rel == "==" else slack >= 0
-        links.append(
-            {"lhs": values[i], "rel": rel, "rhs": values[i + 1], "holds": ok, "slack": Fraction(slack, den)}
-        )
-        all_hold = all_hold and ok
-        all_tight = all_tight and not slack
-    return _verdict(
-        "thm3",
-        A,
-        sizes | {"AAX": two_a_x, "XA": xa, "X": x.card},
-        ratios | {"K": k},
-        all_hold,
-        all_tight,
-        {"links": links, "X": x, "strict_minimizer": mn.strict_on_proper_subsets},
-    )
+    links = [
+        {"lhs": values[i], "rel": rel, "rhs": values[i + 1], "holds": holds[i], "slack": values[i + 1] - values[i]}
+        for i, rel in enumerate(_CHAIN)
+    ]
+    ratios = _measures(sizes["A"], sizes["AA"], sizes["AmA"])[1] | {"K": mn.k}
+    details = {"links": links, "X": mn.x, "strict_minimizer": mn.strict_on_proper_subsets}
+    return _verdict("thm3", A, sizes, ratios, ok, tight, details)
+
+
+def _plunnecke(A: GSet, n: int, cap: int) -> tuple:
+    """check_plunnecke's decision on integers: (ok, tight, (|A+A|, |nA|, minimizer, main lhs, main rhs, aux)),
+    with ``aux`` the pairs (|jA+X|, whether |jA+X| <= K^j |X|) for j = 1..n."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    two_a = _two_a(A)
+    a, s = A.card, two_a.card
+    mn = find_minimizer(A, A, cap=cap)
+    p, q = mn.k.numerator, mn.k.denominator
+    aux, cur = [], A
+    for j in range(1, n + 1):
+        jax = sumset(cur, mn.x).card
+        aux.append((jax, jax * q**j <= p**j * mn.x.card))
+        if j < n:
+            cur = two_a if j == 1 else sumset(cur, A)
+    lhs, rhs = cur.card * a ** (n - 1), s**n  # cur is nA once the chain ends
+    strict_required = s > a
+    main_ok = lhs < rhs if strict_required else lhs == rhs
+    return main_ok and all(ok for _, ok in aux), not strict_required, (s, cur.card, mn, lhs, rhs, aux)
 
 
 def check_plunnecke(A: GSet, n: int, cap: int = MINIMIZER_CAP) -> Verdict:
@@ -228,45 +243,26 @@ def check_plunnecke(A: GSet, n: int, cap: int = MINIMIZER_CAP) -> Verdict:
     The auxiliary chain |jA+X| <= K^j |X| for j = 1..n is verified as well,
     with X the minimizer over non-empty subsets of A itself.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    two_a = _two_a(A)
-    a, s = A.card, two_a.card
-    mn = find_minimizer(A, A, cap=cap)
-    x, k = mn.x, mn.k
-    aux = []
-    aux_ok = True
-    cur = A
-    bound = Fraction(1)
-    for j in range(1, n + 1):
-        bound = bound * k
-        jax = sumset(cur, x).card
-        ok = jax <= bound * x.card
-        aux.append({"j": j, "jA+X": jax, "bound": bound * x.card, "holds": ok})
-        aux_ok = aux_ok and ok
-        if j < n:
-            cur = two_a if j == 1 else sumset(cur, A)
-    na = cur.card  # cur is nA once the chain ends
-    main_lhs = na * a ** (n - 1)
-    main_rhs = s ** n
-    strict_required = s > a
-    main_ok = main_lhs < main_rhs if strict_required else main_lhs == main_rhs
+    ok, tight, (s, na, mn, lhs, rhs, aux) = _plunnecke(A, n, cap)
+    bounds = [{"j": j, "jA+X": jax, "bound": mn.k**j * mn.x.card, "holds": h} for j, (jax, h) in enumerate(aux, 1)]
     return _verdict(
         "thm5",
         A,
-        {"A": a, "AA": s, "nA": na},
-        {"sigma": Fraction(s, a), "K": k},
-        main_ok and aux_ok,
-        not strict_required,
-        {"n": n, "main": {"lhs": main_lhs, "rhs": main_rhs}, "aux": aux, "X": x},
+        {"A": A.card, "AA": s, "nA": na},
+        {"sigma": Fraction(s, A.card), "K": mn.k},
+        ok,
+        tight,
+        {"n": n, "main": {"lhs": lhs, "rhs": rhs}, "aux": bounds, "X": mn.x},
     )
 
 
 # claim id -> (integer-mode embedding arity for a given n, verifier). The
 # verifiers look their check_* function up by name on each call, so a
 # rebound module attribute (a tracing wrapper, say) is the one that runs.
-# Single sets, samples and thm2, thm3 and thm5 sweeps run these verifiers;
-# exhaustive fact1, ineq1 and thm1 sweeps read _size_kernel and _SIZE_RULES.
+# Single sets and sampled fact1, ineq1 and thm1 sweeps run these verifiers;
+# exhaustive fact1, ineq1 and thm1 sweeps read _size_kernel and _SIZE_RULES,
+# and every thm2, thm3 and thm5 sweep reads the integer core in _CORES that
+# its check_* wrapper builds the Verdict from.
 _CLAIMS = {
     "fact1": (lambda n: (1, 1), lambda A, n, cap: check_fact1(A)),
     "ineq1": (lambda n: (1, 1), lambda A, n, cap: check_inequality(A)),
@@ -276,6 +272,11 @@ _CLAIMS = {
     "thm5": (lambda n: (n + 1, 0), lambda A, n, cap: check_plunnecke(A, n, cap=cap)),
 }
 CLAIM_IDS = tuple(_CLAIMS)
+_CORES = {
+    "thm2": lambda A, n, cap: _upper(A),
+    "thm3": lambda A, n, cap: _lower_chain(A, cap),
+    "thm5": lambda A, n, cap: _plunnecke(A, n, cap),
+}
 
 
 def claim_arity(claim: str, n: int) -> tuple[int, int]:
@@ -328,55 +329,67 @@ def sweep_claim(
 ) -> SweepSummary:
     """Run one claim over every non-empty subset of ``g`` (or a uniform sample).
 
-    Exhaustive means one verdict per orbit of x -> f(x) + t, f in Aut(g), counted
-    with the orbit's size: a claim reads only sizes of sums of A and -A and whether
-    A is a coset, which every automorphism keeps; it raises RuntimeError unless the
-    orbit sizes sum to 2^|g| - 1. It lists the 32 least violating masks, ascending;
-    a sample lists the first 32 it draws. An exhaustive fact1, ineq1 or thm1 sweep
-    reads |A+A| and |A-A| from ``explorer._size_kernel``, with no sumset or Verdict;
-    samples and the other claims run the check_* verifier on each set.
+    Exhaustive means one verdict per class of a partition that refines the orbits of
+    x -> f(x) + t, f in Aut(g), counted with the class's size: a claim reads only sizes
+    of sums of A and -A and whether A is a coset, which every automorphism keeps; it
+    raises RuntimeError unless the class sizes sum to 2^|g| - 1. It lists the 32 least
+    violating masks, ascending; a sample lists the first 32 it draws. An exhaustive
+    fact1, ineq1 or thm1 sweep takes translation+negation classes, with no automorphism
+    tables, and reads |A+A| and |A-A| from ``explorer._size_kernel``, with no sumset or
+    Verdict; the other claims take Aut(g) orbits. thm2, thm3 and thm5 sweeps, sampled
+    ones too, decide each set by the integer core their check_* verifier builds its
+    Verdict from; samples of the other claims run the check_* verifier.
 
     A sweep draws only when ``sample`` is below the 2^|g| - 1 subsets: uniformly,
     with replacement, seeded by ``seed`` (0 if None), and past the group cap.
     Any other sweep is exhaustive, takes no seed (ValueError), and is refused
-    above ``group_cap`` by its Campaign's ``validate`` before any walk. The
-    minimizer claims (thm3, thm5) search subsets of A, so on groups of order
-    above ``cap`` they sample uniformly among the sets of at most ``cap`` elements.
+    above ``group_cap`` by its Campaign's ``validate``, and above 2^30 subsets,
+    before any orbit source runs. The minimizer claims (thm3, thm5) search
+    subsets of A, so on groups of order above ``cap`` they sample uniformly
+    among the sets of at most ``cap`` elements.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"sample size must be >= 1, got {sample}")
     total_universe = (1 << g.order) - 1
     sampled = sample is not None and sample < total_universe
     top = cap if claim in ("thm3", "thm5") else g.order  # the most elements a verdict can take
+    # a sampled sweep's group may have any order, and the kernel's tables grow with it
+    rule, core = None if sampled else _SIZE_RULES.get(claim), _CORES.get(claim)
     if sampled:
         rng = Random(seed or 0)
         weighted = ((_draw(rng, g.order, top), 1) for _ in range(sample))
     elif seed is not None:
         raise ValueError(f"seed {seed} needs a sample smaller than the {total_universe} subsets of {g.label()}")
     else:
-        campaign = Campaign(group=g, mode=MODE_FULL_AFFINE, group_cap=group_cap)
+        # every verdict is Aut-invariant, so classes inside the Aut orbits weigh the same, and the
+        # violating masks, a union of Aut orbits, are a union of classes too
+        mode = MODE_TRANSLATION_NEGATION if rule else MODE_FULL_AFFINE
+        campaign = Campaign(group=g, mode=mode, group_cap=group_cap)
         campaign.validate()
-        if top < g.order:  # the walk would reach 2^(cap+1) - 1, a representative, and stop there
+        if top < g.order:  # the source would reach 2^(cap+1) - 1, a representative, and stop there
             raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
-        maps = g.automorphisms()  # with the unit scalars of full-affine mode, all of Aut(g)
+        if total_universe > 1 << 30:
+            raise CapExceededError(f"exhaustive sweep of {g.label()} covers {total_universe} masks, above 2^30")
+        maps = () if rule else g.automorphisms()  # with the unit scalars of full-affine mode, all of Aut(g)
         weighted = _canonical_masks(campaign, 1, total_universe + 1, maps)
-    rule = None if sampled else _SIZE_RULES.get(claim)  # a sampled sweep's group may have any order,
-    sizes = rule and _size_kernel(g.moduli, g.order)  # and the kernel's tables grow with it
+    sizes = rule and _size_kernel(g.moduli, g.order)
     counts = {HOLDS: 0, EQUALITY: 0, VIOLATED: 0}
     violations = []  # masks
     for mask, weight in weighted:
         if rule:  # a coset a+H has |A+A| = |H| = |A|, so no other set needs the coset test
             a, (s, d) = mask.bit_count(), sizes(mask)
             outcome = _outcome(*rule(a, s, d, s == a and is_coset(GSet.from_mask(g, mask)) is not None))
+        elif core:
+            outcome = _outcome(*core(GSet.from_mask(g, mask), n, cap)[:2])
         else:
             outcome = run_claim(claim, GSet.from_mask(g, mask), n=n, cap=cap).outcome
         counts[outcome] += weight
-        if outcome == VIOLATED and not sampled:  # an orbit's least member is its representative
-            violations = sorted([*violations, *_group_orbit(g, mask, MODE_FULL_AFFINE, maps)])[:32]
+        if outcome == VIOLATED and not sampled:  # a class's least member is its representative
+            violations = sorted([*violations, *_group_orbit(g, mask, mode, maps)])[:32]
         elif outcome == VIOLATED and len(violations) < 32:
             violations.append(mask)
     total = sum(counts.values())
-    if not sampled and total != total_universe:  # the orbits must cover every subset once
+    if not sampled and total != total_universe:  # the classes must cover every subset once
         raise RuntimeError(f"exhaustive sweep of {g.label()} weighed {total} subsets, not {total_universe}")
     literals = tuple(str(GSet.from_mask(g, m)) for m in violations)
     return SweepSummary(claim, g, total, counts, literals)

@@ -652,16 +652,21 @@ def test_a_window_of_an_order_64_product_costs_its_own_share(moduli, mode):
         ["check", "fact1", "--sweep", "Z2xZ32", "--group-cap", "64"],
         ["scan", "--group", "Z2xZ32", "--group-cap", "64", "--mode", "full-affine"],
         ["check", "fact1", "--sweep", "Z2xZ20", "--group-cap", "40"],
+        ["check", "fact1", "--sweep", "Z31", "--group-cap", "31"],
     ],
     ids=" ".join,
 )
 def test_a_walk_above_its_ceiling_exits_2(argv):
-    # a raised --group-cap reaches the full-affine walk, whose visited array takes a byte per mask
+    # a raised --group-cap reaches the full-affine walk, whose visited array takes a byte per mask;
+    # an exhaustive sweep refuses more than 2^30 masks whatever its source, before it runs
     code, out, err, _ = _limited_process(argv, 1024)
     group = argv[argv.index("--sweep" if "--sweep" in argv else "--group") + 1]
     masks = (1 << parse_group_literal(group).order) - 1
     assert (code, out) == (2, "")
-    assert err == f"error: full-affine orbits of {group} walk {masks} masks, above 2^30\n"
+    if "--sweep" in argv:
+        assert err == f"error: exhaustive sweep of {group} covers {masks} masks, above 2^30\n"
+    else:
+        assert err == f"error: full-affine orbits of {group} walk {masks} masks, above 2^30\n"
 
 
 def test_a_narrow_walk_of_an_order_64_product_runs():

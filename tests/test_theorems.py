@@ -2,6 +2,7 @@ import gc
 import sys
 import weakref
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from math import comb
@@ -15,6 +16,7 @@ from sumdiff import (
     EmptySetError,
     HOLDS,
     VIOLATED,
+    SweepSummary,
     GroupSpec,
     GSet,
     build_injection,
@@ -227,11 +229,8 @@ def test_verdicts_keep_no_group_alive():
 @pytest.mark.parametrize("claim", ["thm3", "thm5"])
 def test_sampled_minimizer_sweeps_stay_within_cap(monkeypatch, claim):
     # a uniform mask of Z64 has about 32 members, past any minimizer cap
-    drawn = []
-    run = theorems.run_claim
-    monkeypatch.setattr(
-        theorems, "run_claim", lambda c, A, **kw: drawn.append(A) or run(c, A, **kw)
-    )
+    drawn, core = [], theorems._CORES[claim]  # a sweep decides each set by the claim's core
+    monkeypatch.setitem(theorems._CORES, claim, lambda A, n, cap: drawn.append(A) or core(A, n, cap))
     g = GroupSpec((64,))
     s = sweep_claim(claim, g, sample=12, seed=5, cap=9)
     assert s.total == 12 and s.counts[VIOLATED] == 0
@@ -398,25 +397,91 @@ def test_planted_sampled_violations_are_listed_in_draw_order(monkeypatch):
 SIZE_CLAIMS = ("fact1", "ineq1", "thm1")
 
 
-@pytest.mark.parametrize("moduli, cosets", [((12,), 6), ((2, 6), 18)], ids=["Z12", "Z2xZ6"])
-def test_a_planted_kernel_fault_reaches_the_exhaustive_size_sweeps(monkeypatch, moduli, cosets):
-    # a kernel that reports |A-A| one too large on two-element sets: only the two-element
-    # cosets, where |A+A| = |A-A| = |A| = 2, then break fact1, ineq1 and thm1 (a pair
-    # {x, y} off a coset has |A+A| = |A-A| = 3, and 4 keeps every claim)
+@pytest.mark.parametrize(
+    "moduli, cosets, oracle",
+    [
+        ((12,), 6, SIZE_CLAIMS),
+        ((2, 6), 18, SIZE_CLAIMS),
+        ((2, 8), 24, ("fact1",)),
+        ((4, 4), 24, ("ineq1",)),
+        ((2, 2, 4), 56, ("thm1",)),
+    ],
+    ids=["Z12", "Z2xZ6", "Z2xZ8", "Z4xZ4", "Z2xZ2xZ4"],
+)
+def test_a_planted_kernel_fault_reaches_the_exhaustive_size_sweeps(monkeypatch, moduli, cosets, oracle):
+    # a kernel that reports |A-A| one too large on two-element sets and 3 on three-element
+    # ones. The two-element cosets, where |A+A| = |A-A| = |A| = 2, then break fact1, ineq1
+    # and thm1 (a pair {x, y} off a coset has |A+A| = |A-A| = 3, and 4 keeps every claim).
+    # A three-element set off a coset has |A+A| > 3, so fact1 and ineq1 fail on it and thm1
+    # holds; unlike a coset, such a set need not be a translate of its negative or of its
+    # other automorphic images, so each violating class must expand by its own members.
+    # The verifiers that the per-subset oracle runs read the same fault from
+    # theorems.diffset; it takes 1.5 s a claim at order 16, so there it checks one claim.
     kernel = theorems._size_kernel
+
+    def fault(a, d):  # the |A-A| reported for a set of a elements
+        return d + 1 if a == 2 else 3 if a == 3 else d
 
     def faulty(*args):
         sizes = kernel(*args)
-        return lambda mask: (lambda s, d: (s, d + (mask.bit_count() == 2)))(*sizes(mask))
+        return lambda mask: (lambda s, d: (s, fault(mask.bit_count(), d)))(*sizes(mask))
+
+    def faulty_diffset(A, B):  # a set of that size: A-A and the least element outside it, or A
+        D = diffset(A, B)
+        return GSet.from_mask(D.group, D.mask | ~D.mask & D.mask + 1) if A.card == 2 else A if A.card == 3 else D
 
     monkeypatch.setattr(theorems, "_size_kernel", faulty)
+    monkeypatch.setattr(theorems, "diffset", faulty_diffset)
     g = GroupSpec(moduli)
-    pairs = [m for m in range(1, 1 << g.order) if m.bit_count() == 2 and is_coset(GSet.from_mask(g, m))]
-    assert len(pairs) == cosets
+    coset = {m: is_coset(GSet.from_mask(g, m)) is not None for m in range(1, 1 << g.order) if m.bit_count() in (2, 3)}
+    assert sum(c for m, c in coset.items() if m.bit_count() == 2) == cosets
     for claim in SIZE_CLAIMS:
+        bad = [m for m, c in coset.items() if c == (m.bit_count() == 2) and (claim != "thm1" or c)]
         s = sweep_claim(claim, g)
-        assert s.total == (1 << g.order) - 1 and s.counts[VIOLATED] == cosets, claim
-        assert s.violations == tuple(str(GSet.from_mask(g, m)) for m in pairs), claim
+        assert s.total == (1 << g.order) - 1 and s.counts[VIOLATED] == len(bad), claim
+        assert s.violations == tuple(str(GSet.from_mask(g, m)) for m in bad[:32]), claim
+        if claim in oracle:
+            assert s == per_subset_sweep(claim, g), claim
+
+
+@pytest.mark.parametrize("moduli, cosets", [((12,), 6), ((2, 2, 4), 56)], ids=["Z12", "Z2xZ2xZ4"])
+def test_a_planted_fault_reaches_the_claim_cores(monkeypatch, moduli, cosets):
+    # on the two-element cosets only, a witness table that drops a difference and a
+    # minimizer that reports K = 1/2: thm2, thm3 and thm5 then fail exactly there, in the
+    # sweeps' integer cores and in the check_* verifiers that the oracles run, which all
+    # read these functions from the theorems namespace. The per-subset oracle takes 7-10 s
+    # a claim on Z2xZ2xZ4, so there the exhaustive sweep must equal the sound one with its
+    # cosets moved from the equality case to violated
+    clean = {claim: sweep_claim(claim, GroupSpec(moduli)) for claim in ("thm2", "thm3", "thm5")}
+    table, minimizer = theorems.build_witness_table, theorems.find_minimizer
+    planted = lambda A: A.card == 2 and is_coset(A) is not None
+
+    def faulty_table(A):
+        t = table(A)
+        return replace(t, pairs=dict(islice(t.pairs.items(), 1))) if planted(A) else t
+
+    def faulty_minimizer(A, base, **kw):
+        mn = minimizer(A, base, **kw)
+        return replace(mn, k=Fraction(1, 2)) if planted(A) else mn
+
+    monkeypatch.setattr(theorems, "build_witness_table", faulty_table)
+    monkeypatch.setattr(theorems, "find_minimizer", faulty_minimizer)
+    g = GroupSpec(moduli)
+    for claim in ("thm2", "thm3", "thm5"):
+        s = sweep_claim(claim, g)
+        if g.order <= 12:
+            assert s == per_subset_sweep(claim, g), claim
+        pairs = [m for m in range(1, 1 << g.order) if m.bit_count() == 2 and planted(GSet.from_mask(g, m))]
+        counts = clean[claim].counts | {EQUALITY: clean[claim].counts[EQUALITY] - cosets, VIOLATED: cosets}
+        assert (s.counts, s.violations) == (counts, tuple(str(GSet.from_mask(g, m)) for m in pairs[:32])), claim
+        rng = Random(4)  # a sample's draws: the group's order is within the minimizer cap
+        drawn = [GSet.from_mask(g, rng.randrange(1, 1 << g.order)) for _ in range(3000)]
+        outcomes = [run_claim(claim, A).outcome for A in drawn]
+        bad = tuple(str(A) for A, o in zip(drawn, outcomes) if o == VIOLATED)[:32]
+        counts = {o: outcomes.count(o) for o in (HOLDS, EQUALITY, VIOLATED)}
+        assert counts[VIOLATED] and sweep_claim(claim, g, sample=3000, seed=4) == SweepSummary(
+            claim, g, 3000, counts, bad
+        ), claim
 
 
 @pytest.mark.parametrize("moduli, cosets", [((12,), 28), ((2, 6), 44)], ids=["Z12", "Z2xZ6"])
