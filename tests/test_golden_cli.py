@@ -304,6 +304,14 @@ def _cases() -> list:
         ["check", "thm2", "--sweep", "Z2xZ2xZ3", "--format", "json"],
         ["check", "thm3", "--sweep", "Z3xZ4", "--format", "json"],
     ]
+    # Minimizer sweeps of products with more automorphisms than unit scalars, and 13-element
+    # minimizer bases, whose subset search splits into a low and a high part.
+    cases += [
+        ["check", "thm5", "--sweep", "Z2xZ2xZ4", "--format", "json"],
+        ["check", "thm3", "--sweep", "Z3xZ6", "--format", "json"],
+        ["witness", "petridis", "0,1,3,7,12,20,30,31,40,45,50,55,61@Z64", "--format", "json"],
+        ["check", "thm3", "0,1,3,7,12,20,30,31,40,45,50,55,61@Z2xZ32", "--format", "json"],
+    ]
     return cases
 
 
