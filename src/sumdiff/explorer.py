@@ -26,7 +26,7 @@ from typing import Iterator
 
 from ._version import VERSION
 from .errors import CapExceededError
-from .groups import GroupSpec, iter_bits, is_coset
+from .groups import GroupSpec, _prefix_unions, iter_bits, is_coset
 from .sets import GSet
 
 __all__ = [
@@ -241,9 +241,18 @@ class Campaign:
 # -- orbit machinery ---------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
+def _byte_images(table: tuple) -> tuple:
+    """For each of the four bytes of a mask below 2^32 (a walk covers at most 2^30 masks), the image
+    under the index table ``table`` of each value of that byte: at most 4 x 256 masks."""
+    return tuple(tuple(_prefix_unions([1 << i for i in table[k : k + 8]])) for k in range(0, 32, 8))
+
+
 def _group_orbit(g: GroupSpec, mask: int, mode: str, maps: tuple = ()) -> set:
     """Every image of ``mask`` under the symmetries of ``mode`` (not ``none``) and the
-    automorphism index tables ``maps``."""
+    automorphism index tables ``maps`` of a group of at most 32 elements. A map is applied by
+    one read of its ``_byte_images`` per mask byte; those are cached per index table, so a
+    walk builds them once, not once per orbit."""
     orbit, classes = set(g.translates(mask)), [mask]
     if mode != MODE_TRANSLATION:
         units = (-1,) if mode == MODE_TRANSLATION_NEGATION else g.units()
@@ -251,12 +260,10 @@ def _group_orbit(g: GroupSpec, mask: int, mode: str, maps: tuple = ()) -> set:
             if s not in orbit:  # else its translates are already in
                 orbit.update(g.translates(s))
                 classes.append(s)
+    byte_maps = [_byte_images(table) for table in maps]
     for b in classes if maps else ():  # a BFS over translation classes, as f(A + t) = f(A) + f(t)
-        bits = iter_bits(b)
-        for table in maps:
-            s = 0
-            for i in bits:
-                s |= 1 << table[i]
+        for t0, t1, t2, t3 in byte_maps:
+            s = t0[b & 255] | t1[b >> 8 & 255] | t2[b >> 16 & 255] | t3[b >> 24]
             if s not in orbit:
                 orbit.update(g.translates(s))
                 classes.append(s)

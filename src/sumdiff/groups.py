@@ -48,11 +48,12 @@ class GroupSpec:
     moduli: tuple[int, ...]
     order: int = field(init=False, repr=False, compare=False)
     _label: str = field(init=False, repr=False, compare=False)
-    # Filled on first use, freed with the group: u % order -> the index of u*i per i, and the
-    # moves of shift_mask and translates. Set in __post_init__: a later key slows reads.
+    # Filled on first use, freed with the group: u % order -> the index of u*i per i, the moves of
+    # shift_mask and translates, the automorphisms and the units. Set in __post_init__: a later key slows reads.
     _scale_tables: dict = field(init=False, repr=False, compare=False)
     _shift_layout: list = field(init=False, repr=False, compare=False)
     _automorphisms: tuple | None = field(init=False, repr=False, compare=False)
+    _units: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mods = tuple(int(n) for n in self.moduli)
@@ -66,6 +67,7 @@ class GroupSpec:
         object.__setattr__(self, "_scale_tables", {})
         object.__setattr__(self, "_shift_layout", [])
         object.__setattr__(self, "_automorphisms", None)
+        object.__setattr__(self, "_units", None)
 
     def label(self) -> str:
         return self._label
@@ -133,11 +135,11 @@ class GroupSpec:
         return self.scale_table(u)[self.check_element(a)]
 
     def units(self) -> tuple[int, ...]:
-        """Scalars acting bijectively on the group (coprime to the exponent)."""
-        e = self.exponent
-        if e == 1:
-            return (1,)
-        return tuple(u for u in range(1, e) if gcd(u, e) == 1)
+        """Scalars acting bijectively on the group (coprime to the exponent). Built on first use."""
+        if self._units is None:
+            e = self.exponent
+            object.__setattr__(self, "_units", tuple(u for u in range(1, e) if gcd(u, e) == 1) or (1,))
+        return self._units
 
     # -- mask-level operations ------------------------------------------------
 
@@ -221,6 +223,14 @@ class GroupSpec:
             scalars = {self.scale_table(u) for u in self.units()}  # the identity among them
             object.__setattr__(self, "_automorphisms", tuple(t for t in tables if t not in scalars))
         return self._automorphisms
+
+
+def _prefix_unions(masks: list[int]) -> list[int]:
+    """Union of the chosen ``masks`` for every subset mask, indexed by the mask."""
+    unions = [0]
+    for s in masks:
+        unions += [u | s for u in unions]
+    return unions
 
 
 def _map_bits(table: tuple[int, ...], mask: int) -> int:

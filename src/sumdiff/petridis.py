@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
-from operator import or_
+from functools import cache
 from typing import Callable
 
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     EmptySetError,
     HypothesisViolationError,
 )
-from .groups import GroupSpec
+from .groups import GroupSpec, _prefix_unions
 from .sets import GSet, _require_same_group, independent, sumset
 
 __all__ = [
@@ -104,14 +103,6 @@ class EqualityCertificate:
     q: GSet
 
 
-def _prefix_unions(shifts: list[int]) -> list[int]:
-    """Union of the chosen ``shifts`` for every subset mask, indexed by the mask."""
-    unions = [0]
-    for s in shifts:
-        unions += [u | s for u in unions]
-    return unions
-
-
 _LOW_WIDTH = 10  # the low table covers min(n, 10) elements, or ceil(n/2) if more
 
 
@@ -124,8 +115,16 @@ def _classes(w: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups))
 
 
-def _blocks(a_card: int, shifts: list[int], limit: Callable[[int], int]):
-    """The subset walk, row by row in ascending mask order.
+def _tables(shifts: list[int]) -> tuple[list[int], list[int]]:
+    """The walk's low and high prefix-union tables over ``shifts``: the low part is the first
+    w = max(ceil(n/2), min(n, 10)) of the n shifts, the high part the rest."""
+    n = len(shifts)
+    w = n if n <= _LOW_WIDTH else max((n + 1) // 2, _LOW_WIDTH)
+    return _prefix_unions(shifts[:w]), _prefix_unions(shifts[w:])
+
+
+def _blocks(a_card: int, tables: tuple[list[int], list[int]], limit: Callable[[int], int]):
+    """The subset walk over the prefix-union tables of ``_tables``, row by row in ascending mask order.
 
     A candidate X is a high-part mask j above a low-part mask i; its union
     A+X is ``high[j] | low[i]``. Row j holds one block per popcount class c
@@ -140,12 +139,11 @@ def _blocks(a_card: int, shifts: list[int], limit: Callable[[int], int]):
     c, and then that class's least |low[i]|, since high[0] is empty; and
     |A+X| >= |X| in every group.
     """
-    n = len(shifts)
-    w = n if n <= _LOW_WIDTH else max((n + 1) // 2, _LOW_WIDTH)
+    low, high = tables
+    w = len(low).bit_length() - 1
     classes = _classes(w)
-    low = _prefix_unions(shifts[:w])
     floors = [0] + [a_card] * w
-    for j, h in enumerate(_prefix_unions(shifts[w:])):
+    for j, h in enumerate(high):
         hc, hs, hi = j.bit_count(), h.bit_count(), j << w
         for c in range(not j, w + 1):
             card = hc + c
@@ -197,7 +195,9 @@ def find_minimizer(A: GSet, base: GSet, cap: int = MINIMIZER_CAP) -> MinimizerRe
     later block of the same |X| holds only larger masks, so a tie on ratio
     and |X| keeps the earlier mask: the result is that of a walk over every
     candidate in mask order. The strictness flag rechecks the result with
-    an independent walk over the subsets of X.
+    an independent walk over the subsets of X, under its own limit. When X
+    is the whole base, its prefix-union tables are the search's own, so the
+    recheck walks those tables instead of building the same ones again.
     """
     _require_same_group(A, base, "find_minimizer")
     if not A.card:
@@ -208,47 +208,48 @@ def find_minimizer(A: GSet, base: GSet, cap: int = MINIMIZER_CAP) -> MinimizerRe
         raise CapExceededError(f"minimizer base size {base.card} exceeds cap {cap}")
     elems = base.elements()
     shifts = _shifts(A, elems)
-    best_num, best_card = reduce(or_, shifts).bit_count(), len(elems)
+    tables = _tables(shifts)
+    best_num, best_card = (tables[0][-1] | tables[1][-1]).bit_count(), len(elems)
     best_pos = (1 << best_card) - 1
 
     def limit(card: int) -> int:
         # the largest |A+X| with which a candidate of this |X| would beat the best
         return (best_num * card - (card >= best_card)) // best_card
 
-    for block in _blocks(A.card, shifts, limit):
+    for block in _blocks(A.card, tables, limit):
         if block:
             best_card, best_num, best_pos, _ = block
     k = Fraction(best_num, best_card)
-    x_shifts = [s for i, s in enumerate(shifts) if best_pos >> i & 1]
-    return MinimizerResult(
-        _subset_of(A.group, elems, best_pos), k, _violation(A.card, x_shifts, k) is None
-    )
+    if best_card < len(elems):  # else X is the base, whose tables the recheck walks again
+        tables = _tables([s for i, s in enumerate(shifts) if best_pos >> i & 1])
+    return MinimizerResult(_subset_of(A.group, elems, best_pos), k, _violation(A.card, tables, k) is None)
 
 
-def _violation(a_card: int, shifts: list[int], K: Fraction) -> int | None:
+def _violation(a_card: int, tables: tuple[list[int], list[int]], K: Fraction) -> int | None:
     """The mask of the first witness against the equality hypothesis, or None.
 
     The hypothesis: |A+X| = K |X| exactly, and |A+X'| > K |X'| for every
-    proper non-empty X' of X, where X is the set of ``shifts``. Proper subsets
+    proper non-empty X' of X, where ``tables`` are the ``_tables`` of X's shifts. Proper subsets
     are searched in ascending-mask order, a block at a time: a block is
     counted only when its lower bound is at most floor(K |X'|), and the first
     row with a hit gives the witness, the least of its blocks' first hits.
     The full mask is reported last if its equality fails. All comparisons
     are on integers.
     """
-    n = len(shifts)
+    low, high = tables
+    n = (len(low) * len(high)).bit_length() - 1
     kn, kd = K.numerator, K.denominator
 
     def limit(card: int) -> int:
         return -1 if card == n else kn * card // kd  # the full set is no proper subset
 
     hits = []
-    for block in _blocks(a_card, shifts, limit):
+    for block in _blocks(a_card, tables, limit):
         if block:
             hits.append(_first_at_most(block[3], limit(block[0])))
         elif hits:  # the end of the first row with a hit
             return min(hits)
-    return None if reduce(or_, shifts).bit_count() * kd == kn * n else (1 << n) - 1
+    return None if (low[-1] | high[-1]).bit_count() * kd == kn * n else (1 << n) - 1
 
 
 def _checked_violation(A: GSet, X: GSet, K: Fraction, cap: int) -> GSet | None:
@@ -258,7 +259,7 @@ def _checked_violation(A: GSet, X: GSet, K: Fraction, cap: int) -> GSet | None:
     if X.card > cap:
         raise CapExceededError(f"hypothesis check over {X.card} elements exceeds cap {cap}")
     elems = X.elements()
-    bad = _violation(A.card, _shifts(A, elems), K)
+    bad = _violation(A.card, _tables(_shifts(A, elems)), K)
     return None if bad is None else _subset_of(A.group, elems, bad)
 
 

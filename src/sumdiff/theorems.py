@@ -154,7 +154,7 @@ def _upper(A: GSet) -> tuple:
     a, d = A.card, len(table.pairs)
     inj = build_injection(A, table)
     injective, surjective = verify_injective(inj), check_surjective(inj, s)
-    coset, upper_tight = is_coset(A) is not None, d * a == s * s
+    coset, upper_tight = s == a and is_coset(A) is not None, d * a == s * s  # a coset a+H has |A+A| = |A|
     details = {"injective": injective, "surjective": surjective, "upper_tight": upper_tight, "coset": coset}
     return injective and d * a <= s * s and upper_tight == coset == surjective, coset, (s, d, details)
 
@@ -186,9 +186,9 @@ def _lower_chain(A: GSet, cap: int) -> tuple:
     The six link values are ``numerators`` over one common denominator ``den`` = q^2 |A|
     (K = p/q, delta = d/|A|), and ``holds`` says which of the five links hold.
     """
-    two_a = _two_a(A)
-    a, s, d = A.card, two_a.card, diffset(A, A).card
-    mn = find_minimizer(A, A.negate(), cap=cap)
+    two_a, neg = _two_a(A), A.negate()
+    a, s, d = A.card, two_a.card, sumset(A, neg).card  # |A-A| = |A+(-A)|
+    mn = find_minimizer(A, neg, cap=cap)
     x, p, q = mn.x, mn.k.numerator, mn.k.denominator
     sizes = {"A": a, "AA": s, "AmA": d, "AAX": sumset(two_a, x).card, "XA": sumset(x, A).card, "X": x.card}
     den = q * q * a

@@ -2,6 +2,7 @@
 residue-tuple oracles."""
 
 from functools import lru_cache
+from itertools import product
 from math import prod
 
 import pytest
@@ -24,7 +25,7 @@ from sumdiff import (
     sumset,
     verify_injective,
 )
-from sumdiff.groups import _close_under_addition
+from sumdiff.groups import _close_under_addition, _map_bits
 
 from oracles import (
     add_idx,
@@ -200,6 +201,20 @@ def test_injection_matches_oracle_sums(moduli, data):
 
 
 PRODUCTS_24 = st.lists(st.integers(2, 12), min_size=2, max_size=4).filter(lambda m: prod(m) <= 24)
+EVERY_PRODUCT_24 = [m for k in (2, 3, 4) for m in product(range(2, 13), repeat=k) if prod(m) <= 24]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_byte_tables_apply_every_automorphism(data):
+    # a walk applies each automorphism a mask byte at a time; the images must be the bit-by-bit ones
+    for moduli in EVERY_PRODUCT_24:
+        g = GroupSpec(moduli)
+        mask = data.draw(st.integers(0, g.full_mask), label=g.label())
+        for table in g.automorphisms():
+            t0, t1, t2, t3 = explorer._byte_images(table)
+            image = t0[mask & 255] | t1[mask >> 8 & 255] | t2[mask >> 16 & 255] | t3[mask >> 24]
+            assert image == _map_bits(table, mask), (table, mask)
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)

@@ -397,3 +397,41 @@ def test_searches_keep_no_group_alive():
     del g, A, mn
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("size", range(6, 15))
+def test_whole_base_minimizer_rechecks_on_its_search_tables(monkeypatch, size):
+    # when X is the whole base (A's own subsets, as in thm5, or -A's, as in thm3), the recheck
+    # walks the search's own prefix-union tables, in a walk of its own, once per call
+    moduli = [(64,), (2, 32), (4, 4, 4), (3, 16)][size % 4]
+    g, rng = GroupSpec(moduli), random.Random(900 + size)
+    while True:
+        A = GSet(g, rng.sample(range(g.order), size))
+        base = A if size % 2 else A.negate()
+        if find_minimizer(A, base).x == base:
+            break
+    built, rechecks = [], []
+    tables, violation = petridis._tables, petridis._violation
+    monkeypatch.setattr(petridis, "_tables", lambda shifts: built.append(shifts) or tables(shifts))
+    monkeypatch.setattr(petridis, "_violation", lambda *args: rechecks.append(args) or violation(*args))
+    mn = find_minimizer(A, base)
+    assert len(built) == len(rechecks) == 1
+    want = naive_violating_subset(moduli, A.elements(), base.elements(), mn.k)
+    assert mn.strict_on_proper_subsets == (want is None)
+    # planted: one step below the minimum ratio, the full mask is the witness against
+    # |A+X| = K |X|, read from the shared tables' top entries
+    below = mn.k - Fraction(1, size)
+    assert violation(A.card, rechecks[0][1], below) == (1 << size) - 1
+    assert naive_violating_subset(moduli, A.elements(), base.elements(), below) == list(base.elements())
+
+
+def test_a_proper_minimizer_builds_its_own_tables(monkeypatch):
+    # X below the base: the recheck builds the tables of X's shifts, not the base's
+    g = GroupSpec((64,))
+    A, base = GSet(g, [0, 1, 2]), GSet(g, [0, 1, 2, 3, 20, 40])
+    built = []
+    tables = petridis._tables
+    monkeypatch.setattr(petridis, "_tables", lambda shifts: built.append(len(shifts)) or tables(shifts))
+    mn = find_minimizer(A, base)
+    assert mn.x == GSet(g, [0, 1, 2, 3]) and mn.strict_on_proper_subsets
+    assert built == [6, 4]

@@ -87,14 +87,16 @@ def test_upper_examples():
 
 
 @pytest.mark.parametrize(
-    "moduli", [(n,) for n in range(1, 9)] + [(2, 2), (2, 4), (3, 3)], ids=lambda m: GroupSpec(m).label()
+    "moduli", [(n,) for n in range(1, 9)] + [(2, 2), (2, 4), (3, 3), (2, 2, 2)], ids=lambda m: GroupSpec(m).label()
 )
 def test_upper_agrees_with_the_public_ruzsa_functions(moduli):
+    # "coset" is decided by is_coset only where |A+A| = |A|; it must agree with is_coset everywhere
     for A in subsets(GroupSpec(moduli)):
         v, inj = check_upper(A), build_injection(A)
         assert v.details["injective"] == verify_injective(inj), A
         assert v.details["surjective"] == check_surjective(inj), A
         assert v.sizes["AmA"] == diffset(A, A).card, A
+        assert v.details["coset"] == (is_coset(A) is not None), A
 
 
 def test_main_theorem_examples():
