@@ -229,12 +229,12 @@ def _violation(a_card: int, tables: tuple[list[int], list[int]], K: Fraction) ->
     """The mask of the first witness against the equality hypothesis, or None.
 
     The hypothesis: |A+X| = K |X| exactly, and |A+X'| > K |X'| for every
-    proper non-empty X' of X, where ``tables`` are the ``_tables`` of X's shifts. Proper subsets
-    are searched in ascending-mask order, a block at a time: a block is
-    counted only when its lower bound is at most floor(K |X'|), and the first
-    row with a hit gives the witness, the least of its blocks' first hits.
-    The full mask is reported last if its equality fails. All comparisons
-    are on integers.
+    proper non-empty X' of X, where ``tables`` are the ``_tables`` of X's
+    shifts. Proper subsets are searched in ascending-mask order, a block at
+    a time: a block is counted only when its lower bound is at most
+    floor(K |X'|), and the first row with a hit gives the witness, the least
+    of its blocks' first hits. The full mask is reported last if its
+    equality fails. All comparisons are on integers.
     """
     low, high = tables
     n = (len(low) * len(high)).bit_length() - 1
