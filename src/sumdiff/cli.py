@@ -168,11 +168,6 @@ def _unread(args, keys: tuple, reason: str) -> None:
             raise ParseError(f"--{key.replace('_', '-')} {reason}")
 
 
-def _threads(args, config: dict) -> int:
-    """The worker count, at least 1 (default 1): only validated, as every scan runs in one process."""
-    return _setting(args, config, "threads", 1)
-
-
 # -- output helpers --------------------------------------------------------------
 
 
@@ -513,7 +508,7 @@ def _summary_lines(summary) -> list:
 def _cmd_scan(args, config: dict) -> int:
     campaign = Campaign(mstd_only=args.mstd, **_campaign_fields(args, config))
     mask_range = _parse_pair(args.range, r"([0-9]+):([0-9]+)", "a mask range like 1:4096") if args.range else None
-    records, summary = scan(campaign, threads=_threads(args, config), mask_range=mask_range)
+    records, summary = scan(campaign, threads=_setting(args, config, "threads", 1), mask_range=mask_range)
 
     def payload() -> dict:
         out = {
@@ -541,7 +536,7 @@ def _cmd_scan(args, config: dict) -> int:
 
 
 def _cmd_mstd(args, config: dict) -> int:
-    records = find_mstd(**_campaign_fields(args, config), threads=_threads(args, config))
+    records = find_mstd(**_campaign_fields(args, config), threads=_setting(args, config, "threads", 1))
     _emit(
         args,
         config,
@@ -641,9 +636,9 @@ def main(argv=None) -> int:
         return args.func(args, config)
     except SystemExit as exc:  # only --help and --version exit; a usage error raises ParseError
         return exc.code
-    except (SumdiffError, ValueError, OSError) as exc:  # ParseError is a SumdiffError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, CapExceededError) else 1
+    except (SumdiffError, ValueError, OSError, MemoryError) as exc:  # ParseError is a SumdiffError
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2 if isinstance(exc, (CapExceededError, MemoryError)) else 1
 
 
 def console() -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
+from operator import index
 
 from .errors import CapExceededError, EmptySetError, InvalidElementError
 
@@ -56,7 +57,10 @@ class GroupSpec:
     _units: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mods = tuple(int(n) for n in self.moduli)
+        mods = tuple(self.moduli)
+        if bad := [n for n in mods if not hasattr(type(n), "__index__")]:  # int() would read 2.5 as 2
+            raise TypeError(f"modulus {bad[0]!r} is not an integer")
+        mods = tuple(map(index, mods))
         if not mods:
             raise ValueError("a group needs at least one cyclic factor")
         if any(n < 1 for n in mods):

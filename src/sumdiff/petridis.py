@@ -168,11 +168,6 @@ def _first_at_most(scan: tuple, size: int) -> int:
     return hi | next(i for i in cls if (h | low[i]).bit_count() <= size)
 
 
-def _shifts(A: GSet, elems: tuple[int, ...]) -> list[int]:
-    """A's translate by each element of ``elems``."""
-    return [A.group.shift_mask(A.mask, x) for x in elems]
-
-
 def _subset_of(g: GroupSpec, elems: tuple[int, ...], cmask: int) -> GSet:
     mask = 0
     for i, x in enumerate(elems):
@@ -207,7 +202,7 @@ def find_minimizer(A: GSet, base: GSet, cap: int = MINIMIZER_CAP) -> MinimizerRe
     if base.card > cap:
         raise CapExceededError(f"minimizer base size {base.card} exceeds cap {cap}")
     elems = base.elements()
-    shifts = _shifts(A, elems)
+    shifts = [A.group.shift_mask(A.mask, x) for x in elems]
     tables = _tables(shifts)
     best_num, best_card = (tables[0][-1] | tables[1][-1]).bit_count(), len(elems)
     best_pos = (1 << best_card) - 1
@@ -259,7 +254,7 @@ def _checked_violation(A: GSet, X: GSet, K: Fraction, cap: int) -> GSet | None:
     if X.card > cap:
         raise CapExceededError(f"hypothesis check over {X.card} elements exceeds cap {cap}")
     elems = X.elements()
-    bad = _violation(A.card, _tables(_shifts(A, elems)), K)
+    bad = _violation(A.card, _tables([A.group.shift_mask(A.mask, x) for x in elems]), K)
     return None if bad is None else _subset_of(A.group, elems, bad)
 
 

@@ -356,6 +356,8 @@ def sweep_claim(
     # a sampled sweep's group may have any order, and the kernel's tables grow with it
     rule, core = None if sampled else _SIZE_RULES.get(claim), _CORES.get(claim)
     if sampled:
+        if top < 1:  # no set of at most cap elements to draw
+            raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
         rng = Random(seed or 0)
         weighted = ((_draw(rng, g.order, top), 1) for _ in range(sample))
     elif seed is not None:

@@ -547,10 +547,10 @@ def test_negative_literals_are_values(tmp_path):
 def test_threads_are_only_validated():
     # every scan runs in one process: the count is read, checked (test_bad_input_exits_1) and passed on
     parse = cli.build_parser().parse_args
-    assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "64"]), {}) == 64
-    assert cli._threads(parse(["mstd", "--group", "Z6"]), {"threads": "3"}) == 3
-    assert cli._threads(parse(["scan", "--group", "Z6"]), {}) == 1
-    assert cli._threads(parse(["scan", "--group", "Z6", "--threads", "1"]), {"threads": "2"}) == 1
+    assert cli._setting(parse(["scan", "--group", "Z6", "--threads", "64"]), {}, "threads", 1) == 64
+    assert cli._setting(parse(["mstd", "--group", "Z6"]), {"threads": "3"}, "threads", 1) == 3
+    assert cli._setting(parse(["scan", "--group", "Z6"]), {}, "threads", 1) == 1
+    assert cli._setting(parse(["scan", "--group", "Z6", "--threads", "1"]), {"threads": "2"}, "threads", 1) == 1
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
@@ -627,6 +627,13 @@ def test_wide_integer_literal_runs_in_bounded_memory(argv):
     assert (code, err) == (0, "") and peak_mb < 300
     payload = json.loads(out)
     assert payload["set"].startswith("0,1,1000000") and payload.get("sizes", {"A": 3})["A"] == 3
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_running_out_of_memory_exits_2_with_one_error_line(fmt):
+    # Z10000000000's tables do not fit in 1 GiB: the MemoryError is an exceeded resource, not a traceback
+    code, out, err, _ = _limited_process(["constants", "0,1@Z10000000000", "--format", fmt], 1024)
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("mode", ["translation", "translation+negation"])

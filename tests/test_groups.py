@@ -120,6 +120,15 @@ def test_groupspec_equality_is_elementwise():
         GroupSpec((0, 3))
 
 
+@pytest.mark.parametrize("modulus", [2.5, "12"])
+def test_a_modulus_that_is_not_an_integer_is_refused(modulus):
+    # int() would read these as Z2 and Z12
+    with pytest.raises(TypeError, match=f"^modulus {re.escape(repr(modulus))} is not an integer$"):
+        GroupSpec((modulus,))
+    with pytest.raises(TypeError):
+        GroupSpec((3, modulus))
+
+
 def test_subgroups_z12():
     subs = enumerate_subgroups(GroupSpec((12,)))
     assert [len(s) for s in subs] == [1, 2, 3, 4, 6, 12]

@@ -265,6 +265,21 @@ def test_exhaustive_minimizer_sweep_above_the_cap_fails_before_the_walk(monkeypa
     assert len(walks) == 1
 
 
+@pytest.mark.parametrize("claim", ["thm3", "thm5"])
+def test_a_minimizer_cap_below_1_is_refused_drawn_or_exhaustive(claim):
+    # no set has at most 0 elements, so a drawn sweep fails as the exhaustive one and a single set do
+    g = GroupSpec((64,))
+    for run in (
+        lambda: sweep_claim(claim, g, sample=5, cap=0),
+        lambda: sweep_claim(claim, g, cap=0, group_cap=64),
+        lambda: run_claim(claim, GSet(g, [0]), cap=0),
+    ):
+        with pytest.raises(CapExceededError, match="^minimizer base size 1 exceeds cap 0$"):
+            run()
+    with pytest.raises(ValueError, match="^seed 3 needs a sample"):  # the exhaustive path checks the seed first
+        sweep_claim(claim, GroupSpec((6,)), cap=0, seed=3)
+
+
 def test_capped_draw_is_uniform_over_small_sets():
     rng = Random(3)
     counts = Counter(theorems._draw(rng, 6, 2) for _ in range(4200))
