@@ -312,6 +312,12 @@ def _cases() -> list:
         ["witness", "petridis", "0,1,3,7,12,20,30,31,40,45,50,55,61@Z64", "--format", "json"],
         ["check", "thm3", "0,1,3,7,12,20,30,31,40,45,50,55,61@Z2xZ32", "--format", "json"],
     ]
+    # Sampled size sweeps of groups far above the group cap, a cyclic one and a product.
+    for claim in CLAIMS[:3]:
+        cases += [
+            ["check", claim, "--sweep", "Z64", "--sample", "3000", "--seed", "5"],
+            ["check", claim, "--sweep", "Z2xZ32", "--sample", "3000", "--seed", "5", "--format", "json"],
+        ]
     return cases
 
 

@@ -414,6 +414,18 @@ def test_planted_sampled_violations_are_listed_in_draw_order(monkeypatch):
 SIZE_CLAIMS = ("fact1", "ineq1", "thm1")
 
 
+@pytest.mark.parametrize("g", [GroupSpec((64,)), GroupSpec((2, 32)), GroupSpec((2, 2, 4))], ids=GroupSpec.label)
+def test_sampled_size_sweeps_match_the_verdicts_of_their_draws(g):
+    # the same draws, replayed, each judged by its check_* verdict
+    for claim in SIZE_CLAIMS:
+        rng = Random(5)
+        drawn = [GSet.from_mask(g, theorems._draw(rng, g.order, g.order)) for _ in range(500)]
+        outcomes = [run_claim(claim, A).outcome for A in drawn]
+        bad = tuple(str(A) for A, o in zip(drawn, outcomes) if o == VIOLATED)[:32]
+        counts = {o: outcomes.count(o) for o in (HOLDS, EQUALITY, VIOLATED)}
+        assert sweep_claim(claim, g, sample=500, seed=5) == SweepSummary(claim, g, 500, counts, bad), claim
+
+
 @pytest.mark.parametrize(
     "moduli, cosets, oracle",
     [
