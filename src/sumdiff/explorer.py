@@ -484,12 +484,8 @@ def _size_kernel(moduli: tuple, width: int):
     gap, place = span + strides[-1], [0]
     for m, stride in zip(moduli, strides):
         place = [p + d * stride for d in range(m) for p in place]
-    tables = []  # per mask byte: byte -> A's spread plus rev(A)'s placed G fields up
-    for k in range(0, width, 8):
-        rows = [0]
-        for i in range(k, min(k + 8, width)):
-            rows += [r + (1 << place[i] * w) + (1 << (gap + place[-1] - place[i]) * w) for r in rows]
-        tables.append(rows)
+    spread = [1 << place[i] * w | 1 << (gap + place[-1] - place[i]) * w for i in range(width)]  # A's and rev(A)'s
+    tables = [_prefix_unions(spread[k : k + 8]) for k in range(0, width, 8)]  # per mask byte: byte -> its spread
     folds = [  # digit j's places at n_j and above, and how far down they move
         (sum(((1 << w) - 1) << p * w for p in range(2 * gap) if p // s % (2 * m - 1) >= m), m * s * w)
         for m, s in zip(moduli[:-1], strides) if m > 1]

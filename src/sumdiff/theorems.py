@@ -98,12 +98,6 @@ def _two_a(A: GSet) -> GSet:
     return sumset(A, A)
 
 
-def _base(A: GSet) -> tuple:
-    """|A|, |A+A|, |A-A| and the sizes and ratios dicts every verdict starts from."""
-    a, s, d = A.card, _two_a(A).card, diffset(A, A).card
-    return a, s, d, *_measures(a, s, d)
-
-
 def _measures(a: int, s: int, d: int) -> tuple:
     """The sizes and ratios dicts of |A| = a, |A+A| = s and |A-A| = d."""
     return {"A": a, "AA": s, "AmA": d}, {"sigma": Fraction(s, a), "delta": Fraction(d, a)}
@@ -120,9 +114,10 @@ def _verdict(
     return Verdict(claim, A.group, A.elements(), sizes, ratios, _outcome(ok, tight), details)
 
 
-# claim -> (ok, tight) from |A|, |A+A|, |A-A| and whether A is a coset: the one rule that a
-# check_* verdict and an exhaustive sweep's size-kernel read both decide by. ineq1 is
-# delta <= sigma^2 and sigma <= delta^2; thm1 asks for equality in one exactly on cosets.
+# claim -> (ok, tight) from |A|, |A+A|, |A-A| and whether A is a coset: the one rule for fact1,
+# ineq1 and thm1, read by _sized for verdicts and sampled sweeps and on the size kernel for
+# exhaustive sweeps. ineq1 is delta <= sigma^2 and sigma <= delta^2; thm1 asks for equality
+# in one exactly on cosets.
 _SIZE_RULES = {
     "fact1": lambda a, s, d, coset: ((s == a) == (d == a) == coset, s == a),
     "ineq1": lambda a, s, d, coset: (d * a <= s * s and s * a <= d * d, d * a == s * s or s * a == d * d),
@@ -130,22 +125,27 @@ _SIZE_RULES = {
 }
 
 
+def _sized(A: GSet, claim: str) -> tuple:
+    """fact1's, ineq1's or thm1's decision on integers: (ok, tight, (|A|, |A+A|, |A-A|, is_coset(A))).
+    The coset test runs on every set, as the check_* verifiers, the sweeps' oracle, report it."""
+    a, s, d, coset = sized = A.card, _two_a(A).card, diffset(A, A).card, is_coset(A)
+    return *_SIZE_RULES[claim](a, s, d, coset is not None), sized
+
+
 def check_fact1(A: GSet) -> Verdict:
     """sigma = 1, delta = 1 and cosetness must agree; record the shared value."""
-    a, s, d, sizes, ratios = _base(A)
-    coset = is_coset(A)
+    ok, tight, (a, s, d, coset) = _sized(A, "fact1")
     details = {"sigma_is_one": s == a, "delta_is_one": d == a, "coset": coset is not None}
     if coset is not None:
-        details["subgroup"] = coset[0]
-        details["representative"] = coset[1]
-    return _verdict("fact1", A, sizes, ratios, *_SIZE_RULES["fact1"](a, s, d, coset is not None), details)
+        details |= {"subgroup": coset[0], "representative": coset[1]}
+    return _verdict("fact1", A, *_measures(a, s, d), ok, tight, details)
 
 
 def check_inequality(A: GSet) -> Verdict:
     """Both bounds relating sigma and delta, with equality flags."""
-    a, s, d, sizes, ratios = _base(A)
+    ok, tight, (a, s, d, _) = _sized(A, "ineq1")
     details = {"upper_tight": d * a == s * s, "lower_tight": s * a == d * d}
-    return _verdict("ineq1", A, sizes, ratios, *_SIZE_RULES["ineq1"](a, s, d, False), details)
+    return _verdict("ineq1", A, *_measures(a, s, d), ok, tight, details)
 
 
 def _upper(A: GSet) -> tuple:
@@ -171,10 +171,9 @@ def check_upper(A: GSet) -> Verdict:
 
 def check_main_theorem(A: GSet) -> Verdict:
     """Equality in either bound if and only if A is a coset."""
-    a, s, d, sizes, ratios = _base(A)
-    coset = is_coset(A) is not None
-    details = {"upper_tight": d * a == s * s, "lower_tight": s * a == d * d, "coset": coset}
-    return _verdict("thm1", A, sizes, ratios, *_SIZE_RULES["thm1"](a, s, d, coset), details)
+    ok, tight, (a, s, d, coset) = _sized(A, "thm1")
+    details = {"upper_tight": d * a == s * s, "lower_tight": s * a == d * d, "coset": coset is not None}
+    return _verdict("thm1", A, *_measures(a, s, d), ok, tight, details)
 
 
 _CHAIN = ("<=", "<=", "==", "<=", "<=")  # the relations of thm3's five links
@@ -259,10 +258,10 @@ def check_plunnecke(A: GSet, n: int, cap: int = MINIMIZER_CAP) -> Verdict:
 # claim id -> (integer-mode embedding arity for a given n, verifier). The
 # verifiers look their check_* function up by name on each call, so a
 # rebound module attribute (a tracing wrapper, say) is the one that runs.
-# Single sets and sampled fact1, ineq1 and thm1 sweeps run these verifiers;
-# exhaustive fact1, ineq1 and thm1 sweeps read _size_kernel and _SIZE_RULES,
-# and every thm2, thm3 and thm5 sweep reads the integer core in _CORES that
-# its check_* wrapper builds the Verdict from.
+# Single sets run these verifiers. Sweeps decide each set by the claim's
+# integer core in _CORES, the decision its check_* verifier builds the
+# Verdict around, except exhaustive fact1, ineq1 and thm1 sweeps, which read
+# _size_kernel and _SIZE_RULES.
 _CLAIMS = {
     "fact1": (lambda n: (1, 1), lambda A, n, cap: check_fact1(A)),
     "ineq1": (lambda n: (1, 1), lambda A, n, cap: check_inequality(A)),
@@ -273,6 +272,9 @@ _CLAIMS = {
 }
 CLAIM_IDS = tuple(_CLAIMS)
 _CORES = {
+    "fact1": lambda A, n, cap: _sized(A, "fact1"),
+    "ineq1": lambda A, n, cap: _sized(A, "ineq1"),
+    "thm1": lambda A, n, cap: _sized(A, "thm1"),
     "thm2": lambda A, n, cap: _upper(A),
     "thm3": lambda A, n, cap: _lower_chain(A, cap),
     "thm5": lambda A, n, cap: _plunnecke(A, n, cap),
@@ -335,10 +337,10 @@ def sweep_claim(
     raises RuntimeError unless the class sizes sum to 2^|g| - 1. It lists the 32 least
     violating masks, ascending; a sample lists the first 32 it draws. An exhaustive
     fact1, ineq1 or thm1 sweep takes translation+negation classes, with no automorphism
-    tables, and reads |A+A| and |A-A| from ``explorer._size_kernel``, with no sumset or
-    Verdict; the other claims take Aut(g) orbits. thm2, thm3 and thm5 sweeps, sampled
-    ones too, decide each set by the integer core their check_* verifier builds its
-    Verdict from; samples of the other claims run the check_* verifier.
+    tables, and reads |A+A| and |A-A| from ``explorer._size_kernel``, with no sumset; the
+    other claims take Aut(g) orbits. Every other sweep, sampled size sweeps included,
+    decides each set by the claim's integer core in ``_CORES``, the decision its check_*
+    verifier builds its Verdict around. No sweep builds a Verdict.
 
     A sweep draws only when ``sample`` is below the 2^|g| - 1 subsets: uniformly,
     with replacement, seeded by ``seed`` (0 if None), and past the group cap.
@@ -348,13 +350,15 @@ def sweep_claim(
     subsets of A, so on groups of order above ``cap`` they sample uniformly
     among the sets of at most ``cap`` elements.
     """
+    if claim not in _CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample size must be >= 1, got {sample}")
     total_universe = (1 << g.order) - 1
     sampled = sample is not None and sample < total_universe
     top = cap if claim in ("thm3", "thm5") else g.order  # the most elements a verdict can take
     # a sampled sweep's group may have any order, and the kernel's tables grow with it
-    rule, core = None if sampled else _SIZE_RULES.get(claim), _CORES.get(claim)
+    rule, core = None if sampled else _SIZE_RULES.get(claim), _CORES[claim]
     if sampled:
         if top < 1:  # no set of at most cap elements to draw
             raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
@@ -381,10 +385,8 @@ def sweep_claim(
         if rule:  # a coset a+H has |A+A| = |H| = |A|, so no other set needs the coset test
             a, (s, d) = mask.bit_count(), sizes(mask)
             outcome = _outcome(*rule(a, s, d, s == a and is_coset(GSet.from_mask(g, mask)) is not None))
-        elif core:
-            outcome = _outcome(*core(GSet.from_mask(g, mask), n, cap)[:2])
         else:
-            outcome = run_claim(claim, GSet.from_mask(g, mask), n=n, cap=cap).outcome
+            outcome = _outcome(*core(GSet.from_mask(g, mask), n, cap)[:2])
         counts[outcome] += weight
         if outcome == VIOLATED and not sampled:  # a class's least member is its representative
             violations = sorted([*violations, *_group_orbit(g, mask, mode, maps)])[:32]

@@ -1,4 +1,5 @@
 import gc
+import re
 import sys
 import weakref
 from collections import Counter
@@ -200,6 +201,14 @@ def test_run_claim_dispatch_and_unknown():
         run_claim("thm9", A)
 
 
+def test_sweep_claim_refuses_an_unknown_claim_before_any_cap():
+    message = f"^unknown claim 'nope'; expected one of {re.escape(str(theorems.CLAIM_IDS))}$"
+    for kw in ({}, {"sample": 10}):
+        with pytest.raises(ValueError, match=message):
+            sweep_claim("nope", GroupSpec((30,)), **kw)
+    assert set(theorems._CORES) == set(theorems.CLAIM_IDS)  # one integer core per claim
+
+
 def test_sweep_summary_and_caps():
     s = sweep_claim("fact1", GroupSpec((10,)))
     assert s.total == 1023
@@ -331,7 +340,7 @@ AUT_SWEEP_GROUPS = [*SWEEP_GROUPS, GroupSpec((2, 8)), GroupSpec((4, 4)), GroupSp
 @pytest.mark.parametrize("g", AUT_SWEEP_GROUPS, ids=GroupSpec.label)
 def test_exhaustive_sweep_takes_one_verdict_per_automorphism_orbit(monkeypatch, g):
     verdicts = []
-    monkeypatch.setitem(theorems._CLAIMS, "planted", _planted(verdicts.append))  # None: holds
+    _plant(monkeypatch, verdicts.append)  # None: holds
     s = sweep_claim("planted", g)
     assert s.total == s.counts[HOLDS] == (1 << g.order) - 1
     assert len(verdicts) == aut_orbit_count(g.moduli)
@@ -357,24 +366,26 @@ def test_cyclic_sweeps_take_the_necklace_source(monkeypatch):
     monkeypatch.setattr(explorer, "_orbit_walk", lambda *a: walked.append(a[0].group.label()) or walk(*a))
     for g in (GroupSpec((16,)), GroupSpec((2, 4))):
         verdicts = []
-        monkeypatch.setitem(theorems._CLAIMS, "planted", _planted(verdicts.append))
+        _plant(monkeypatch, verdicts.append)
         assert sweep_claim("planted", g).total == (1 << g.order) - 1
         assert len(verdicts) == aut_orbit_count(g.moduli)
     assert walked == ["Z2xZ4"]
 
 
-def _planted(violated):
-    """A ``_CLAIMS`` entry for a claim violated exactly on the sets that ``violated``
-    picks; the predicates below are orbit-invariant, as every real claim is."""
+def _plant(monkeypatch, violated):
+    """Plant a claim violated exactly on the sets that ``violated`` picks: the integer core
+    that sweeps run and the ``_CLAIMS`` verifier that the per-subset oracle runs. The
+    predicates below are orbit-invariant, as every real claim is."""
     verify = lambda A, n, cap: theorems._verdict("planted", A, {}, {}, not violated(A), False, {})
-    return (lambda n: (1, 1)), verify
+    monkeypatch.setitem(theorems._CLAIMS, "planted", ((lambda n: (1, 1)), verify))
+    monkeypatch.setitem(theorems._CORES, "planted", lambda A, n, cap: (not violated(A), False))
 
 
 # Z2xZ2xZ4 has 192 automorphisms against 2 unit scalars: its three-element sets lie in
 # orbits merged by the automorphism tables, and each violating one is expanded
 @pytest.mark.parametrize("g", [GroupSpec((12,)), GroupSpec((2, 2, 4))], ids=GroupSpec.label)
 def test_planted_violations_are_the_least_masks_in_order(monkeypatch, g):
-    monkeypatch.setitem(theorems._CLAIMS, "planted", _planted(lambda A: A.card == 3))
+    _plant(monkeypatch, lambda A: A.card == 3)
     s = sweep_claim("planted", g)
     least = list(islice((m for m in range(1, 1 << g.order) if m.bit_count() == 3), 32))
     assert s.violations == tuple(str(GSet.from_mask(g, m)) for m in least)
@@ -390,8 +401,7 @@ def test_planted_violations_are_the_least_masks_in_order(monkeypatch, g):
 )
 def test_planted_short_violation_list_matches_the_oracle(monkeypatch, moduli, cosets):
     # the two-element cosets: one per subgroup of order 2 and translate
-    entry = _planted(lambda A: A.card == 2 and is_coset(A) is not None)
-    monkeypatch.setitem(theorems._CLAIMS, "planted", entry)
+    _plant(monkeypatch, lambda A: A.card == 2 and is_coset(A) is not None)
     g = GroupSpec(moduli)
     s = sweep_claim("planted", g)
     assert s.counts[VIOLATED] == cosets and len(s.violations) == min(cosets, 32)
@@ -401,7 +411,7 @@ def test_planted_short_violation_list_matches_the_oracle(monkeypatch, moduli, co
 def test_planted_sampled_violations_are_listed_in_draw_order(monkeypatch):
     # the sets of odd size violate: a sample lists the first 32 it draws, unsorted,
     # and counts every violating draw
-    monkeypatch.setitem(theorems._CLAIMS, "planted", _planted(lambda A: A.card % 2 == 1))
+    _plant(monkeypatch, lambda A: A.card % 2 == 1)
     g = GroupSpec((16,))
     rng = Random(3)
     odd = [m for m in (rng.randrange(1, 1 << 16) for _ in range(200)) if m.bit_count() % 2]
