@@ -190,6 +190,11 @@ class Campaign:
             raise ValueError("campaign needs exactly one of group= or ints=")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        ends = dict(zip(("ints[0]", "ints[1]"), self.ints or ()))
+        bounds = {"min_size": self.min_size, "max_size": self.max_size, **ends, "group_cap": self.group_cap,
+                  "width_cap": self.width_cap}
+        if bad := [k for k, v in bounds.items() if not hasattr(type(v), "__index__") and (k, v) != ("max_size", None)]:
+            raise TypeError(f"{bad[0]} must be an integer, got {bounds[bad[0]]!r}")
         if self.min_size < 1:
             raise ValueError(f"min_size must be >= 1, got {self.min_size}")
         if self.max_size is not None and self.max_size < self.min_size:

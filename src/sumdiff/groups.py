@@ -109,8 +109,8 @@ class GroupSpec:
             )
         idx = 0
         for n, c in zip(reversed(self.moduli), reversed(digits)):
-            if not 0 <= c < n:
-                raise InvalidElementError(f"residue {c} out of range for modulus {n}")
+            if not isinstance(c, int) or not 0 <= c < n:
+                raise InvalidElementError(f"residue {c!r} out of range for modulus {n}")
             idx = idx * n + c
         return idx
 

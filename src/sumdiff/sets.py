@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import EmptySetError, GroupMismatchError, InvalidElementError
@@ -63,7 +64,7 @@ class GSet:
         return iter(iter_bits(self.mask))
 
     def __contains__(self, a: int) -> bool:
-        return 0 <= a < self.group.order and (self.mask >> a) & 1 == 1
+        return isinstance(a, int) and 0 <= a < self.group.order and (self.mask >> a) & 1 == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GSet):
@@ -172,7 +173,10 @@ def embed_integer_set(s: Iterable[int], n: int, m: int) -> tuple[GroupSpec, GSet
     integer interval of length (n'+m') * (max-min) < M, so reduction mod M is
     injective on it and all cardinalities match the integer computation.
     """
-    pts = sorted({int(v) for v in s})
+    s = tuple(s)
+    if bad := [v for v in s if not hasattr(type(v), "__index__")]:  # int() would read "3" as 3 and 1.5 as 1
+        raise TypeError(f"integer set element {bad[0]!r} is not an integer")
+    pts = sorted(set(map(index, s)))
     if not pts:
         raise EmptySetError("cannot embed an empty integer set")
     if n < 0 or m < 0 or n + m == 0:

@@ -103,6 +103,8 @@ def test_invalid_elements():
         ((6,), (6,), "residue 6 out of range for modulus 6"),
         ((2, 3), (1, 3), "residue 3 out of range for modulus 3"),
         ((2, 3), (-1, 0), "residue -1 out of range for modulus 2"),
+        ((6,), (1.5,), "residue 1.5 out of range for modulus 6"),
+        ((2, 3), (1, 0.5), "residue 0.5 out of range for modulus 3"),
     ],
 )
 def test_encode_rejects_bad_residues(moduli, digits, message):

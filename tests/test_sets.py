@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,13 @@ def test_embed_errors():
         embed_integer_set([1], 0, 0)
 
 
+@pytest.mark.parametrize("bad", ["3", 1.5, 2.0, None])
+def test_embed_refuses_a_non_integer(bad):
+    # int() would read "3" as 3 and 1.5 as 1, embedding a set the caller never gave
+    with pytest.raises(TypeError, match=f"^integer set element {re.escape(repr(bad))} is not an integer$"):
+        embed_integer_set([bad, 1], 1, 1)
+
+
 def test_embed_fidelity_random():
     rng = random.Random(29)
     for _ in range(200):
@@ -229,6 +237,7 @@ def test_gset_basics():
     a = GSet(g, [3, 0, 1])
     assert str(a) == "0,1,3@Z8"
     assert list(a) == [0, 1, 3] and len(a) == 3 and 3 in a and 5 not in a
+    assert not any(x in a for x in (-1, 8, 1.0, 1.5, "a", None))  # a GSet holds only ints 0..N-1
     assert a == GSet.from_mask(g, 0b1011) and hash(a) == hash(GSet(g, [0, 1, 3]))
     assert (a + a).elements() == (0, 1, 2, 3, 4, 6)
     assert (-a).elements() == (0, 5, 7)
