@@ -194,13 +194,9 @@ def test_embed_errors():
         embed_integer_set([], 1, 1)
     with pytest.raises(ValueError):
         embed_integer_set([1], 0, 0)
-
-
-@pytest.mark.parametrize("bad", ["3", 1.5, 2.0, None])
-def test_embed_refuses_a_non_integer(bad):
-    # int() would read "3" as 3 and 1.5 as 1, embedding a set the caller never gave
-    with pytest.raises(TypeError, match=f"^integer set element {re.escape(repr(bad))} is not an integer$"):
-        embed_integer_set([bad, 1], 1, 1)
+    for bad in ("3", 1.5, 2.0, None):  # int() would read "3" as 3 and 1.5 as 1
+        with pytest.raises(TypeError, match=f"^integer set element {re.escape(repr(bad))} is not an integer$"):
+            embed_integer_set([bad, 1], 1, 1)
 
 
 def test_embed_fidelity_random():
