@@ -137,7 +137,8 @@ def check_fact1(A: GSet) -> Verdict:
     ok, tight, (a, s, d, coset) = _sized(A, "fact1")
     details = {"sigma_is_one": s == a, "delta_is_one": d == a, "coset": coset is not None}
     if coset is not None:
-        details |= {"subgroup": coset[0], "representative": coset[1]}
+        details["subgroup"] = coset[0]
+        details["representative"] = coset[1]
     return _verdict("fact1", A, *_measures(a, s, d), ok, tight, details)
 
 
