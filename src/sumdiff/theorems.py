@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from random import Random
@@ -32,7 +33,7 @@ from .explorer import (
 )
 from .groups import GroupSpec, is_coset
 from .petridis import MINIMIZER_CAP, find_minimizer
-from .ruzsa import build_injection, build_witness_table, check_surjective, verify_injective
+from .ruzsa import build_injection, build_witness_table
 from .sets import GSet, diffset, sumset
 
 __all__ = [
@@ -115,8 +116,8 @@ def _verdict(
 
 
 # claim -> (ok, tight) from |A|, |A+A|, |A-A| and whether A is a coset: the one rule for fact1,
-# ineq1 and thm1, read by _sized for verdicts and sampled sweeps and on the size kernel for
-# exhaustive sweeps. ineq1 is delta <= sigma^2 and sigma <= delta^2; thm1 asks for equality
+# ineq1 and thm1, read by _sized for verdicts and samples of wide groups and on the size kernel
+# for the other sweeps. ineq1 is delta <= sigma^2 and sigma <= delta^2; thm1 asks for equality
 # in one exactly on cosets.
 _SIZE_RULES = {
     "fact1": lambda a, s, d, coset: ((s == a) == (d == a) == coset, s == a),
@@ -149,12 +150,34 @@ def check_inequality(A: GSet) -> Verdict:
     return _verdict("ineq1", A, *_measures(a, s, d), ok, tight, details)
 
 
+# The largest group order whose sets are decided on tables that grow faster than the order: thm2's
+# G x G masks and, in sampled sweeps, the size kernel. Measured in BENCH_37.json.
+_MASK_ORDER = 64
+
+
+@lru_cache(maxsize=8)  # bounded: a sweep binds one group
+def _square(moduli: tuple) -> GroupSpec:
+    return GroupSpec(moduli + moduli)  # G x G, whose element x + N y is the pair (x, y) of G of order N
+
+
+def _image(A: GSet, table) -> int:
+    """How many values the injection (a, w) -> (a + u, a + v), (u, v) w's witness pair in ``table``,
+    takes. It maps A x {w} to the diagonal {(a, a) : a in A} of G x G moved by (u, v), so up to order
+    _MASK_ORDER this is the popcount of the union of those masks; above it, of build_injection's dict."""
+    n = A.group.order
+    if n > _MASK_ORDER:
+        return build_injection(A, table).image
+    gg, diagonal, image = _square(A.group.moduli), sum(1 << x * (n + 1) for x in A), 0
+    for u, v in table.pairs.values():
+        image |= gg.shift_mask(diagonal, u + n * v)
+    return image.bit_count()
+
+
 def _upper(A: GSet) -> tuple:
     """check_upper's decision on integers: (ok, tight, (|A+A|, |A-A|, details))."""
     s, table = _two_a(A).card, build_witness_table(A)
-    a, d = A.card, len(table.pairs)
-    inj = build_injection(A, table)
-    injective, surjective = verify_injective(inj), check_surjective(inj, s)
+    a, d, image = A.card, len(table.pairs), _image(A, table)
+    injective, surjective = image == a * d, image == s * s  # verify_injective's and check_surjective's tests
     coset, upper_tight = s == a and is_coset(A) is not None, d * a == s * s  # a coset a+H has |A+A| = |A|
     details = {"injective": injective, "surjective": surjective, "upper_tight": upper_tight, "coset": coset}
     return injective and d * a <= s * s and upper_tight == coset == surjective, coset, (s, d, details)
@@ -261,8 +284,8 @@ def check_plunnecke(A: GSet, n: int, cap: int = MINIMIZER_CAP) -> Verdict:
 # rebound module attribute (a tracing wrapper, say) is the one that runs.
 # Single sets run these verifiers. Sweeps decide each set by the claim's
 # integer core in _CORES, the decision its check_* verifier builds the
-# Verdict around, except exhaustive fact1, ineq1 and thm1 sweeps, which read
-# _size_kernel and _SIZE_RULES.
+# Verdict around, except fact1, ineq1 and thm1 sweeps of groups up to order
+# _MASK_ORDER (every exhaustive one), which read _size_kernel and _SIZE_RULES.
 _CLAIMS = {
     "fact1": (lambda n: (1, 1), lambda A, n, cap: check_fact1(A)),
     "ineq1": (lambda n: (1, 1), lambda A, n, cap: check_inequality(A)),
@@ -338,10 +361,11 @@ def sweep_claim(
     raises RuntimeError unless the class sizes sum to 2^|g| - 1. It lists the 32 least
     violating masks, ascending; a sample lists the first 32 it draws. An exhaustive
     fact1, ineq1 or thm1 sweep takes translation+negation classes, with no automorphism
-    tables, and reads |A+A| and |A-A| from ``explorer._size_kernel``, with no sumset; the
-    other claims take Aut(g) orbits. Every other sweep, sampled size sweeps included,
-    decides each set by the claim's integer core in ``_CORES``, the decision its check_*
-    verifier builds its Verdict around. No sweep builds a Verdict.
+    tables; the other claims take Aut(g) orbits. A fact1, ineq1 or thm1 sweep reads
+    |A+A| and |A-A| from ``explorer._size_kernel``, with no sumset, unless it samples a
+    group of order above ``_MASK_ORDER``. Every other sweep decides each set by the
+    claim's integer core in ``_CORES``, the decision its check_* verifier builds its
+    Verdict around. No sweep builds a Verdict.
 
     A sweep draws only when ``sample`` is below the 2^|g| - 1 subsets: uniformly,
     with replacement, seeded by ``seed`` (0 if None), and past the group cap.
@@ -353,13 +377,16 @@ def sweep_claim(
     """
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIM_IDS}")
+    ints = {"n": n, "cap": cap, "sample": 1 if sample is None else sample, "seed": 0 if seed is None else seed}
+    if bad := [k for k, v in ints.items() if not hasattr(type(v), "__index__")]:  # Random would seed from "x" or 1.5
+        raise TypeError(f"{bad[0]} must be an integer, got {ints[bad[0]]!r}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample size must be >= 1, got {sample}")
     total_universe = (1 << g.order) - 1
     sampled = sample is not None and sample < total_universe
     top = cap if claim in ("thm3", "thm5") else g.order  # the most elements a verdict can take
-    # a sampled sweep's group may have any order, and the kernel's tables grow with it
-    rule, core = None if sampled else _SIZE_RULES.get(claim), _CORES[claim]
+    # a sampled sweep's group may have any order, and the kernel's tables grow faster than it
+    rule, core = None if sampled and g.order > _MASK_ORDER else _SIZE_RULES.get(claim), _CORES[claim]
     if sampled:
         if top < 1:  # no set of at most cap elements to draw
             raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")

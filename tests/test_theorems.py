@@ -1,4 +1,5 @@
 import gc
+import json
 import re
 import sys
 import weakref
@@ -21,6 +22,7 @@ from sumdiff import (
     GroupSpec,
     GSet,
     build_injection,
+    build_witness_table,
     check_fact1,
     check_inequality,
     check_lower_chain,
@@ -28,7 +30,9 @@ from sumdiff import (
     check_plunnecke,
     check_surjective,
     check_upper,
+    cli,
     diffset,
+    enumerate_subgroups,
     explorer,
     is_coset,
     run_claim,
@@ -87,17 +91,90 @@ def test_upper_examples():
     assert v.outcome == HOLDS and v.details["injective"] and not v.details["surjective"]
 
 
-@pytest.mark.parametrize(
-    "moduli", [(n,) for n in range(1, 9)] + [(2, 2), (2, 4), (3, 3), (2, 2, 2)], ids=lambda m: GroupSpec(m).label()
-)
+def _upper_agrees_with_the_injection(A):
+    # the image that thm2 counts on G x G masks is the one build_injection's dict takes; "coset"
+    # is decided by is_coset only where |A+A| = |A|; it must agree with is_coset everywhere
+    v, inj = check_upper(A), build_injection(A)
+    assert theorems._image(A, build_witness_table(A)) == inj.image, A
+    assert v.details["injective"] == verify_injective(inj), A
+    assert v.details["surjective"] == check_surjective(inj), A
+    assert v.sizes["AmA"] == diffset(A, A).card, A
+    assert v.details["coset"] == (is_coset(A) is not None), A
+
+
+# every abelian group of order <= 12, Z12 and Z2xZ6 in two spellings each
+SMALL_GROUPS = [(n,) for n in range(1, 13)] + [(2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (3, 4), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("moduli", SMALL_GROUPS, ids=lambda m: GroupSpec(m).label())
 def test_upper_agrees_with_the_public_ruzsa_functions(moduli):
-    # "coset" is decided by is_coset only where |A+A| = |A|; it must agree with is_coset everywhere
     for A in subsets(GroupSpec(moduli)):
-        v, inj = check_upper(A), build_injection(A)
-        assert v.details["injective"] == verify_injective(inj), A
-        assert v.details["surjective"] == check_surjective(inj), A
-        assert v.sizes["AmA"] == diffset(A, A).card, A
-        assert v.details["coset"] == (is_coset(A) is not None), A
+        _upper_agrees_with_the_injection(A)
+
+
+@pytest.mark.parametrize("moduli", [(24,), (2, 12), (3, 8)], ids=lambda m: GroupSpec(m).label())
+def test_upper_agrees_with_the_public_ruzsa_functions_on_drawn_sets(moduli):
+    g, rng = GroupSpec(moduli), Random(11)
+    for _ in range(3000):
+        _upper_agrees_with_the_injection(GSet.from_mask(g, rng.randrange(1, 1 << g.order)))
+
+
+@pytest.mark.parametrize("moduli", [(64,), (2, 32), (65,), (2, 33)], ids=lambda m: GroupSpec(m).label())
+def test_upper_counts_the_same_image_on_masks_and_on_the_dict(monkeypatch, moduli):
+    # at the order bound thm2 counts its image on G x G masks, just above it on build_injection's
+    # dict; forced either way, _upper returns the same tuple
+    g, rng, built, injection = GroupSpec(moduli), Random(12), [], theorems.build_injection
+    monkeypatch.setattr(theorems, "build_injection", lambda *a: built.append(a) or injection(*a))
+    drawn = [GSet(g, rng.sample(range(g.order), rng.randrange(1, 17))) for _ in range(300)]
+    drawn += [GSet.from_mask(g, m) for m in (1, 3, g.full_mask, *(h.mask for h in enumerate_subgroups(g)))]
+    ups = [theorems._upper(A) for A in drawn]
+    assert bool(built) == (g.order > theorems._MASK_ORDER == 64)
+    for bound in (0, g.order):
+        monkeypatch.setattr(theorems, "_MASK_ORDER", bound)
+        assert [theorems._upper(A) for A in drawn] == ups, bound
+
+
+@pytest.mark.parametrize("moduli", [(12,), (2, 6)], ids=["Z12", "Z2xZ6"])
+def test_a_witness_pair_off_its_difference_breaks_injectivity_on_both_paths(monkeypatch, capsys, moduli):
+    # the largest difference w takes a pair (x, x) of members, with u - v = 0 != w. Its moved
+    # diagonal then meets the one of 0's pair (a0, a0) in |A & (A + x - a0)| points, the image
+    # count both paths must report. On the two-element sets x = a0, which loses |A| points; on
+    # {0, 1, 3} in Z12, x = 1 loses one
+    table = theorems.build_witness_table
+
+    def off_pair(A, x):
+        t = table(A)
+        *_, w = t.pairs
+        return replace(t, pairs=t.pairs | {w: (x, x)})
+
+    g, lossy = GroupSpec(moduli), [gs(moduli, [0, 1, 3])]
+    clean = sweep_claim("thm2", g).counts
+    monkeypatch.setattr(
+        theorems, "build_witness_table",
+        lambda A: off_pair(A, min(A)) if A.card == 2 else off_pair(A, 1) if A in lossy else table(A),
+    )
+    pairs = [m for m in range(1, 1 << g.order) if m.bit_count() == 2]
+    cosets = sum(is_coset(GSet.from_mask(g, m)) is not None for m in pairs)
+    counts = {HOLDS: clean[HOLDS] - len(pairs) + cosets, EQUALITY: clean[EQUALITY] - cosets, VIOLATED: len(pairs)}
+    A = lossy[0]
+    lost = (A.mask & g.shift_mask(A.mask, 1)).bit_count()
+    assert lost == (1 if moduli == (12,) else 2)
+    bounds = (theorems._MASK_ORDER, 0)  # the G x G masks, then build_injection's dict
+    for bound in bounds:
+        monkeypatch.setattr(theorems, "_MASK_ORDER", bound)
+        assert theorems._image(A, off_pair(A, 1)) == 3 * diffset(A, A).card - lost, bound
+        assert not check_upper(A).details["injective"], bound
+        for m in pairs:
+            B = GSet.from_mask(g, m)
+            assert theorems._image(B, off_pair(B, min(B))) == 2 * diffset(B, B).card - 2, (bound, m)
+            assert not check_upper(B).details["injective"], (bound, m)
+    lossy.clear()  # the sweeps meet only the two-element faults, which every automorphism keeps
+    for bound in bounds:
+        monkeypatch.setattr(theorems, "_MASK_ORDER", bound)
+        assert check_upper(A).details["injective"], bound
+        assert cli.main(["check", "thm2", "--sweep", g.label(), "--format", "json"]) == 3, bound
+        s = json.loads(capsys.readouterr().out)
+        assert s["counts"] == counts and s["violations"] == [str(GSet.from_mask(g, m)) for m in pairs[:32]], bound
 
 
 def test_main_theorem_examples():
@@ -221,6 +298,11 @@ def test_sweep_summary_and_caps():
     for bad in (0, -4):
         with pytest.raises(ValueError):
             sweep_claim("thm1", GroupSpec((9,)), sample=bad)
+    # non-integers are refused by name: int() would read 2.5 as 2, and Random would seed from "x"
+    for field, bad in [("sample", 2.5), ("seed", "x"), ("seed", 1.5), ("n", 2.0), ("cap", 2.5), ("n", None)]:
+        for claim in ("fact1", "thm5"):
+            with pytest.raises(TypeError, match=f"^{field} must be an integer, got {re.escape(repr(bad))}$"):
+                sweep_claim(claim, GroupSpec((64,)), **{"sample": 5, field: bad})
 
 
 def test_verdicts_keep_no_group_alive():
@@ -550,19 +632,23 @@ def test_exhaustive_size_sweeps_build_no_sumset(monkeypatch):
     assert calls
 
 
-def test_only_exhaustive_size_sweeps_build_the_kernel(monkeypatch):
+def test_only_size_sweeps_up_to_the_mask_order_build_the_kernel(monkeypatch):
+    # the kernel's tables grow faster than the order, and a sample may take any order
     built, kernel = [], theorems._size_kernel
     monkeypatch.setattr(theorems, "_size_kernel", lambda *a: built.append(a) or kernel(*a))
     for claim in ("thm2", "thm3", "thm5"):
         sweep_claim(claim, GroupSpec((2, 3)))
-    for claim in theorems.CLAIM_IDS:
-        sweep_claim(claim, GroupSpec((64,)), sample=3, cap=8)  # a sample may take any order
         sweep_claim(claim, GroupSpec((6,)), sample=62)
+    for claim in theorems.CLAIM_IDS:
+        sweep_claim(claim, GroupSpec((65,)), sample=3, cap=8)
+        sweep_claim(claim, GroupSpec((2, 33)), sample=3, cap=8)
         run_claim(claim, gs((6,), [0, 1, 3]))
-    assert built == []
+    assert built == [] and theorems._MASK_ORDER == 64
     for claim in SIZE_CLAIMS:
         sweep_claim(claim, GroupSpec((2, 3)))
-    assert built == [((2, 3), 6)] * 3
+        sweep_claim(claim, GroupSpec((6,)), sample=62)
+        sweep_claim(claim, GroupSpec((2, 32)), sample=3)
+    assert built == [((2, 3), 6), ((6,), 6), ((2, 32), 64)] * 3
 
 
 @pytest.mark.parametrize("claim", theorems.CLAIM_IDS)
