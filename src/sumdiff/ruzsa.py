@@ -54,11 +54,11 @@ def build_witness_table(A: GSet) -> WitnessTable:
     if not A.card:
         raise EmptySetError("witness table needs a non-empty set")
     g = A.group
-    pairs = {}
+    pairs, add, neg = {}, g.add, g.scale_table(-1)
     for w in diffset(A, A):
         both = A.mask & g.shift_mask(A.mask, w)
         u = (both & -both).bit_length() - 1
-        pairs[w] = (u, g.add(u, g.neg(w)))
+        pairs[w] = (u, add(u, neg[w]))
     return WitnessTable(A, pairs)
 
 
