@@ -57,6 +57,9 @@ HOLDS = "holds"
 EQUALITY = "equality-case"
 VIOLATED = "violated"
 DEFAULT_N = 2  # thm5's iterated-sum exponent n when none is given
+# the largest group order whose sets are decided on tables that grow faster than the order: thm2's
+# G x G image masks and the size kernel in sampled sweeps (BENCH_37.json)
+_MASK_ORDER = 64
 
 @dataclass(frozen=True)
 class Verdict:
@@ -148,11 +151,6 @@ def check_inequality(A: GSet) -> Verdict:
     ok, tight, (a, s, d, _) = _sized(A, "ineq1")
     details = {"upper_tight": d * a == s * s, "lower_tight": s * a == d * d}
     return _verdict("ineq1", A, *_measures(a, s, d), ok, tight, details)
-
-
-# The largest group order whose sets are decided on tables that grow faster than the order: thm2's
-# G x G masks and, in sampled sweeps, the size kernel. Measured in BENCH_37.json.
-_MASK_ORDER = 64
 
 
 @lru_cache(maxsize=8)  # bounded: a sweep binds one group
