@@ -22,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from random import Random
@@ -33,7 +32,7 @@ from .explorer import (
 )
 from .groups import GroupSpec, is_coset
 from .petridis import MINIMIZER_CAP, find_minimizer
-from .ruzsa import build_injection, build_witness_table
+from .ruzsa import build_witness_table
 from .sets import GSet, diffset, sumset
 
 __all__ = [
@@ -57,9 +56,9 @@ HOLDS = "holds"
 EQUALITY = "equality-case"
 VIOLATED = "violated"
 DEFAULT_N = 2  # thm5's iterated-sum exponent n when none is given
-# the largest group order whose sets are decided on tables that grow faster than the order: thm2's
-# G x G image masks and the size kernel in sampled sweeps (BENCH_37.json)
-_MASK_ORDER = 64
+# the largest group order whose sampled fact1, ineq1 and thm1 sweeps read the size kernel, whose
+# tables grow with the square of the order: 2.6 MB at most up to order 64, 17 MB for Z2^7 (BENCH_37.json)
+_KERNEL_ORDER = 64
 
 @dataclass(frozen=True)
 class Verdict:
@@ -153,22 +152,17 @@ def check_inequality(A: GSet) -> Verdict:
     return _verdict("ineq1", A, *_measures(a, s, d), ok, tight, details)
 
 
-@lru_cache(maxsize=8)  # bounded: a sweep binds one group
-def _square(moduli: tuple) -> GroupSpec:
-    return GroupSpec(moduli + moduli)  # G x G, whose element x + N y is the pair (x, y) of G of order N
-
-
 def _image(A: GSet, table) -> int:
     """How many values the injection (a, w) -> (a + u, a + v), (u, v) w's witness pair in ``table``,
-    takes. It maps A x {w} to the diagonal {(a, a) : a in A} of G x G moved by (u, v), so up to order
-    _MASK_ORDER this is the popcount of the union of those masks; above it, of build_injection's dict."""
-    n = A.group.order
-    if n > _MASK_ORDER:
-        return build_injection(A, table).image
-    gg, diagonal, image = _square(A.group.moduli), sum(1 << x * (n + 1) for x in A), 0
+    takes. It maps A x {w} to the diagonal {(a, a) : a in A} of G x G moved by (u, v), which lies on
+    the line x - y = u - v; diagonals on different lines never meet, and on one line they are the
+    translates A + u of its first coordinates, so the image is the sum over lines of |union of A + u|."""
+    g, lines = A.group, {}
+    add, neg, shift = g.add, g.scale_table(-1), g.shift_mask
     for u, v in table.pairs.values():
-        image |= gg.shift_mask(diagonal, u + n * v)
-    return image.bit_count()
+        c = add(u, neg[v])
+        lines[c] = lines.get(c, 0) | shift(A.mask, u)
+    return sum(m.bit_count() for m in lines.values())
 
 
 def _upper(A: GSet) -> tuple:
@@ -283,7 +277,7 @@ def check_plunnecke(A: GSet, n: int, cap: int = MINIMIZER_CAP) -> Verdict:
 # Single sets run these verifiers. Sweeps decide each set by the claim's
 # integer core in _CORES, the decision its check_* verifier builds the
 # Verdict around, except fact1, ineq1 and thm1 sweeps of groups up to order
-# _MASK_ORDER (every exhaustive one), which read _size_kernel and _SIZE_RULES.
+# _KERNEL_ORDER (every exhaustive one), which read _size_kernel and _SIZE_RULES.
 _CLAIMS = {
     "fact1": (lambda n: (1, 1), lambda A, n, cap: check_fact1(A)),
     "ineq1": (lambda n: (1, 1), lambda A, n, cap: check_inequality(A)),
@@ -361,7 +355,7 @@ def sweep_claim(
     fact1, ineq1 or thm1 sweep takes translation+negation classes, with no automorphism
     tables; the other claims take Aut(g) orbits. A fact1, ineq1 or thm1 sweep reads
     |A+A| and |A-A| from ``explorer._size_kernel``, with no sumset, unless it samples a
-    group of order above ``_MASK_ORDER``. Every other sweep decides each set by the
+    group of order above ``_KERNEL_ORDER``. Every other sweep decides each set by the
     claim's integer core in ``_CORES``, the decision its check_* verifier builds its
     Verdict around. No sweep builds a Verdict.
 
@@ -384,7 +378,7 @@ def sweep_claim(
     sampled = sample is not None and sample < total_universe
     top = cap if claim in ("thm3", "thm5") else g.order  # the most elements a verdict can take
     # a sampled sweep's group may have any order, and the kernel's tables grow faster than it
-    rule, core = None if sampled and g.order > _MASK_ORDER else _SIZE_RULES.get(claim), _CORES[claim]
+    rule, core = None if sampled and g.order > _KERNEL_ORDER else _SIZE_RULES.get(claim), _CORES[claim]
     if sampled:
         if top < 1:  # no set of at most cap elements to draw
             raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")

@@ -318,9 +318,8 @@ def _cases() -> list:
             ["check", claim, "--sweep", "Z64", "--sample", "3000", "--seed", "5"],
             ["check", claim, "--sweep", "Z2xZ32", "--sample", "3000", "--seed", "5", "--format", "json"],
         ]
-    # thm2 on both sides of the order bound of its G x G image masks: groups of order 65 and
-    # 66 (one set a coset), integer literals embedded in Z63 and Z81, and sampled sweeps of
-    # order-64 groups.
+    # thm2's image count on groups of order 64 to 81: single sets of order 65 and 66 (one set
+    # a coset), integer literals embedded in Z63 and Z81, and sampled sweeps of order-64 groups.
     cases += [
         ["check", "thm2", "0,1,3,7,12,20,30,33,41,50,55,62,64@Z65", "--format", "json"],
         ["check", "thm2", "1,14,27,40,53@Z65", "--format", "json"],

@@ -92,7 +92,7 @@ def test_upper_examples():
 
 
 def _upper_agrees_with_the_injection(A):
-    # the image that thm2 counts on G x G masks is the one build_injection's dict takes; "coset"
+    # the image that thm2 counts line by line is the one build_injection's dict takes; "coset"
     # is decided by is_coset only where |A+A| = |A|; it must agree with is_coset everywhere
     v, inj = check_upper(A), build_injection(A)
     assert theorems._image(A, build_witness_table(A)) == inj.image, A
@@ -119,27 +119,21 @@ def test_upper_agrees_with_the_public_ruzsa_functions_on_drawn_sets(moduli):
         _upper_agrees_with_the_injection(GSet.from_mask(g, rng.randrange(1, 1 << g.order)))
 
 
-@pytest.mark.parametrize("moduli", [(64,), (2, 32), (65,), (2, 33)], ids=lambda m: GroupSpec(m).label())
-def test_upper_counts_the_same_image_on_masks_and_on_the_dict(monkeypatch, moduli):
-    # at the order bound thm2 counts its image on G x G masks, just above it on build_injection's
-    # dict; forced either way, _upper returns the same tuple
-    g, rng, built, injection = GroupSpec(moduli), Random(12), [], theorems.build_injection
-    monkeypatch.setattr(theorems, "build_injection", lambda *a: built.append(a) or injection(*a))
+@pytest.mark.parametrize("moduli", [(64,), (2, 32), (65,), (2, 33), (128,)], ids=lambda m: GroupSpec(m).label())
+def test_upper_agrees_with_the_public_ruzsa_functions_on_wide_groups(moduli):
+    # the line count needs no table that grows faster than the order, so it runs at every order
+    g, rng = GroupSpec(moduli), Random(12)
     drawn = [GSet(g, rng.sample(range(g.order), rng.randrange(1, 17))) for _ in range(300)]
-    drawn += [GSet.from_mask(g, m) for m in (1, 3, g.full_mask, *(h.mask for h in enumerate_subgroups(g)))]
-    ups = [theorems._upper(A) for A in drawn]
-    assert bool(built) == (g.order > theorems._MASK_ORDER == 64)
-    for bound in (0, g.order):
-        monkeypatch.setattr(theorems, "_MASK_ORDER", bound)
-        assert [theorems._upper(A) for A in drawn] == ups, bound
+    for A in drawn + [GSet.from_mask(g, m) for m in (1, 3, g.full_mask, *(h.mask for h in enumerate_subgroups(g)))]:
+        _upper_agrees_with_the_injection(A)
 
 
 @pytest.mark.parametrize("moduli", [(12,), (2, 6)], ids=["Z12", "Z2xZ6"])
-def test_a_witness_pair_off_its_difference_breaks_injectivity_on_both_paths(monkeypatch, capsys, moduli):
+def test_a_witness_pair_off_its_difference_breaks_injectivity(monkeypatch, capsys, moduli):
     # the largest difference w takes a pair (x, x) of members, with u - v = 0 != w. Its moved
     # diagonal then meets the one of 0's pair (a0, a0) in |A & (A + x - a0)| points, the image
-    # count both paths must report. On the two-element sets x = a0, which loses |A| points; on
-    # {0, 1, 3} in Z12, x = 1 loses one
+    # count that the line count and build_injection's dict must both report. On the two-element
+    # sets x = a0, which loses |A| points; on {0, 1, 3} in Z12, x = 1 loses one
     table = theorems.build_witness_table
 
     def off_pair(A, x):
@@ -159,22 +153,16 @@ def test_a_witness_pair_off_its_difference_breaks_injectivity_on_both_paths(monk
     A = lossy[0]
     lost = (A.mask & g.shift_mask(A.mask, 1)).bit_count()
     assert lost == (1 if moduli == (12,) else 2)
-    bounds = (theorems._MASK_ORDER, 0)  # the G x G masks, then build_injection's dict
-    for bound in bounds:
-        monkeypatch.setattr(theorems, "_MASK_ORDER", bound)
-        assert theorems._image(A, off_pair(A, 1)) == 3 * diffset(A, A).card - lost, bound
-        assert not check_upper(A).details["injective"], bound
-        for m in pairs:
-            B = GSet.from_mask(g, m)
-            assert theorems._image(B, off_pair(B, min(B))) == 2 * diffset(B, B).card - 2, (bound, m)
-            assert not check_upper(B).details["injective"], (bound, m)
+    for B, x, image in [(A, 1, 3 * diffset(A, A).card - lost)] + [
+        (B, min(B), 2 * diffset(B, B).card - 2) for B in (GSet.from_mask(g, m) for m in pairs)
+    ]:
+        assert theorems._image(B, off_pair(B, x)) == build_injection(B, off_pair(B, x)).image == image, B
+        assert not check_upper(B).details["injective"], B
     lossy.clear()  # the sweeps meet only the two-element faults, which every automorphism keeps
-    for bound in bounds:
-        monkeypatch.setattr(theorems, "_MASK_ORDER", bound)
-        assert check_upper(A).details["injective"], bound
-        assert cli.main(["check", "thm2", "--sweep", g.label(), "--format", "json"]) == 3, bound
-        s = json.loads(capsys.readouterr().out)
-        assert s["counts"] == counts and s["violations"] == [str(GSet.from_mask(g, m)) for m in pairs[:32]], bound
+    assert check_upper(A).details["injective"]
+    assert cli.main(["check", "thm2", "--sweep", g.label(), "--format", "json"]) == 3
+    s = json.loads(capsys.readouterr().out)
+    assert s["counts"] == counts and s["violations"] == [str(GSet.from_mask(g, m)) for m in pairs[:32]]
 
 
 def test_main_theorem_examples():
@@ -632,7 +620,7 @@ def test_exhaustive_size_sweeps_build_no_sumset(monkeypatch):
     assert calls
 
 
-def test_only_size_sweeps_up_to_the_mask_order_build_the_kernel(monkeypatch):
+def test_only_size_sweeps_up_to_the_kernel_order_build_the_kernel(monkeypatch):
     # the kernel's tables grow faster than the order, and a sample may take any order
     built, kernel = [], theorems._size_kernel
     monkeypatch.setattr(theorems, "_size_kernel", lambda *a: built.append(a) or kernel(*a))
@@ -643,7 +631,7 @@ def test_only_size_sweeps_up_to_the_mask_order_build_the_kernel(monkeypatch):
         sweep_claim(claim, GroupSpec((65,)), sample=3, cap=8)
         sweep_claim(claim, GroupSpec((2, 33)), sample=3, cap=8)
         run_claim(claim, gs((6,), [0, 1, 3]))
-    assert built == [] and theorems._MASK_ORDER == 64
+    assert built == [] and theorems._KERNEL_ORDER == 64
     for claim in SIZE_CLAIMS:
         sweep_claim(claim, GroupSpec((2, 3)))
         sweep_claim(claim, GroupSpec((6,)), sample=62)
