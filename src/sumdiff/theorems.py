@@ -22,8 +22,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from math import comb
+from operator import or_
 from random import Random
 
 from .errors import CapExceededError, EmptySetError
@@ -156,13 +158,17 @@ def _image(A: GSet, table) -> int:
     """How many values the injection (a, w) -> (a + u, a + v), (u, v) w's witness pair in ``table``,
     takes. It maps A x {w} to the diagonal {(a, a) : a in A} of G x G moved by (u, v), which lies on
     the line x - y = u - v; diagonals on different lines never meet, and on one line they are the
-    translates A + u of its first coordinates, so the image is the sum over lines of |union of A + u|."""
+    translates A + u of its first coordinates, so the image is the sum over lines of |union of A + u|.
+    A correct table puts each pair on a line of its own, worth |A|; only shared lines are shifted,
+    one at a time, so no more than one line's masks are alive."""
     g, lines = A.group, {}
-    add, neg, shift = g.add, g.scale_table(-1), g.shift_mask
+    add, neg = g.add, g.scale_table(-1)
     for u, v in table.pairs.values():
-        c = add(u, neg[v])
-        lines[c] = lines.get(c, 0) | shift(A.mask, u)
-    return sum(m.bit_count() for m in lines.values())
+        lines.setdefault(add(u, neg[v]), []).append(u)
+    return sum(
+        A.card if len(us) == 1 else reduce(or_, [g.shift_mask(A.mask, u) for u in us]).bit_count()
+        for us in lines.values()
+    )
 
 
 def _upper(A: GSet) -> tuple:

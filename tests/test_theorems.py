@@ -2,6 +2,7 @@ import gc
 import json
 import re
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -126,6 +127,25 @@ def test_upper_agrees_with_the_public_ruzsa_functions_on_wide_groups(moduli):
     drawn = [GSet(g, rng.sample(range(g.order), rng.randrange(1, 17))) for _ in range(300)]
     for A in drawn + [GSet.from_mask(g, m) for m in (1, 3, g.full_mask, *(h.mask for h in enumerate_subgroups(g)))]:
         _upper_agrees_with_the_injection(A)
+
+
+def test_the_image_count_keeps_one_line_of_masks_alive():
+    # 20 members of Z200003 have 381 differences, each line a 25 KB translate: a mask kept per
+    # line would hold 9.5 MB. The planted pair (a0, a0) for the last difference shares 0's line
+    g, rng = GroupSpec((200003,)), Random(3)
+    A = GSet(g, rng.sample(range(g.order), 20))
+    table = build_witness_table(A)
+    *_, w = table.pairs
+    planted = replace(table, pairs=table.pairs | {w: (min(A), min(A))})
+    for t, image in ((table, 20 * len(table.pairs)), (planted, 20 * (len(table.pairs) - 1))):
+        assert build_injection(A, t).image == image
+        tracemalloc.start()
+        try:
+            assert theorems._image(A, t) == image
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("moduli", [(12,), (2, 6)], ids=["Z12", "Z2xZ6"])
