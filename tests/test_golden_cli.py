@@ -329,6 +329,18 @@ def _cases() -> list:
         ["check", "thm2", "--sweep", "Z64", "--sample", "3000", "--seed", "5", "--format", "json"],
         ["check", "thm2", "--sweep", "Z2xZ32", "--sample", "3000", "--seed", "5", "--format", "json"],
     ]
+    # Sizes of groups on both sides of the size kernel's table budget: scan windows of Z2^7, Z2^9,
+    # Z256 and an integer window of width 200, and sampled size sweeps of Z128, Z2^7 and Z256.
+    z2_7, z2_9 = "x".join(["Z2"] * 7), "x".join(["Z2"] * 9)
+    cases += [
+        ["scan", "--group", z2_7, "--group-cap", "128", "--range", "1:3000", "--format", "csv", "--threads", "1"],
+        ["scan", "--group", z2_9, "--group-cap", "512", "--range", "1:64", "--format", "csv", "--threads", "1"],
+        ["scan", "--group", "Z256", "--group-cap", "256", "--range", "1:3000", "--format", "csv", "--threads", "1"],
+        ["scan", "--ints", "0..199", "--width-cap", "200", "--range", "1:20000", "--format", "csv", "--threads", "1"],
+        ["check", "fact1", "--sweep", "Z128", "--sample", "2000", "--seed", "3", "--format", "json"],
+        ["check", "thm1", "--sweep", z2_7, "--sample", "2000", "--seed", "3", "--format", "json"],
+        ["check", "ineq1", "--sweep", "Z256", "--sample", "500", "--seed", "3", "--format", "json"],
+    ]
     return cases
 
 
