@@ -27,7 +27,7 @@ from typing import Iterator
 from ._version import VERSION
 from .errors import CapExceededError
 from .groups import GroupSpec, _prefix_unions, iter_bits, is_coset
-from .sets import GSet
+from .sets import GSet, diffset, sumset
 
 __all__ = [
     "MODE_NONE",
@@ -56,6 +56,7 @@ MODES = (MODE_NONE, MODE_TRANSLATION, MODE_TRANSLATION_NEGATION, MODE_FULL_AFFIN
 
 # Best known lower bound for the exponent C in sigma <= delta^C.
 PENMAN_WELLS_EXPONENT = math.log(32 / 5) / math.log(26 / 5)  # = 1.12594...
+_KERNEL_BUDGET = 4 << 20  # bytes of size kernel tables: all groups of order <= 64 fit, Z2^6 at 2.6 MiB (BENCH_38.json)
 
 CSV_COLUMNS = (
     "group",
@@ -406,7 +407,7 @@ def _block_necklaces(campaign: Campaign, keep: bytes, lo: int, hi_mask: int) -> 
     b, top, orbit, shifts = sub.order, keep.rfind(1), g.order << neg, range(1, sub.order)
     a, fore, back = [0] * m, [()] * m, [()] * m  # the word, and its symbols' images by h
 
-    @lru_cache(maxsize=None)  # bounded by the symbols the walk meets
+    @lru_cache(maxsize=1 << 12)  # bounded: a window over the last block meets up to 2^b symbols
     def symbol(x: int) -> tuple:  # x's images by h and by x -> h - x, the least of each, and |x|
         row, flip = sub.translates(x), sub.translates(sub.neg_mask(x)) if neg else ()
         return row, flip, min(row), min(flip, default=1 << b), x.bit_count()
@@ -474,10 +475,19 @@ def enumerate_canonical(campaign: Campaign):
 # -- records -----------------------------------------------------------------
 
 
+def _size_kernel(g: GroupSpec, width: int):
+    """``sizes(mask) -> (|A+A|, |A-A|)`` for A with this mask, below bit ``width``, in ``g``: ``_kernel``'s if its
+    tables fit in ``_KERNEL_BUDGET``, else sumset's and diffset's on ``g`` itself, which no cache keeps alive."""
+    span, w = math.prod(2 * m - 1 for m in g.moduli), g.order.bit_length() + 1  # a table int: gap + place[-1] fields
+    if -(-width // 8) * 256 * ((span + span // (2 * g.moduli[-1] - 1) + span // 2) * w // 8) > _KERNEL_BUDGET:
+        return lambda mask: (sumset(A := GSet.from_mask(g, mask), A).card, diffset(A, A).card)
+    return _kernel(g.moduli, width)
+
+
 @lru_cache(maxsize=8)  # bounded: a scan binds one kernel
-def _size_kernel(moduli: tuple, width: int):
-    """``sizes(mask) -> (|A+A|, |A-A|)`` for the set A with this mask in Z_{n_1} x ... x Z_{n_k};
-    only the table rows of masks below bit ``width`` are built. Element i, with digits d_j, goes
+def _kernel(moduli: tuple, width: int):
+    """The size kernel of Z_{n_1} x ... x Z_{n_k}; only the table rows of masks below bit ``width``,
+    256 ints per mask byte, are built. Element i, with digits d_j, goes
     to the w-bit field at place sum d_j S_j, S_j = prod_{l<j} (2 n_l - 1), so no digit sum carries.
     rev(A) = (N-1) - A is a translate of -A, at mirrored places, so one product of A's spread with
     A's plus rev(A)'s (placed G = 2 n_k S_k fields up) counts the pairs of A+A below G and of A-A
@@ -517,10 +527,10 @@ _RECORD_SLOTS = tuple(SearchRecord.__dict__[f.name].__set__ for f in fields(Sear
 
 
 def _recorder(campaign: Campaign):
-    """``record(mask, orbit_size)``, the set's SearchRecord, with the size kernel, label and window
+    """``record(mask, orbit_size)``, the set's SearchRecord, with ``_size_kernel``'s sizes, label and window
     offset bound once. A window of width W lives in Z_{2W-1}, where no sum or difference wraps."""
     g, n = campaign.group, campaign.width()
-    sizes = _size_kernel(g.moduli if g else (2 * n - 1,), n)
+    sizes = _size_kernel(g or GroupSpec((2 * n - 1,)), n)
     label, lo = (g.label(), 0) if g else ("Z", campaign.ints[0])
     new, (set_group, set_elements, set_card, set_sum, set_diff, set_coset, set_orbit) = object.__new__, _RECORD_SLOTS
 
@@ -639,10 +649,15 @@ def scan(
     describe the raw universe. ``mask_range`` restricts to a half-open window
     of representative masks for resumable partitioning (HI is clamped to 2^N;
     LO past HI or at 2^N and up is a ValueError). Every scan is one stream from
-    ``_canonical_masks`` in this process; ``threads`` is accepted and does not
+    ``_canonical_masks`` in this process; ``threads``, an int >= 1, does not
     change it. A full-range scan checks that its orbits cover its sizes.
     """
     campaign.validate()
+    ints = {"threads": threads, **dict(zip(("mask_range[0]", "mask_range[1]"), mask_range or ()))}
+    if bad := [k for k, v in ints.items() if not hasattr(type(v), "__index__")]:  # a float LO would scan
+        raise TypeError(f"{bad[0]} must be an integer, got {ints[bad[0]]!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     n = campaign.width()
     lo, hi = mask_range or (1, 1 << n)
     if hi < lo:

@@ -58,9 +58,6 @@ HOLDS = "holds"
 EQUALITY = "equality-case"
 VIOLATED = "violated"
 DEFAULT_N = 2  # thm5's iterated-sum exponent n when none is given
-# the largest group order whose sampled fact1, ineq1 and thm1 sweeps read the size kernel, whose
-# tables grow with the square of the order: 2.6 MB at most up to order 64, 17 MB for Z2^7 (BENCH_37.json)
-_KERNEL_ORDER = 64
 
 @dataclass(frozen=True)
 class Verdict:
@@ -120,9 +117,8 @@ def _verdict(
 
 
 # claim -> (ok, tight) from |A|, |A+A|, |A-A| and whether A is a coset: the one rule for fact1,
-# ineq1 and thm1, read by _sized for verdicts and samples of wide groups and on the size kernel
-# for the other sweeps. ineq1 is delta <= sigma^2 and sigma <= delta^2; thm1 asks for equality
-# in one exactly on cosets.
+# ineq1 and thm1, read by _sized for verdicts and on explorer._size_kernel's sizes for sweeps.
+# ineq1 is delta <= sigma^2 and sigma <= delta^2; thm1 asks for equality in one exactly on cosets.
 _SIZE_RULES = {
     "fact1": lambda a, s, d, coset: ((s == a) == (d == a) == coset, s == a),
     "ineq1": lambda a, s, d, coset: (d * a <= s * s and s * a <= d * d, d * a == s * s or s * a == d * d),
@@ -277,13 +273,10 @@ def check_plunnecke(A: GSet, n: int, cap: int = MINIMIZER_CAP) -> Verdict:
     )
 
 
-# claim id -> (integer-mode embedding arity for a given n, verifier). The
-# verifiers look their check_* function up by name on each call, so a
-# rebound module attribute (a tracing wrapper, say) is the one that runs.
-# Single sets run these verifiers. Sweeps decide each set by the claim's
-# integer core in _CORES, the decision its check_* verifier builds the
-# Verdict around, except fact1, ineq1 and thm1 sweeps of groups up to order
-# _KERNEL_ORDER (every exhaustive one), which read _size_kernel and _SIZE_RULES.
+# claim id -> (integer-mode embedding arity for a given n, verifier). The verifiers look their check_*
+# function up by name on each call, so a rebound module attribute (a tracing wrapper, say) is the one that
+# runs. Single sets run these verifiers; sweeps decide each set by its _SIZE_RULES rule on the sizes of
+# explorer._size_kernel, or else by its integer core in _CORES, the decision its check_* verifier makes.
 _CLAIMS = {
     "fact1": (lambda n: (1, 1), lambda A, n, cap: check_fact1(A)),
     "ineq1": (lambda n: (1, 1), lambda A, n, cap: check_inequality(A)),
@@ -294,9 +287,6 @@ _CLAIMS = {
 }
 CLAIM_IDS = tuple(_CLAIMS)
 _CORES = {
-    "fact1": lambda A, n, cap: _sized(A, "fact1"),
-    "ineq1": lambda A, n, cap: _sized(A, "ineq1"),
-    "thm1": lambda A, n, cap: _sized(A, "thm1"),
     "thm2": lambda A, n, cap: _upper(A),
     "thm3": lambda A, n, cap: _lower_chain(A, cap),
     "thm5": lambda A, n, cap: _plunnecke(A, n, cap),
@@ -359,11 +349,11 @@ def sweep_claim(
     raises RuntimeError unless the class sizes sum to 2^|g| - 1. It lists the 32 least
     violating masks, ascending; a sample lists the first 32 it draws. An exhaustive
     fact1, ineq1 or thm1 sweep takes translation+negation classes, with no automorphism
-    tables; the other claims take Aut(g) orbits. A fact1, ineq1 or thm1 sweep reads
-    |A+A| and |A-A| from ``explorer._size_kernel``, with no sumset, unless it samples a
-    group of order above ``_KERNEL_ORDER``. Every other sweep decides each set by the
-    claim's integer core in ``_CORES``, the decision its check_* verifier builds its
-    Verdict around. No sweep builds a Verdict.
+    tables; the other claims take Aut(g) orbits. A fact1, ineq1 or thm1 sweep decides
+    each set by the claim's ``_SIZE_RULES`` entry on the sizes ``explorer._size_kernel``
+    returns for ``g``, which alone chooses between its tables and sumsets. Every other
+    sweep decides each set by the claim's integer core in ``_CORES``, the decision its
+    check_* verifier builds its Verdict around. No sweep builds a Verdict.
 
     A sweep draws only when ``sample`` is below the 2^|g| - 1 subsets: uniformly,
     with replacement, seeded by ``seed`` (0 if None), and past the group cap.
@@ -383,8 +373,7 @@ def sweep_claim(
     total_universe = (1 << g.order) - 1
     sampled = sample is not None and sample < total_universe
     top = cap if claim in ("thm3", "thm5") else g.order  # the most elements a verdict can take
-    # a sampled sweep's group may have any order, and the kernel's tables grow faster than it
-    rule, core = None if sampled and g.order > _KERNEL_ORDER else _SIZE_RULES.get(claim), _CORES[claim]
+    rule, core = _SIZE_RULES.get(claim), _CORES.get(claim)
     if sampled:
         if top < 1:  # no set of at most cap elements to draw
             raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
@@ -404,7 +393,7 @@ def sweep_claim(
             raise CapExceededError(f"exhaustive sweep of {g.label()} covers {total_universe} masks, above 2^30")
         maps = () if rule else g.automorphisms()  # with the unit scalars of full-affine mode, all of Aut(g)
         weighted = _canonical_masks(campaign, 1, total_universe + 1, maps)
-    sizes = rule and _size_kernel(g.moduli, g.order)
+    sizes = rule and _size_kernel(g, g.order)
     counts = {HOLDS: 0, EQUALITY: 0, VIOLATED: 0}
     violations = []  # masks
     for mask, weight in weighted:

@@ -653,6 +653,17 @@ def test_a_window_of_an_order_64_product_costs_its_own_share(moduli, mode):
     assert (code, err) == (0, "") and out == buf.getvalue() and peak_mb < 300
 
 
+@pytest.mark.parametrize("rank, window, lines, limit_mb", [(9, "1:64", 30, 100), (7, "1:100000", 38800, 300)],
+                         ids=["Z2^9", "Z2^7"])
+def test_a_scan_past_the_kernel_budget_runs_in_bounded_memory(rank, window, lines, limit_mb):
+    # the size kernel's tables would take 775 MiB for Z2^9 and 17.6 MiB for Z2^7, past its budget, so
+    # their records read sumsets on the group; a window over Z2^7's last 2^64 block symbols caches 2^12
+    group = "x".join(["Z2"] * rank)
+    argv = ["scan", "--group", group, "--group-cap", str(1 << rank), "--range", window, "--format", "csv"]
+    code, out, err, peak_mb = _limited_process(argv, 1024)
+    assert (code, err) == (0, "") and out.count("\n") == lines and peak_mb < limit_mb
+
+
 @pytest.mark.parametrize(
     "argv",
     [

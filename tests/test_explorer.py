@@ -3,6 +3,7 @@ import pickle
 import math
 import random
 import re
+import sys
 from itertools import islice
 from fractions import Fraction
 
@@ -138,6 +139,24 @@ def test_campaign_validation():
     ):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             scan(campaign)
+    # scan's own inputs too: mask_range=(1.5, 100) scanned, and threads=0 ran where --threads 0 exits 1
+    z6 = Campaign(group=GroupSpec((6,)))
+    for kwargs, error, message in (
+        ({"mask_range": (1.5, 100)}, TypeError, "mask_range[0] must be an integer, got 1.5"),
+        ({"mask_range": (1, "64")}, TypeError, "mask_range[1] must be an integer, got '64'"),
+        ({"threads": "x"}, TypeError, "threads must be an integer, got 'x'"),
+        ({"threads": 2.5}, TypeError, "threads must be an integer, got 2.5"),
+        ({"threads": 0}, ValueError, "threads must be >= 1, got 0"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            scan(z6, **kwargs)
+    for campaign in (Campaign(ints=(0, 5)), Campaign(group=GroupSpec((3, 5)), mode=MODE_FULL_AFFINE),
+                     Campaign(group=GroupSpec((2, 3)))):  # the window, the walk and the block necklaces
+        with pytest.raises(TypeError, match=r"^mask_range\[0\] must be an integer, got 1.5$"):
+            scan(campaign, mask_range=(1.5, 100))
+    with pytest.raises(ValueError, match="^threads must be >= 1, got 0$"):
+        find_mstd(group=GroupSpec((6,)), threads=0)
+    assert scan(z6, threads=1) == scan(z6)
     Campaign(group=GroupSpec((6,)), max_size=None).validate()  # no upper bound
 
 
@@ -544,7 +563,7 @@ KERNEL_GROUPS = [(n,) for n in range(1, 13)] + [(2, 4), (3, 3), (2, 2, 2), (2, 2
 @pytest.mark.parametrize("moduli", KERNEL_GROUPS, ids=lambda m: "x".join(f"Z{n}" for n in m))
 def test_size_kernel_matches_oracles_on_every_mask(moduli):
     g = GroupSpec(moduli)
-    sizes = explorer._size_kernel(moduli, g.order)
+    sizes = explorer._size_kernel(g, g.order)
     for mask in range(1, 1 << g.order):
         A = [x for x in g.elements() if mask >> x & 1]
         assert sizes(mask) == (len(naive_sumset(moduli, A, A)), len(naive_diffset(moduli, A, A))), mask
@@ -570,7 +589,53 @@ def test_size_kernel_counts_the_full_set(universe):
         assert (r.sum_card, r.diff_card) == (2 * universe - 1, 2 * universe - 1)
     else:
         g = GroupSpec(universe)
-        assert explorer._size_kernel(universe, g.order)(g.full_mask) == (g.order, g.order)
+        assert explorer._size_kernel(g, g.order)(g.full_mask) == (g.order, g.order)
+
+
+def _ordered_factorizations(n):
+    """Every tuple of factors >= 2 with product n, in every order."""
+    if n == 1:
+        return [()]
+    return [(d, *rest) for d in range(2, n + 1) if n % d == 0 for rest in _ordered_factorizations(n // d)]
+
+
+def test_every_group_of_order_up_to_64_reads_the_kernel(monkeypatch):
+    built = []
+    monkeypatch.setattr(explorer, "_kernel", lambda *args: built.append(args) or "kernel")
+    groups = [m for n in range(2, 65) for m in _ordered_factorizations(n)] + [(1,), (1, 64), (64, 1), (2, 1, 32)]
+    assert len(groups) == 444 and (2,) * 6 in groups and (3, 3, 7) in groups
+    for moduli in groups:
+        assert explorer._size_kernel(GroupSpec(moduli), math.prod(moduli)) == "kernel", moduli
+    for width in range(1, 33):  # a window of width W lives in Z_{2W-1}, of order at most 63
+        explorer._recorder(Campaign(ints=(0, width - 1), width_cap=32))
+    assert built == [(m, math.prod(m)) for m in groups] + [((2 * w - 1,), w) for w in range(1, 33)]
+
+
+@pytest.mark.parametrize("moduli, fits", [((2,) * 6, True), ((128,), True), ((2,) * 7, False), ((256,), False)],
+                         ids=lambda v: _label(v) if isinstance(v, tuple) else None)
+def test_the_kernel_budget_bounds_the_tables_it_lets_be_built(moduli, fits):
+    # the kernel is chosen exactly when the tables it would build, measured here, fit in the
+    # budget: 2.5 MiB for Z2^6 and 1.6 for Z128 do, 16.3 for Z2^7 and 6.9 for Z256 do not
+    g = GroupSpec(moduli)
+    sizes = explorer._kernel.__wrapped__(moduli, g.order)  # uncached
+    tables = sizes.__closure__[sizes.__code__.co_freevars.index("tables")].cell_contents
+    used = sum(sys.getsizeof(t) + sum(map(sys.getsizeof, t)) for t in tables)
+    assert (used <= explorer._KERNEL_BUDGET) == fits
+    chosen = explorer._size_kernel(g, g.order).__qualname__
+    assert chosen == ("_kernel.<locals>.sizes" if fits else "_size_kernel.<locals>.<lambda>")
+
+
+@pytest.mark.parametrize("moduli", [(2,) * 7, (256,)], ids=_label)
+def test_sizes_past_the_kernel_budget_match_oracles(monkeypatch, moduli):
+    # sumset and diffset on the group itself: dense seeded masks and sparse ones of 1 to 12 elements
+    g = GroupSpec(moduli)
+    monkeypatch.setattr(explorer, "_kernel", lambda *args: pytest.fail("built the kernel past its budget"))
+    sizes, rng = explorer._size_kernel(g, g.order), random.Random(38)
+    masks = [rng.getrandbits(g.order) | 1 for _ in range(20)]
+    masks += [sum(1 << x for x in rng.sample(range(g.order), k)) for k in range(1, 13) for _ in range(3)]
+    for mask in [*masks, g.full_mask]:
+        A = [x for x in g.elements() if mask >> x & 1]
+        assert sizes(mask) == (len(naive_sumset(moduli, A, A)), len(naive_diffset(moduli, A, A))), mask
 
 
 def test_integer_windows_build_no_translates(monkeypatch):
@@ -587,17 +652,21 @@ def test_scans_never_call_the_sumset_kernels(monkeypatch):
     def refuse(*args):
         raise AssertionError("a scan called a sumset kernel")
 
-    monkeypatch.setattr(sets, "sumset", refuse)
-    monkeypatch.setattr(sets, "diffset", refuse)
-    # explorer holds no name of its own that would dodge the patch
-    assert not hasattr(explorer, "sumset") and not hasattr(explorer, "diffset")
+    for module in (sets, explorer):  # explorer's own names serve the groups past the kernel's budget
+        monkeypatch.setattr(module, "sumset", refuse)
+        monkeypatch.setattr(module, "diffset", refuse)
     with pytest.raises(AssertionError):
         GSet(GroupSpec((4,)), [1]) + GSet(GroupSpec((4,)), [2])
+    with pytest.raises(AssertionError):
+        scan(Campaign(group=GroupSpec((2,) * 7), group_cap=128), mask_range=(1, 64))
     for mode in explorer.MODES:
         _, summary = scan(Campaign(group=GroupSpec((12,)), mode=mode))
         assert summary.universe == 4095 and summary.counts["coset"] == 28
         _, summary = scan(Campaign(ints=(0, 9), mode=mode))
         assert summary.universe == 1023 and summary.counts["coset"] == 10
+    # a product of order 24 and the widest window at the default caps read the kernel too
+    assert scan(Campaign(group=GroupSpec((2, 2, 2, 3)), max_size=2))[1].universe == 300
+    assert scan(Campaign(ints=(0, 15), max_size=2))[1].universe == 136
 
 
 # -- one stream per scan, whatever the worker count ------------------------------

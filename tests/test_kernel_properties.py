@@ -128,7 +128,7 @@ def test_size_kernel_matches_oracles_on_wide_masks(universe, data):
         assert r.elements == tuple(pts)
         assert (r.sum_card, r.diff_card) == (len(int_sumset(pts, pts)), len(int_iterated(pts, 1, 1)))
     else:
-        sizes = explorer._size_kernel(universe, width)
+        sizes = explorer._size_kernel(GroupSpec(universe), width)
         assert sizes(mask) == (len(naive_sumset(universe, xs, xs)), len(naive_diffset(universe, xs, xs)))
 
 

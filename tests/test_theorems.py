@@ -291,7 +291,9 @@ def test_sweep_claim_refuses_an_unknown_claim_before_any_cap():
     for kw in ({}, {"sample": 10}):
         with pytest.raises(ValueError, match=message):
             sweep_claim("nope", GroupSpec((30,)), **kw)
-    assert set(theorems._CORES) == set(theorems.CLAIM_IDS)  # one integer core per claim
+    for claim in theorems.CLAIM_IDS:  # each claim has exactly one of a size rule and an integer core
+        assert (claim in theorems._SIZE_RULES) != (claim in theorems._CORES), claim
+    assert {*theorems._SIZE_RULES, *theorems._CORES} == set(theorems.CLAIM_IDS)
 
 
 def test_sweep_summary_and_caps():
@@ -323,6 +325,19 @@ def test_verdicts_keep_no_group_alive():
     assert v.outcome == HOLDS
     assert g.scale_mask(A.mask, 3) == sum(1 << g.scale(x, 3) for x in A)
     del g, A, v
+    gc.collect()
+    assert ref() is None
+
+
+def test_sampled_sweeps_past_the_kernel_budget_keep_no_group_alive():
+    # Z2^7's kernel tables would pass the budget, so its sizes come from sumsets on the caller's
+    # group, which fill that group's shift layout and negation table and no cache keeps it alive
+    g = GroupSpec((2,) * 7)
+    ref = weakref.ref(g)
+    for claim in SIZE_CLAIMS:
+        assert sweep_claim(claim, g, sample=20, seed=1).counts[VIOLATED] == 0
+    assert g._shift_layout and g.order - 1 in g._scale_tables
+    del g
     gc.collect()
     assert ref() is None
 
@@ -640,23 +655,27 @@ def test_exhaustive_size_sweeps_build_no_sumset(monkeypatch):
     assert calls
 
 
-def test_only_size_sweeps_up_to_the_kernel_order_build_the_kernel(monkeypatch):
-    # the kernel's tables grow faster than the order, and a sample may take any order
-    built, kernel = [], theorems._size_kernel
-    monkeypatch.setattr(theorems, "_size_kernel", lambda *a: built.append(a) or kernel(*a))
+def test_every_size_sweep_takes_explorer_s_sizes_and_only_they(monkeypatch):
+    # sweep_claim asks explorer for the sizes of every size sweep, exhaustive or sampled, of any
+    # order; explorer alone builds the kernel, for the groups whose tables fit its budget
+    asked, size_kernel = [], theorems._size_kernel
+    monkeypatch.setattr(theorems, "_size_kernel", lambda *a: asked.append(a) or size_kernel(*a))
+    built, kernel = [], explorer._kernel
+    monkeypatch.setattr(explorer, "_kernel", lambda *a: built.append(a) or kernel(*a))
     for claim in ("thm2", "thm3", "thm5"):
         sweep_claim(claim, GroupSpec((2, 3)))
         sweep_claim(claim, GroupSpec((6,)), sample=62)
-    for claim in theorems.CLAIM_IDS:
         sweep_claim(claim, GroupSpec((65,)), sample=3, cap=8)
-        sweep_claim(claim, GroupSpec((2, 33)), sample=3, cap=8)
+    for claim in theorems.CLAIM_IDS:
         run_claim(claim, gs((6,), [0, 1, 3]))
-    assert built == [] and theorems._KERNEL_ORDER == 64
+    assert asked == built == []
+    groups = [GroupSpec(m) for m in [(2, 3), (6,), (2, 33), (128,), (2,) * 7, (256,)]]
     for claim in SIZE_CLAIMS:
-        sweep_claim(claim, GroupSpec((2, 3)))
-        sweep_claim(claim, GroupSpec((6,)), sample=62)
-        sweep_claim(claim, GroupSpec((2, 32)), sample=3)
-    assert built == [((2, 3), 6), ((6,), 6), ((2, 32), 64)] * 3
+        sweep_claim(claim, groups[0])
+        for g in groups[1:]:
+            sweep_claim(claim, g, sample=3)
+    assert asked == [(g, g.order) for g in groups] * 3
+    assert built == [(g.moduli, g.order) for g in groups[:4]] * 3  # Z2^7 and Z256 read sumsets
 
 
 @pytest.mark.parametrize("claim", theorems.CLAIM_IDS)
