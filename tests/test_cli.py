@@ -2,7 +2,6 @@ import io
 import json
 import math
 import os
-import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -599,25 +598,37 @@ def _fresh_process(argv):
     return out.returncode, out.stdout, out.stderr
 
 
+# Runs ``python -m sumdiff`` as its own child and writes that child's wait status and peak
+# RSS (KiB) to descriptor argv[1]. Linux keeps the peak RSS of the image a process replaces at
+# exec in its ru_maxrss, so a command forked straight from pytest would read at least pytest's
+# RSS; forked from this small interpreter it reads its own.
+_LAUNCHER = """
+import os, resource, sys
+fd, limit = int(sys.argv[1]), int(sys.argv[2]) << 20
+if not (pid := os.fork()):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+    os.execv(sys.executable, [sys.executable, "-m", "sumdiff", *sys.argv[3:]])
+_, status, usage = os.wait4(pid, 0)
+os.write(fd, f"{status} {usage.ru_maxrss}".encode())
+"""
+
+
 def _limited_process(argv, limit_mb):
     """(exit code, stdout, stderr, peak RSS in MB) of ``python -m sumdiff argv`` in a
     child whose address space is capped at ``limit_mb``: a memory regression then
     fails the child instead of exhausting the machine."""
     src = os.path.dirname(os.path.dirname(sumdiff.__file__))
-
-    def cap():  # runs in the child only
-        resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
-        resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
-
+    report, w = os.pipe()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "sumdiff", *argv], env=dict(os.environ, PYTHONPATH=src),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, preexec_fn=cap,
+        [sys.executable, "-c", _LAUNCHER, str(w), str(limit_mb), *argv], env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, pass_fds=(w,),
     )
-    with proc.stdout, proc.stderr:  # both small; wait4 then gives this child's own usage
-        out, err = proc.stdout.read(), proc.stderr.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, out, err, usage.ru_maxrss / 1024
+    os.close(w)
+    with proc.stdout, proc.stderr, open(report) as fh:  # all small
+        out, err, (status, peak_kib) = proc.stdout.read(), proc.stderr.read(), map(int, fh.read().split())
+    proc.wait()
+    return os.waitstatus_to_exitcode(status), out, err, peak_kib / 1024
 
 
 @pytest.mark.parametrize("argv", [["constants"], ["check", "thm3"], ["witness", "ruzsa"]], ids=" ".join)
