@@ -478,7 +478,7 @@ def enumerate_canonical(campaign: Campaign):
 def _size_kernel(g: GroupSpec, width: int):
     """``sizes(mask) -> (|A+A|, |A-A|)`` for A with this mask, below bit ``width``, in ``g``: ``_kernel``'s if its
     tables fit in ``_KERNEL_BUDGET``, else sumset's and diffset's on ``g`` itself, which no cache keeps alive."""
-    span, w = math.prod(2 * m - 1 for m in g.moduli), g.order.bit_length() + 1  # a table int: gap + place[-1] fields
+    span, w = math.prod(2 * m - 1 for m in g.moduli), g.order.bit_length() + 1  # ints of gap + place[-1] w-bit fields
     if -(-width // 8) * 256 * ((span + span // (2 * g.moduli[-1] - 1) + span // 2) * w // 8) > _KERNEL_BUDGET:
         return lambda mask: (sumset(A := GSet.from_mask(g, mask), A).card, diffset(A, A).card)
     return _kernel(g.moduli, width)
@@ -654,7 +654,7 @@ def scan(
     """
     campaign.validate()
     ints = {"threads": threads, **dict(zip(("mask_range[0]", "mask_range[1]"), mask_range or ()))}
-    if bad := [k for k, v in ints.items() if not hasattr(type(v), "__index__")]:  # a float LO would scan
+    if bad := [k for k, v in ints.items() if not hasattr(type(v), "__index__")]:  # mask_range=(1.5, 9) would scan
         raise TypeError(f"{bad[0]} must be an integer, got {ints[bad[0]]!r}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
