@@ -276,22 +276,15 @@ def _group_orbit(g: GroupSpec, mask: int, mode: str, maps: tuple = ()) -> set:
     return orbit
 
 
-def _walks(campaign: Campaign, lo: int, hi_mask: int, maps: tuple = ()) -> bool:
-    """Whether the orbits in [lo, hi) come from the visited walk: a product group's full-affine ones
-    under automorphism tables ``maps`` (a sweep's) or units other than +-1. A group of exponent 1, 2,
-    3, 4 or 6 has only those, so with no ``maps`` its full-affine orbits are its translation+negation
-    classes. A walk refuses more than 2^30 masks, a byte each in its visited array."""
-    g = campaign.group
-    walks = g is not None and len(g.moduli) > 1 and campaign.mode == MODE_FULL_AFFINE and (maps or len(g.units()) > 2)
-    if walks and hi_mask - lo > 1 << 30:
-        raise CapExceededError(f"full-affine orbits of {g.label()} walk {hi_mask - lo} masks, above 2^30")
-    return bool(walks)
-
-
 def _sizes(campaign: Campaign) -> bytes:
     """``keep[k]`` for k = 0..N, whether a scan takes the sets of size k: those in the campaign's size window."""
     n = campaign.width()
     return bytes(campaign.min_size <= k <= (campaign.max_size or n) for k in range(n + 1))
+
+
+def _count(n: int) -> str:
+    """``n`` in decimal below 2^64, else the power of two it reaches: Python prints no int of 4,300+ digits."""
+    return str(n) if n < 1 << 64 else f"at least 2^{n.bit_length() - 1}"
 
 
 _BYTE_REVERSED = tuple(int(f"{y:08b}"[::-1], 2) for y in range(256))
@@ -299,13 +292,14 @@ _BYTE_REVERSED = tuple(int(f"{y:08b}"[::-1], 2) for y in range(256))
 
 def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
     """Yield (representative mask, orbit size) with masks ascending in [lo, hi): Z_N's orbits in every
-    mode but none from the necklace generator, a product group's from the visited walk where ``_walks``
-    says so, whose orbits also take the automorphism tables ``maps`` (Z_N has none past its unit
-    scalars), and otherwise from the block-necklace generator. An integer window's class is a set's
-    translates and, outside mode translation, its mirror's: per top bit t the masks 2^t + 2m + 1, under
-    negation only those whose inner bits m are at most their reversal."""
+    mode but none from the necklace generator, a product group's full-affine ones under automorphism
+    tables ``maps`` (a sweep's; Z_N has none past its unit scalars) or units other than +-1 from the
+    visited walk, and otherwise from the block-necklace generator. A group of exponent 1, 2, 3, 4 or 6
+    has only +-1, so with no ``maps`` its full-affine orbits are its translation+negation classes. An
+    integer window's class is a set's translates and, outside mode translation, its mirror's: per top
+    bit t the masks 2^t + 2m + 1, under negation only those whose inner bits m are at most their reversal."""
     lo, keep, g = max(lo_mask, 1), _sizes(campaign), campaign.group
-    if _walks(campaign, lo, hi_mask, maps):
+    if g is not None and len(g.moduli) > 1 and campaign.mode == MODE_FULL_AFFINE and (maps or len(g.units()) > 2):
         yield from _orbit_walk(campaign, keep, lo, hi_mask, maps)
     elif campaign.mode == MODE_NONE:  # every set is its own class
         yield from ((mask, 1) for mask in range(lo, hi_mask) if keep[mask.bit_count()])
@@ -327,7 +321,10 @@ def _canonical_masks(campaign: Campaign, lo_mask: int, hi_mask: int, maps: tuple
 def _orbit_walk(campaign: Campaign, keep: bytes, lo: int, hi_mask: int, maps: tuple = ()) -> Iterator[tuple]:
     """``_canonical_masks`` for any group, the size table ``keep`` and the automorphism tables ``maps``: an
     orbit is built at its least member in the window, and its other members there are marked visited.
-    Members below ``lo`` only decide whether that one is the representative, so windows concatenate."""
+    Members below ``lo`` only decide whether that one is the representative, so windows concatenate.
+    It refuses more than 2^30 masks, a byte each in its visited array."""
+    if (masks := hi_mask - lo) > 1 << 30:
+        raise CapExceededError(f"full-affine orbits of {campaign.group.label()} walk {_count(masks)} masks, above 2^30")
     visited, mask = bytearray(max(hi_mask - lo, 0) + 1), lo  # the last byte, at hi_mask, stays 0
     while mask < hi_mask:
         if keep[mask.bit_count()]:
@@ -477,26 +474,25 @@ def enumerate_canonical(campaign: Campaign):
 
 def _size_kernel(g: GroupSpec, width: int):
     """``sizes(mask) -> (|A+A|, |A-A|)`` for A with this mask, below bit ``width``, in ``g``: ``_kernel``'s if its
-    tables fit in ``_KERNEL_BUDGET``, else sumset's and diffset's on ``g`` itself, which no cache keeps alive."""
-    span, w = math.prod(2 * m - 1 for m in g.moduli), g.order.bit_length() + 1  # ints of gap + place[-1] w-bit fields
-    if -(-width // 8) * 256 * ((span + span // (2 * g.moduli[-1] - 1) + span // 2) * w // 8) > _KERNEL_BUDGET:
-        return lambda mask: (sumset(A := GSet.from_mask(g, mask), A).card, diffset(A, A).card)
-    return _kernel(g.moduli, width)
+    tables fit in its budget, else sumset's and diffset's on ``g`` itself, which no cache keeps alive."""
+    return _kernel(g.moduli, width) or (lambda mask: (sumset(A := GSet.from_mask(g, mask), A).card, diffset(A, A).card))
 
 
-@lru_cache(maxsize=8)  # bounded: a scan binds one kernel
+@lru_cache(maxsize=8)  # bounded: a scan binds one kernel; a group past the budget caches only its None
 def _kernel(moduli: tuple, width: int):
     """The size kernel of Z_{n_1} x ... x Z_{n_k}; only the table rows of masks below bit ``width``,
-    256 ints per mask byte, are built. Element i, with digits d_j, goes
-    to the w-bit field at place sum d_j S_j, S_j = prod_{l<j} (2 n_l - 1), so no digit sum carries.
-    rev(A) = (N-1) - A is a translate of -A, at mirrored places, so one product of A's spread with
-    A's plus rev(A)'s (placed G = 2 n_k S_k fields up) counts the pairs of A+A below G and of A-A
-    above. Folding each digit mod n_j merges an element's places (the top digit needs no mask: the
-    field past each half is empty); a field holds at most N < 2^(w-1) pairs, so adding 2^(w-1) - 1
-    sets its top bit iff it is not empty."""
+    256 ints per mask byte, are built, and None if they would take more than ``_KERNEL_BUDGET`` bytes.
+    Element i, with digits d_j, goes to the w-bit field at place sum d_j S_j, S_j = prod_{l<j} (2 n_l - 1),
+    so no digit sum carries. rev(A) = (N-1) - A is a translate of -A, at mirrored places, so one product of
+    A's spread with A's plus rev(A)'s (placed G = 2 n_k S_k fields up) counts the pairs of A+A below G and
+    of A-A above. Folding each digit mod n_j merges an element's places (the top digit needs no mask: the
+    field past each half is empty); a field holds at most N < 2^(w-1) pairs, so adding 2^(w-1) - 1 sets
+    its top bit iff it is not empty."""
     w = math.prod(moduli).bit_length() + 1
     *strides, span = (math.prod(2 * m - 1 for m in moduli[:j]) for j in range(len(moduli) + 1))
     gap, place = span + strides[-1], [0]
+    if -(-width // 8) * 256 * ((gap + span // 2) * w // 8) > _KERNEL_BUDGET:  # ints of gap + place[-1] w-bit fields
+        return None  # place[-1] = sum (n_j - 1) S_j = (span - 1) / 2, as S_{j+1} = (2 n_j - 1) S_j
     for m, stride in zip(moduli, strides):
         place = [p + d * stride for d in range(m) for p in place]
     spread = [1 << place[i] * w | 1 << (gap + place[-1] - place[i]) * w for i in range(width)]  # A's and rev(A)'s

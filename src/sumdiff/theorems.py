@@ -30,7 +30,7 @@ from random import Random
 
 from .errors import CapExceededError, EmptySetError
 from .explorer import (
-    MODE_FULL_AFFINE, MODE_TRANSLATION_NEGATION, Campaign, _canonical_masks, _group_orbit, _size_kernel,
+    MODE_FULL_AFFINE, MODE_TRANSLATION_NEGATION, Campaign, _canonical_masks, _count, _group_orbit, _size_kernel,
 )
 from .groups import GroupSpec, is_coset
 from .petridis import MINIMIZER_CAP, find_minimizer
@@ -390,7 +390,7 @@ def sweep_claim(
         if top < g.order:  # the source would reach 2^(cap+1) - 1, a representative, and stop there
             raise CapExceededError(f"minimizer base size {cap + 1} exceeds cap {cap}")
         if total_universe > 1 << 30:
-            raise CapExceededError(f"exhaustive sweep of {g.label()} covers {total_universe} masks, above 2^30")
+            raise CapExceededError(f"exhaustive sweep of {g.label()} covers {_count(total_universe)} masks, above 2^30")
         maps = () if rule else g.automorphisms()  # with the unit scalars of full-affine mode, all of Aut(g)
         weighted = _canonical_masks(campaign, 1, total_universe + 1, maps)
     sizes = rule and _size_kernel(g, g.order)

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from itertools import islice
 from fractions import Fraction
 
@@ -423,17 +424,18 @@ UNIT_PM1_PRODUCTS = [m for m in _products(16) if math.lcm(*m) in (2, 3, 4, 6)] +
 
 
 @pytest.mark.parametrize("moduli", UNIT_PM1_PRODUCTS, ids=_label)
-def test_unit_pm1_full_affine_masks_match_the_walk(moduli):
+def test_unit_pm1_full_affine_masks_match_the_walk(monkeypatch, moduli):
     # scalings by +-1 only: the full-affine orbits are translation+negation classes, from the block generator
     g = GroupSpec(moduli)
     n = g.order
     assert set(g.units()) <= {1, g.exponent - 1}
-    assert not explorer._walks(Campaign(group=g, mode=MODE_FULL_AFFINE), 1, 1 << n)
+    walk = explorer._orbit_walk
+    monkeypatch.setattr(explorer, "_orbit_walk", lambda *a: pytest.fail(f"{g.label()} took the walk"))
     for min_size, max_size in [(1, None), (2, max(2, n // 2))]:
         campaign = Campaign(group=g, mode=MODE_FULL_AFFINE, min_size=min_size, max_size=max_size)
         keep = explorer._sizes(campaign)
         for lo, hi in [(1, 1 << n), (300, min(2900, 1 << n))]:
-            want = list(explorer._orbit_walk(campaign, keep, lo, hi))
+            want = list(walk(campaign, keep, lo, hi))
             assert list(explorer._canonical_masks(campaign, lo, hi)) == want
 
 
@@ -600,12 +602,13 @@ def _ordered_factorizations(n):
 
 
 def test_every_group_of_order_up_to_64_reads_the_kernel(monkeypatch):
-    built = []
-    monkeypatch.setattr(explorer, "_kernel", lambda *args: built.append(args) or "kernel")
+    built, kernel = [], explorer._kernel.__wrapped__  # uncached, so each group builds its own
+    monkeypatch.setattr(explorer, "_kernel", lambda *args: built.append(args) or kernel(*args) or pytest.fail(args))
     groups = [m for n in range(2, 65) for m in _ordered_factorizations(n)] + [(1,), (1, 64), (64, 1), (2, 1, 32)]
     assert len(groups) == 444 and (2,) * 6 in groups and (3, 3, 7) in groups
     for moduli in groups:
-        assert explorer._size_kernel(GroupSpec(moduli), math.prod(moduli)) == "kernel", moduli
+        sizes = explorer._size_kernel(GroupSpec(moduli), math.prod(moduli))
+        assert sizes.__qualname__ == "_kernel.<locals>.sizes", moduli
     for width in range(1, 33):  # a window of width W lives in Z_{2W-1}, of order at most 63
         explorer._recorder(Campaign(ints=(0, width - 1), width_cap=32))
     assert built == [(m, math.prod(m)) for m in groups] + [((2 * w - 1,), w) for w in range(1, 33)]
@@ -613,23 +616,39 @@ def test_every_group_of_order_up_to_64_reads_the_kernel(monkeypatch):
 
 @pytest.mark.parametrize("moduli, fits", [((2,) * 6, True), ((128,), True), ((2,) * 7, False), ((256,), False)],
                          ids=lambda v: _label(v) if isinstance(v, tuple) else None)
-def test_the_kernel_budget_bounds_the_tables_it_lets_be_built(moduli, fits):
-    # the kernel is chosen exactly when the tables it would build, measured here, fit in the
-    # budget: 2.5 MiB for Z2^6 and 1.6 for Z128 do, 16.3 for Z2^7 and 6.9 for Z256 do not
-    g = GroupSpec(moduli)
-    sizes = explorer._kernel.__wrapped__(moduli, g.order)  # uncached
+def test_the_kernel_budget_bounds_the_tables_it_lets_be_built(monkeypatch, moduli, fits):
+    # the kernel is built exactly when the tables it would build, measured here under a budget
+    # raised out of the way, fit in the budget: 2.5 MiB for Z2^6 and 1.6 for Z128 do, 16.3 for Z2^7
+    # and 6.9 for Z256 do not
+    g, budget = GroupSpec(moduli), explorer._KERNEL_BUDGET
+    with monkeypatch.context() as patch:
+        patch.setattr(explorer, "_KERNEL_BUDGET", 1 << 40)
+        sizes = explorer._kernel.__wrapped__(moduli, g.order)  # uncached
     tables = sizes.__closure__[sizes.__code__.co_freevars.index("tables")].cell_contents
     used = sum(sys.getsizeof(t) + sum(map(sys.getsizeof, t)) for t in tables)
-    assert (used <= explorer._KERNEL_BUDGET) == fits
+    assert (used <= budget) == fits
+    assert (explorer._kernel.__wrapped__(moduli, g.order) is not None) == fits
     chosen = explorer._size_kernel(g, g.order).__qualname__
     assert chosen == ("_kernel.<locals>.sizes" if fits else "_size_kernel.<locals>.<lambda>")
 
 
+def test_a_group_past_the_kernel_budget_builds_no_layout():
+    # Z2^20's one byte-table row would take 2^20 x 3^20 fields: the budget refuses it from the
+    # strides alone, before a place list of 2^20 ints or any table
+    tracemalloc.start()
+    try:
+        assert explorer._kernel.__wrapped__((2,) * 20, 1 << 20) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
 @pytest.mark.parametrize("moduli", [(2,) * 7, (256,)], ids=_label)
-def test_sizes_past_the_kernel_budget_match_oracles(monkeypatch, moduli):
+def test_sizes_past_the_kernel_budget_match_oracles(moduli):
     # sumset and diffset on the group itself: dense seeded masks and sparse ones of 1 to 12 elements
     g = GroupSpec(moduli)
-    monkeypatch.setattr(explorer, "_kernel", lambda *args: pytest.fail("built the kernel past its budget"))
+    assert explorer._kernel(moduli, g.order) is None  # no kernel is built past its budget
     sizes, rng = explorer._size_kernel(g, g.order), random.Random(38)
     masks = [rng.getrandbits(g.order) | 1 for _ in range(20)]
     masks += [sum(1 << x for x in rng.sample(range(g.order), k)) for k in range(1, 13) for _ in range(3)]

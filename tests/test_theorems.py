@@ -661,7 +661,7 @@ def test_every_size_sweep_takes_explorer_s_sizes_and_only_they(monkeypatch):
     asked, size_kernel = [], theorems._size_kernel
     monkeypatch.setattr(theorems, "_size_kernel", lambda *a: asked.append(a) or size_kernel(*a))
     built, kernel = [], explorer._kernel
-    monkeypatch.setattr(explorer, "_kernel", lambda *a: built.append(a) or kernel(*a))
+    monkeypatch.setattr(explorer, "_kernel", lambda *a: (sizes := kernel(*a)) and built.append(a) or sizes)
     for claim in ("thm2", "thm3", "thm5"):
         sweep_claim(claim, GroupSpec((2, 3)))
         sweep_claim(claim, GroupSpec((6,)), sample=62)
