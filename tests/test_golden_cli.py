@@ -269,7 +269,7 @@ def _cases() -> list:
         ["check", "thm1", "--sweep", "Z16", "--format", "json"],
     ]
     # Product translation classes: a 3-bit and a 12-bit block, factors of size 1, a size
-    # window cut by a mask range, and a two-worker scan that splits its walk at 2^20 masks.
+    # window cut by a mask range, and a --threads 2 scan, which runs in one process as every scan does.
     cases += [
         ["scan", "--group", "Z3xZ6", "--mode", "translation", "--format", "csv", "--threads", "1"],
         ["scan", "--group", "Z12xZ2", "--mode", "translation+negation", "--format", "csv", "--threads", "1"],
@@ -279,7 +279,7 @@ def _cases() -> list:
          "--threads", "1"],
         ["scan", "--group", "Z2xZ10", "--max-size", "3", "--format", "csv", "--threads", "2"],
     ]
-    # A full-affine product walk of 2^20 masks, which two workers still split across a process pool.
+    # A full-affine product walk of 2^20 masks, with --threads 2, in one process.
     cases.append(["scan", "--group", "Z2xZ10", "--mode", "full-affine", "--max-size", "4", "--format", "csv",
                   "--threads", "2"])
     # Integer windows cut by a mask range, which the representative source cuts per top bit.

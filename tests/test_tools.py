@@ -32,10 +32,15 @@ def test_ab_times_the_repo_against_itself():
     assert all(5 < timed[side]["peak_rss_mb"] < 500 for side in ("parent", "change"))  # an interpreter's, in MB
 
 
-def test_ab_alternates_sides_and_refuses_other_bytes():
+def _load_ab():
     spec = importlib.util.spec_from_file_location("ab", AB)
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
+    return ab
+
+
+def test_ab_alternates_sides_and_refuses_other_bytes():
+    ab = _load_ab()
     order = []
     runners = {side: (lambda side=side: order.append(side) or (1.0, b"same")) for side in ab.SIDES}
     assert ab.alternate(runners, 3) == {"parent": [1.0] * 3, "change": [1.0] * 3}
@@ -43,3 +48,11 @@ def test_ab_alternates_sides_and_refuses_other_bytes():
     runners["change"] = lambda: (1.0, b"other")
     with pytest.raises(RuntimeError, match="change wrote other bytes in round 0"):
         ab.alternate(runners, 1)
+
+
+def test_ab_reports_the_child_s_own_peak_rss():
+    # a child forked straight from a process that holds 150 MB would report at least that much
+    ballast = b"x" * (150 << 20)
+    (_, _, rss_mb), out = _load_ab().cli_runner(ROOT, "constants 0@Z1 --format json")()
+    assert json.loads(out)["set"] == "0@Z1" and rss_mb < 60
+    del ballast

@@ -10,8 +10,8 @@ under its own package name and times one ``cli.main(ARGS)`` of each side, in
 CPU seconds, with its stdout captured: a scan plus its csv, or a request of a
 few milliseconds, which ``--cli`` would bury under interpreter start-up.
 ``--cli ARGS`` times ``python -m sumdiff ARGS`` in a child process per side,
-in wall and child CPU seconds, and reports the median of the child's peak RSS
-(``ru_maxrss``) in MB; ``{out}`` stands for a fresh output file. Every round
+forked by a small launcher, in wall and child CPU seconds, and reports the
+median of the child's own peak RSS (``ru_maxrss``) in MB; ``{out}`` stands for a fresh output file. Every round
 runs both sides, and the side that runs first alternates. Every run must
 write the bytes of the first run, or the script stops with an error. The last
 line of stdout is one JSON object.
@@ -63,28 +63,42 @@ def request_runner(pkg, args: str):
     return run
 
 
+# Forks the command from a fresh interpreter, not from ab.py: Linux keeps the forking process's peak
+# RSS across exec, so a child forked from ab.py would report ab.py's own peak as its floor.
+_LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+if not (pid := os.fork()):
+    os.execv(sys.executable, [sys.executable, "-m", "sumdiff", *sys.argv[2:]])
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - start
+os.write(int(sys.argv[1]), f"{status} {wall} {usage.ru_utime + usage.ru_stime} {usage.ru_maxrss}".encode())
+"""
+
+
 def cli_runner(root: Path, args: str):
-    """A function running ``python -m sumdiff args`` once from ``root``: ((wall seconds,
-    child CPU seconds, child peak RSS in MB), stdout plus any --out file)."""
+    """A function running ``python -m sumdiff args`` once from ``root``, forked by a small
+    launcher: ((wall seconds, child CPU seconds, child peak RSS in MB), stdout plus any --out file)."""
     env = {**os.environ, "PYTHONPATH": str(Path(root).resolve() / "src")}
 
     def run():
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             argv = [a.replace("{out}", str(out)) for a in shlex.split(args)]
-            start = time.perf_counter()
+            report, w = os.pipe()
             proc = subprocess.Popen(
-                [sys.executable, "-m", "sumdiff", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+                [sys.executable, "-c", _LAUNCHER, str(w), *argv], env=env, pass_fds=(w,),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             )
-            with proc.stdout, proc.stderr:  # stderr is at most an error line; wait4 then gives this child's usage
+            os.close(w)
+            with proc.stdout, proc.stderr, open(report) as fh:  # stderr is at most an error line
                 stdout, stderr = proc.stdout.read(), proc.stderr.read()
-            _, status, usage = os.wait4(proc.pid, 0)
-            wall = time.perf_counter() - start
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            if proc.returncode:
-                raise RuntimeError(f"exit {proc.returncode}: python -m sumdiff {args}\n{stderr.decode()}")
-            cpu, rss_mb = usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
-            return (wall, cpu, rss_mb), stdout + (out.read_bytes() if out.exists() else b"")
+                status, wall, cpu, peak_kib = fh.read().split()
+            proc.wait()
+            code = os.waitstatus_to_exitcode(int(status))
+            if code:
+                raise RuntimeError(f"exit {code}: python -m sumdiff {args}\n{stderr.decode()}")
+            return (float(wall), float(cpu), int(peak_kib) / 1024), stdout + (out.read_bytes() if out.exists() else b"")
 
     return run
 
@@ -124,8 +138,8 @@ def main(argv=None) -> int:
     result = {
         "method": f"tools/ab.py, {args.rounds} rounds, the side that runs first alternating; in-process: "
         "one cli.main request with stdout captured, CPU time (time.process_time); whole-process: "
-        "python -m sumdiff, wall and child CPU time and median peak RSS (ru_maxrss from os.wait4); "
-        "both sides wrote the same bytes in every round",
+        "python -m sumdiff forked by a small launcher, wall and child CPU time and median peak RSS "
+        "(ru_maxrss from os.wait4); both sides wrote the same bytes in every round",
         "in_process": {},
         "whole_process": {},
     }
