@@ -325,7 +325,7 @@ def _orbit_walk(campaign: Campaign, keep: bytes, lo: int, hi_mask: int, maps: tu
     It refuses more than 2^30 masks, a byte each in its visited array."""
     if (masks := hi_mask - lo) > 1 << 30:
         raise CapExceededError(f"full-affine orbits of {campaign.group.label()} walk {_count(masks)} masks, above 2^30")
-    visited, mask = bytearray(max(hi_mask - lo, 0) + 1), lo  # the last byte, at hi_mask, stays 0
+    visited, mask = bytearray(max(masks, 0) + 1), lo  # the last byte, at hi_mask, stays 0
     while mask < hi_mask:
         if keep[mask.bit_count()]:
             orbit = _group_orbit(campaign.group, mask, campaign.mode, maps)

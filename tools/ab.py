@@ -11,10 +11,10 @@ CPU seconds, with its stdout captured: a scan plus its csv, or a request of a
 few milliseconds, which ``--cli`` would bury under interpreter start-up.
 ``--cli ARGS`` times ``python -m sumdiff ARGS`` in a child process per side,
 forked by a small launcher, in wall and child CPU seconds, and reports the
-median of the child's own peak RSS (``ru_maxrss``) in MB; ``{out}`` stands for a fresh output file. Every round
-runs both sides, and the side that runs first alternates. Every run must
-write the bytes of the first run, or the script stops with an error. The last
-line of stdout is one JSON object.
+median of the child's own peak RSS (``ru_maxrss``) in MB; ``{out}`` stands
+for a fresh output file. Every round runs both sides, and the side that runs
+first alternates. Every run must write the bytes of the first run, or the
+script stops with an error. The last line of stdout is one JSON object.
 """
 
 from __future__ import annotations
